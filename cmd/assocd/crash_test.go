@@ -90,6 +90,7 @@ func startCrashDaemon(t *testing.T, args ...string) *crashDaemon {
 		t.Fatal(err)
 	}
 	cmd.Stdout = io.Discard
+	killWithParent(cmd)
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}

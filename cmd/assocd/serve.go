@@ -809,7 +809,7 @@ func (s *server) status(eng *engine.Engine) statusResponse {
 	}
 	if eng.MaxHomes() > 1 {
 		resp.MaxHomes = eng.MaxHomes()
-		resp.MultiSatisfied = eng.MultiSnapshot().SatisfiedCount()
+		resp.MultiSatisfied = eng.MultiSatisfied()
 	}
 	if f := eng.Flight(); f != nil {
 		resp.Flight = &flightSummary{Spans: f.Total(), Capacity: f.Capacity()}

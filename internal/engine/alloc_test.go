@@ -24,8 +24,10 @@ const allocGateWindow = 256
 // the hot path (rehome, grid re-query, tracker churn, worklist repair)
 // the gate is protecting. Joins and leaves ride the same machinery;
 // they are exercised by the equivalence suites instead because a
-// replayable join/leave cycle cannot stay valid.
-func allocGateSetup(tb testing.TB, events int) (*Engine, []Event) {
+// replayable join/leave cycle cannot stay valid. With maxHomes > 1 the
+// trace also takes one AP down every 16 events and brings it back 16
+// later (all up again at the end, so it still replays).
+func allocGateSetup(tb testing.TB, events, maxHomes int) (*Engine, []Event) {
 	tb.Helper()
 	p := scenario.PaperDefaults()
 	p.NumAPs = benchAPs
@@ -36,7 +38,7 @@ func allocGateSetup(tb testing.TB, events int) (*Engine, []Event) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e, err := New(n, Config{Objective: core.ObjMLA})
+	e, err := New(n, Config{Objective: core.ObjMLA, MaxHomes: maxHomes})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -50,6 +52,21 @@ func allocGateSetup(tb testing.TB, events int) (*Engine, []Event) {
 			trace[i] = Event{Kind: DemandChange, User: u, Session: rng.Intn(4)}
 		}
 	}
+	if maxHomes > 1 {
+		down := -1
+		for i := 16; i < len(trace); i += 16 {
+			if down >= 0 {
+				trace[i] = Event{Kind: APUp, User: -1, AP: down}
+				down = -1
+			} else {
+				down = rng.Intn(benchAPs)
+				trace[i] = Event{Kind: APDown, User: -1, AP: down}
+			}
+		}
+		if down >= 0 {
+			trace = append(trace, Event{Kind: APUp, User: -1, AP: down})
+		}
+	}
 	return e, trace
 }
 
@@ -59,7 +76,7 @@ func allocGateSetup(tb testing.TB, events int) (*Engine, []Event) {
 // buffer to its high-water mark, then AllocsPerRun measures whole
 // replays streamed in assocd-sized windows.
 func TestEngineEventAllocGate(t *testing.T) {
-	e, trace := allocGateSetup(t, 2048)
+	e, trace := allocGateSetup(t, 2048, 0)
 	replay := func() {
 		for s := 0; s < len(trace); s += allocGateWindow {
 			if _, err := e.ApplyStream(trace[s:min(s+allocGateWindow, len(trace))]); err != nil {
@@ -75,12 +92,37 @@ func TestEngineEventAllocGate(t *testing.T) {
 	t.Logf("steady-state allocations: %.3f allocs/event", perEvent)
 }
 
+// TestEngineMultihomeAllocGate is the gate's MaxHomes=2 twin on the
+// request path: one-event Apply calls, each followed by the
+// incremental secondary-home derivation, over a trace that also takes
+// APs down and back up. The derivation re-derives only what a call
+// touched through reused scratch, so it must stay <= 4 allocs/event.
+func TestEngineMultihomeAllocGate(t *testing.T) {
+	e, trace := allocGateSetup(t, 2048, 2)
+	replay := func() {
+		for _, ev := range trace {
+			if _, err := e.Apply(ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	replay() // warm the home sets, scratch, and adjacency-row capacities
+	if e.MultiSnapshot().SecondaryCount() == 0 {
+		t.Fatal("no secondary homes derived; the gate is vacuous")
+	}
+	perEvent := testing.AllocsPerRun(5, replay) / float64(len(trace))
+	if perEvent > 4 {
+		t.Fatalf("multi-homed Apply path allocates %.3f allocs/event, gate is 4", perEvent)
+	}
+	t.Logf("steady-state allocations: %.3f allocs/event", perEvent)
+}
+
 // BenchmarkEngineEventAlloc is the measurement twin of the gate: the
 // steady-state ns/event and allocs/op of ApplyStream windows on one
 // long-lived engine (unlike BenchmarkEngineIncremental, which pays a
 // fresh engine's buffer growth every iteration).
 func BenchmarkEngineEventAlloc(b *testing.B) {
-	e, trace := allocGateSetup(b, 2048)
+	e, trace := allocGateSetup(b, 2048, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -176,14 +176,15 @@ type Engine struct {
 	// (cleared per batch, buckets retained — see stream.go).
 	vAct, vDwn map[int]bool
 
-	// Multi-homing state (see multihome.go): mhSec[u] is user u's
-	// derived secondary-home set (primary excluded, sorted ascending;
-	// nil while MaxHomes <= 1), and the mh* values cache the gauges
-	// the last derivation computed.
-	mhSec       [][]int
-	mhSat       int
-	mhSecondary int
-	mhMaxLoad   float64
+	// Multi-homing state (see multihome.go; nil while MaxHomes <= 1):
+	// mh holds every user's home set as of the last call, mhPrim the
+	// primaries it was derived from; mhMark, mhDirty, mhDirtyAPs,
+	// mhPrev and mhKept are deriveMulti's reusable scratch.
+	mh                  *wlan.MultiTracker
+	mhPrim              []int
+	mhMark              []bool
+	mhDirty, mhDirtyAPs []int
+	mhPrev, mhKept      []int
 
 	reg     *obs.Registry
 	metrics metrics
@@ -229,6 +230,11 @@ type worker struct {
 	// path; worker-owned, so sharded workers never share it).
 	orphans []int
 
+	// mhTouched logs the users this call changed for the multi-home
+	// derivation (see touch), mhUp the APs it brought back up; both
+	// are per worker so sharded batches log without sharing.
+	mhTouched, mhUp []int
+
 	// Span/flight staging (see span.go): the flight-recorder writer
 	// index, worker-local stage-histogram buffers and per-shard
 	// tallies flushed by flushWorkerStats, the busy-time accumulator,
@@ -273,7 +279,7 @@ func New(n *wlan.Network, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := e.finish(assoc); err != nil {
+	if err := e.finish(assoc, nil); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -357,8 +363,9 @@ func newShell(n *wlan.Network, cfg Config) (*Engine, error) {
 
 // finish completes an engine shell around an already-decided
 // association: shard partition and workers, flight recorder, tracker
-// seeding, and the first gauge refresh.
-func (e *Engine) finish(assoc *wlan.Assoc) error {
+// seeding, the multi-home derivation grandfathering prevSec (nil for
+// none), and the first gauge refresh.
+func (e *Engine) finish(assoc *wlan.Assoc, prevSec [][]int) error {
 	if err := e.setupWorkers(); err != nil {
 		return err
 	}
@@ -366,6 +373,7 @@ func (e *Engine) finish(assoc *wlan.Assoc) error {
 	if err := e.seedTrackers(assoc); err != nil {
 		return err
 	}
+	e.installMulti(prevSec)
 	e.updateGauges()
 	return nil
 }
@@ -455,12 +463,9 @@ func (e *Engine) seedTrackers(assoc *wlan.Assoc) error {
 
 // updateGauges refreshes the point-in-time gauges after any state
 // change. Gauge writes are atomic, so /metrics renders them without
-// the engine lock. It is also the multi-home derivation point: every
-// apply/restore path ends here, so the secondary-home sets are
-// re-derived before the gauges that report them (no-op while
-// MaxHomes <= 1).
+// the engine lock. Every apply, restore and install path ends here,
+// after its multi-home derivation step.
 func (e *Engine) updateGauges() {
-	e.deriveMulti()
 	sat := e.satisfied()
 	maxLoad := e.MaxLoad()
 	e.metrics.activeUsers.Set(float64(e.nActive))
@@ -469,9 +474,9 @@ func (e *Engine) updateGauges() {
 	e.metrics.apsDown.Set(float64(e.n.NumAPsDown()))
 	e.metrics.unsatisfied.Set(float64(e.nActive - sat))
 	if e.multihomeOn() {
-		e.metrics.mhSatisfied.Set(float64(e.mhSat))
-		e.metrics.mhSecondary.Set(float64(e.mhSecondary))
-		e.metrics.mhLoadMax.Set(e.mhMaxLoad)
+		e.metrics.mhSatisfied.Set(float64(e.mh.Satisfied()))
+		e.metrics.mhSecondary.Set(float64(e.mh.NumHomes() - e.mh.Satisfied()))
+		e.metrics.mhLoadMax.Set(e.mh.MaxLoad())
 	} else {
 		e.metrics.mhSatisfied.Set(float64(sat))
 		e.metrics.mhSecondary.Set(0)
@@ -524,6 +529,7 @@ func (e *Engine) Apply(ev Event) (ApplyResult, error) {
 		if err != nil {
 			return res, err
 		}
+		e.deriveMulti()
 		e.updateGauges()
 		return res, nil
 	}
@@ -635,6 +641,7 @@ func (w *worker) applyPrimary(ev Event, res *ApplyResult) error {
 		e.active[u] = true
 		w.dActive++
 		w.markUser(u)
+		w.touch(u)
 
 	case UserLeave:
 		if ap := w.tr.APOf(u); ap != wlan.Unassociated {
@@ -653,6 +660,7 @@ func (w *worker) applyPrimary(ev Event, res *ApplyResult) error {
 		}
 		e.active[u] = false
 		w.dActive--
+		w.touch(u)
 
 	case UserMove, DemandChange:
 		if err := w.rehome(ev, res); err != nil {
@@ -726,6 +734,7 @@ func (w *worker) rehome(ev Event, res *ApplyResult) error {
 		w.markAPIfChanged(ap, before)
 	}
 	w.markUser(u)
+	w.touch(u)
 	return nil
 }
 
@@ -777,6 +786,7 @@ func (w *worker) repair(res *ApplyResult) error {
 			return err
 		}
 		res.Moves++
+		w.touch(u)
 		if obs.Active(e.trace) {
 			e.trace.Record(obs.Event{Type: obs.EvHandoff, User: u, AP: target})
 		}
@@ -845,6 +855,14 @@ func (e *Engine) trackerOf(a int) *wlan.Tracker {
 	return e.workers[e.shardOfAP[a]].tr
 }
 
+// primaryOf returns user u's current primary AP, or wlan.Unassociated.
+func (e *Engine) primaryOf(u int) int {
+	if e.nShards == 1 {
+		return e.workers[0].tr.APOf(u)
+	}
+	return e.workers[e.shardOfUser[u]].tr.APOf(u)
+}
+
 // satisfied returns the number of currently associated users.
 func (e *Engine) satisfied() int {
 	s := 0
@@ -864,7 +882,7 @@ func (e *Engine) Snapshot() *wlan.Assoc {
 	}
 	out := wlan.NewAssoc(e.n.NumUsers())
 	for u := 0; u < e.n.NumUsers(); u++ {
-		if ap := e.workers[e.shardOfUser[u]].tr.APOf(u); ap != wlan.Unassociated {
+		if ap := e.primaryOf(u); ap != wlan.Unassociated {
 			out.Associate(u, ap)
 		}
 	}
@@ -941,9 +959,17 @@ func (e *Engine) SetAssoc(a *wlan.Assoc) error {
 			return fmt.Errorf("engine: association assigns inactive user %d", u)
 		}
 	}
+	var prevSec [][]int
+	if e.multihomeOn() {
+		prevSec = make([][]int, e.n.NumUsers())
+		for u := range prevSec {
+			prevSec[u] = e.secondaryOf(u)
+		}
+	}
 	if err := e.seedTrackers(a); err != nil {
 		return err
 	}
+	e.installMulti(prevSec)
 	e.updateGauges()
 	return nil
 }

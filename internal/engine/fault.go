@@ -126,10 +126,22 @@ func (w *worker) applyAPDown(ev Event, res *ApplyResult) error {
 		}
 	}
 	w.orphans = orphans // keep the grown buffer for the next failure
+	if e.multihomeOn() {
+		// Every user with any home here loses it. The multi tracker is
+		// frozen at the last call's state until the derivation step, so
+		// concurrent shard workers may read it; the AP's coverage is
+		// shard-local.
+		for _, u := range e.n.Coverage(ap) {
+			if e.mh.HasHome(u, ap) {
+				w.touch(u)
+			}
+		}
+	}
 	for _, u := range orphans {
 		if err := w.tr.Disassociate(u); err != nil {
 			return err
 		}
+		w.touch(u)
 		res.Moves++
 		if obs.Active(e.trace) {
 			e.trace.Record(obs.Event{Type: obs.EvHandoff, User: u, AP: wlan.Unassociated})
@@ -153,6 +165,9 @@ func (w *worker) applyAPDown(ev Event, res *ApplyResult) error {
 func (w *worker) applyAPUp(ev Event, res *ApplyResult) error {
 	if err := w.view.EnableAP(ev.AP); err != nil {
 		return err
+	}
+	if w.e.multihomeOn() {
+		w.mhUp = append(w.mhUp, ev.AP)
 	}
 	for _, u := range w.e.n.Coverage(ev.AP) {
 		w.markUser(u)

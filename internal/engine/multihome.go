@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"sort"
 
 	"wlanmcast/internal/core"
 	"wlanmcast/internal/wlan"
@@ -11,19 +12,38 @@ import (
 // (arXiv 2305.15252) on top of the single-AP engine without touching
 // its hot path: the engine keeps deciding every user's *primary* AP
 // exactly as before — bit-identically, which the degree-1
-// differential suite pins — and after every apply derives up to
-// MaxHomes-1 *secondary* homes per user with core.AugmentHomes.
+// differential suite pins — and after every API call derives up to
+// MaxHomes-1 *secondary* homes per user, with the result of
+// core.AugmentHomes(network, primaries, previous secondaries).
 //
-// The derivation is a pure deterministic function of (primary
-// association, previous secondary sets, network up/down state), so it
-// inherits the engine's two structural guarantees for free: the
-// primary association is byte-identical for any shard count
-// (invariant 3), hence so are the derived sets; and re-deriving from
-// persisted sets is a fixed point, hence crash recovery lands on the
-// identical state. In ModeFullRecompute the previous sets are ignored
-// (prev=nil), making the multi-home state a pure function of the
-// current network + primary — which is what makes fault→recover
-// provably return to the never-failed state.
+// The derivation is incremental and exact. The engine keeps one
+// wlan.MultiTracker holding every user's home set as of the last call.
+// During a call each worker logs the users whose primary, position,
+// session or activity it changed, the users holding a home on an AP it
+// took down, and the APs it brought up. At the end of the call
+// deriveMulti replaces the home sets of the logged (changed) users
+// with their pass-1 set (core.KeptHomes), then runs the pass-2 fill
+// (core.FillHomes) over the dirty users only: the changed ones plus
+// everyone covered by an AP that lost an occupancy cell or came back
+// up. Nobody else can differ from a full re-derivation: pass 1 is
+// local to each user, so an unchanged user's pass-1 set is its old
+// set; and pass 2 only adds homes, so every neighbour AP of a clean
+// user holds a superset of its old occupancy, and the tracker's
+// count-pure loads are monotone in that set — a clean user whose fill
+// failed last call fails again. TestEngineMultihomeIncrementalExact
+// checks the equality after every call.
+//
+// The derivation is a deterministic function of (primary association,
+// previous secondary sets, network up/down state), so it inherits the
+// engine's two structural guarantees: the primary association is
+// byte-identical for any shard count (invariant 3), hence so are the
+// derived sets; and re-deriving from persisted sets is a fixed point,
+// hence crash recovery lands on the identical state. Install and
+// restore paths derive from scratch with every user dirty
+// (installMulti). In ModeFullRecompute every call does, with the
+// previous sets ignored (prev=nil), making the multi-home state a pure
+// function of the current network + primary — which is what makes
+// fault→recover provably return to the never-failed state.
 //
 // Degradation semantics: when a user's primary AP fails and budgets
 // block single-AP rehoming, its surviving grandfathered secondaries
@@ -43,31 +63,116 @@ func (e *Engine) MaxHomes() int {
 	return e.cfg.MaxHomes
 }
 
-// deriveMulti re-derives the secondary-home sets from the current
-// primary association. Called from updateGauges, i.e. at the end of
-// every apply/restore path (per event for Apply, once per batch for
-// ApplyBatch — the derivation granularity is the API call, not the
-// event). No-op while MaxHomes <= 1.
+// touch logs user u as changed in this call for the derivation.
+func (w *worker) touch(u int) {
+	if w.e.multihomeOn() {
+		w.mhTouched = append(w.mhTouched, u)
+	}
+}
+
+// deriveMulti is the post-apply derivation step every apply path runs
+// before refreshing the gauges (per event for Apply, once per batch
+// for ApplyBatch — the derivation granularity is the API call, not the
+// event). It re-derives the users the call touched, as the comment at
+// the top of this file describes; no-op while MaxHomes <= 1.
 func (e *Engine) deriveMulti() {
 	if !e.multihomeOn() {
 		return
 	}
-	prev := e.mhSec
 	if e.cfg.Mode == ModeFullRecompute {
-		prev = nil
+		e.installMulti(nil)
+		return
 	}
-	ma, sec, err := core.AugmentHomes(e.n, e.Snapshot(), prev, e.cfg.MaxHomes)
-	if err != nil {
-		// The primary association is engine-maintained (never down,
-		// never out of range) and prev always has the network's user
-		// count, so augmentation cannot fail; reaching this is a broken
-		// engine invariant, not an input error.
+	// dirtyAPs collects the APs whose coverage is dirty: those brought
+	// up, then those a changed user gave up an occupancy cell on.
+	dirty, dirtyAPs := e.mhDirty[:0], e.mhDirtyAPs[:0]
+	for _, w := range e.workers {
+		for _, u := range w.mhTouched {
+			dirty = e.markDirty(dirty, u)
+		}
+		dirtyAPs = append(dirtyAPs, w.mhUp...)
+		w.mhTouched, w.mhUp = w.mhTouched[:0], w.mhUp[:0]
+	}
+	for _, u := range dirty {
+		prev := e.mhPrev[:0]
+		for _, ap := range e.mh.Homes(u) {
+			if ap != e.mhPrim[u] {
+				prev = append(prev, ap)
+			}
+		}
+		p := e.primaryOf(u)
+		e.mhKept = core.KeptHomes(e.n, u, p, prev, e.cfg.MaxHomes, e.mhKept)
+		var err error
+		if dirtyAPs, err = e.mh.ReplaceHomes(u, e.mhKept, dirtyAPs); err != nil {
+			// Primaries are engine-maintained (never down, never out of
+			// range) and KeptHomes keeps only live links, so this is a
+			// broken engine invariant, not an input error.
+			panic(fmt.Sprintf("engine: multi-home derivation: user %d: %v", u, err))
+		}
+		e.mhPrev, e.mhPrim[u] = prev, p
+	}
+	for _, a := range dirtyAPs {
+		for _, v := range e.n.Coverage(a) {
+			dirty = e.markDirty(dirty, v)
+		}
+	}
+	sort.Ints(dirty)
+	if err := core.FillHomes(e.n, e.mh, dirty, e.cfg.MaxHomes); err != nil {
 		panic(fmt.Sprintf("engine: multi-home derivation: %v", err))
 	}
-	e.mhSec = sec
-	e.mhSat = ma.SatisfiedCount()
-	e.mhSecondary = ma.SecondaryCount()
-	e.mhMaxLoad = e.n.MaxLoadMulti(ma)
+	for _, u := range dirty {
+		e.mhMark[u] = false
+	}
+	e.mhDirty, e.mhDirtyAPs = dirty, dirtyAPs
+}
+
+// markDirty appends u to dirty unless it is already there.
+func (e *Engine) markDirty(dirty []int, u int) []int {
+	if e.mhMark[u] {
+		return dirty
+	}
+	e.mhMark[u] = true
+	return append(dirty, u)
+}
+
+// installMulti derives every user's home set from scratch — the
+// install, restore and ModeFullRecompute step — grandfathering prev
+// (nil for none). No-op while MaxHomes <= 1.
+func (e *Engine) installMulti(prev [][]int) {
+	if !e.multihomeOn() {
+		return
+	}
+	primary := e.Snapshot()
+	tr, err := core.DeriveHomes(e.n, primary, prev, e.cfg.MaxHomes)
+	if err != nil {
+		panic(fmt.Sprintf("engine: multi-home derivation: %v", err))
+	}
+	e.mh = tr
+	if e.mhPrim == nil {
+		e.mhPrim = make([]int, e.n.NumUsers())
+		e.mhMark = make([]bool, e.n.NumUsers())
+	}
+	for u := range e.mhPrim {
+		e.mhPrim[u] = primary.APOf(u)
+	}
+	for _, w := range e.workers {
+		w.mhTouched, w.mhUp = w.mhTouched[:0], w.mhUp[:0]
+	}
+}
+
+// secondaryOf returns a copy of user u's secondary homes (nil for none
+// or while MaxHomes <= 1).
+func (e *Engine) secondaryOf(u int) []int {
+	if !e.multihomeOn() {
+		return nil
+	}
+	var sec []int
+	for _, ap := range e.mh.Homes(u) {
+		if ap != e.mhPrim[u] {
+			sec = append(sec, ap)
+		}
+	}
+	return sec
 }
 
 // MultiSnapshot returns a copy of the current multi-association:
@@ -77,15 +182,20 @@ func (e *Engine) deriveMulti() {
 // sequence) inputs yield byte-identical JSON-marshalled snapshots at
 // every point in the stream, for any shard count.
 func (e *Engine) MultiSnapshot() *wlan.MultiAssoc {
-	ma := wlan.FromAssoc(e.Snapshot())
 	if e.multihomeOn() {
-		for u, sec := range e.mhSec {
-			for _, ap := range sec {
-				ma.AddHome(u, ap)
-			}
-		}
+		return e.mh.MultiAssoc()
 	}
-	return ma
+	return wlan.FromAssoc(e.Snapshot())
+}
+
+// MultiSatisfied returns how many users have at least one home — the
+// single-AP satisfied count while MaxHomes <= 1. It reads a cached
+// count; no snapshot is built.
+func (e *Engine) MultiSatisfied() int {
+	if e.multihomeOn() {
+		return e.mh.Satisfied()
+	}
+	return e.satisfied()
 }
 
 // SetMultiAssoc force-installs an externally supplied
@@ -128,7 +238,7 @@ func (e *Engine) SetMultiAssoc(ma *wlan.MultiAssoc) error {
 	if err := e.seedTrackers(primary); err != nil {
 		return err
 	}
-	e.mhSec = sec
+	e.installMulti(sec)
 	e.updateGauges()
 	return nil
 }

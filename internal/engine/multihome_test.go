@@ -3,6 +3,8 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -486,4 +488,200 @@ func TestEngineMultihomeConfig(t *testing.T) {
 	if got := e.metrics.mhLoadMax.Value(); got != e.MaxLoad() {
 		t.Fatalf("off-mode mhLoadMax %v, want mirrored %v", got, e.MaxLoad())
 	}
+}
+
+// multiCallChecker holds the previous call's secondary sets and checks
+// the engine against a from-scratch derivation after every call.
+type multiCallChecker struct {
+	t           *testing.T
+	maxHomes    int
+	prevSec     [][]int
+	secondaries int
+}
+
+// check asserts e's multi-association and its three assocd_multihome_*
+// gauges equal core.AugmentHomes(n, Snapshot(), prevSec, MaxHomes),
+// then makes the current sets the next call's prevSec. prevSec is
+// overridden by installSec when the call installed sets itself.
+func (c *multiCallChecker) check(e *Engine, ctx string, installSec [][]int) {
+	c.t.Helper()
+	prev := c.prevSec
+	if installSec != nil {
+		prev = installSec
+	}
+	n := e.Network()
+	want, sec, err := core.AugmentHomes(n, e.Snapshot(), prev, c.maxHomes)
+	if err != nil {
+		c.t.Fatalf("%s: reference derivation: %v", ctx, err)
+	}
+	if got, w := mustJSON(c.t, e.MultiSnapshot()), mustJSON(c.t, want); !bytes.Equal(got, w) {
+		c.t.Fatalf("%s: incremental multi-association differs from AugmentHomes:\n got %s\nwant %s", ctx, got, w)
+	}
+	if got := e.metrics.mhSatisfied.Value(); got != float64(want.SatisfiedCount()) {
+		c.t.Fatalf("%s: mhSatisfied gauge %v, want %d", ctx, got, want.SatisfiedCount())
+	}
+	if got := e.MultiSatisfied(); got != want.SatisfiedCount() {
+		c.t.Fatalf("%s: MultiSatisfied %d, want %d", ctx, got, want.SatisfiedCount())
+	}
+	if got := e.metrics.mhSecondary.Value(); got != float64(want.SecondaryCount()) {
+		c.t.Fatalf("%s: mhSecondary gauge %v, want %d", ctx, got, want.SecondaryCount())
+	}
+	if got, w := e.metrics.mhLoadMax.Value(), n.MaxLoadMulti(want); got != w {
+		c.t.Fatalf("%s: mhLoadMax gauge %v, want %v", ctx, got, w)
+	}
+	c.secondaries += want.SecondaryCount()
+	c.prevSec = sec
+}
+
+// zonedFaultSetup is zonedSetup's network and churn with its periodic
+// AP toggles replaced by a seeded fault schedule (correlated failures
+// and flaps) merged in by time.
+func zonedFaultSetup(t *testing.T, seed int64, events int) (*wlan.Network, []Event, int) {
+	t.Helper()
+	n, trace, initial := zonedSetup(t, seed, 4, 6, 20, events)
+	churn := trace[:0:0]
+	for _, ev := range trace {
+		if ev.Kind != APDown && ev.Kind != APUp {
+			churn = append(churn, ev)
+		}
+	}
+	horizon := churn[len(churn)-1].At
+	sched, err := fault.Gen(fault.Params{
+		Seed: seed, APs: n.NumAPs(), Horizon: horizon,
+		MTBF: horizon / 2, MTTR: horizon / 10, GroupSize: 2, FlapProb: 0.2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n, MergeFaults(churn, sched), initial
+}
+
+// TestEngineMultihomeIncrementalExact is the exactness suite for the
+// incremental secondary-home derivation: over 20 seeded zoned
+// scenarios (churn merged with fault schedules) × Shards {1, 2, 4} ×
+// MaxHomes {2, 3}, the trace is driven through a random mix of Apply,
+// ApplyBatch and ApplyStream calls, interleaved with SetAssoc,
+// SetMultiAssoc and snapshot/restore, and after every call the
+// engine's sets and gauges must equal a from-scratch AugmentHomes over
+// the previous call's sets. Runs under -race in CI.
+func TestEngineMultihomeIncrementalExact(t *testing.T) {
+	secondaries := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		for _, shards := range []int{1, 2, 4} {
+			for _, maxHomes := range []int{2, 3} {
+				secondaries += runIncrementalExact(t, seed, shards, maxHomes)
+			}
+		}
+	}
+	if secondaries == 0 {
+		t.Fatal("no secondary home was ever derived; the suite is vacuous")
+	}
+}
+
+func runIncrementalExact(t *testing.T, seed int64, shards, maxHomes int) int {
+	t.Helper()
+	n, trace, initial := zonedFaultSetup(t, seed, 160)
+	cfg := Config{ActiveUsers: initial, Shards: shards, MaxHomes: maxHomes}
+	e := newEngine(t, n, cfg)
+	c := &multiCallChecker{t: t, maxHomes: maxHomes}
+	c.check(e, fmt.Sprintf("seed %d shards %d homes %d: init", seed, shards, maxHomes), nil)
+	rng := rand.New(rand.NewSource(seed*7 + int64(shards*3+maxHomes)))
+	for i := 0; i < len(trace); {
+		ctx := fmt.Sprintf("seed %d shards %d homes %d at %d", seed, shards, maxHomes, i)
+		var installSec [][]int
+		switch k := rng.Intn(20); {
+		case k < 8:
+			if _, err := e.Apply(trace[i]); err != nil {
+				t.Fatalf("%s: Apply: %v", ctx, err)
+			}
+			i++
+			ctx += " Apply"
+		case k < 13:
+			j := min(i+1+rng.Intn(12), len(trace))
+			if _, err := e.ApplyBatch(trace[i:j]); err != nil {
+				t.Fatalf("%s: ApplyBatch: %v", ctx, err)
+			}
+			i = j
+			ctx += " ApplyBatch"
+		case k < 17:
+			j := min(i+1+rng.Intn(24), len(trace))
+			if _, err := e.ApplyStream(trace[i:j]); err != nil {
+				t.Fatalf("%s: ApplyStream: %v", ctx, err)
+			}
+			i = j
+			ctx += " ApplyStream"
+		case k == 17:
+			if err := e.SetAssoc(perturbAssoc(e, rng)); err != nil {
+				t.Fatalf("%s: SetAssoc: %v", ctx, err)
+			}
+			ctx += " SetAssoc"
+		case k == 18:
+			ma := perturbMulti(e, rng, maxHomes)
+			if err := e.SetMultiAssoc(ma); err != nil {
+				t.Fatalf("%s: SetMultiAssoc: %v", ctx, err)
+			}
+			snap := e.Snapshot()
+			installSec = make([][]int, ma.NumUsers())
+			for u := range installSec {
+				for _, ap := range ma.Homes(u) {
+					if ap != snap.APOf(u) {
+						installSec[u] = append(installSec[u], ap)
+					}
+				}
+			}
+			ctx += " SetMultiAssoc"
+		default:
+			enc := mustEncode(t, e)
+			before := mustJSON(t, e.MultiSnapshot())
+			n2, _, _ := zonedFaultSetup(t, seed, 160)
+			r, err := RestoreSnapshot(n2, cfg, enc)
+			if err != nil {
+				t.Fatalf("%s: RestoreSnapshot: %v", ctx, err)
+			}
+			if got := mustJSON(t, r.MultiSnapshot()); !bytes.Equal(got, before) {
+				t.Fatalf("%s: restore moved the multi-association:\n got %s\nwant %s", ctx, got, before)
+			}
+			e = r
+			ctx += " RestoreSnapshot"
+		}
+		c.check(e, ctx, installSec)
+	}
+	return c.secondaries
+}
+
+// perturbAssoc returns the engine's association with a few active
+// users moved to another reachable AP — a valid SetAssoc install that
+// changes primaries.
+func perturbAssoc(e *Engine, rng *rand.Rand) *wlan.Assoc {
+	a := e.Snapshot()
+	n := e.Network()
+	for k := 0; k < 3; k++ {
+		u := rng.Intn(n.NumUsers())
+		if nb := n.NeighborAPs(u); e.Active(u) && len(nb) > 0 {
+			a.Associate(u, nb[rng.Intn(len(nb))])
+		}
+	}
+	return a
+}
+
+// perturbMulti returns the engine's multi-association with a few users'
+// sets redrawn from their reachable APs (up to maxHomes, active users
+// only) — a valid SetMultiAssoc install.
+func perturbMulti(e *Engine, rng *rand.Rand, maxHomes int) *wlan.MultiAssoc {
+	ma := e.MultiSnapshot()
+	n := e.Network()
+	for k := 0; k < 3; k++ {
+		u := rng.Intn(n.NumUsers())
+		nb := n.NeighborAPs(u)
+		if !e.Active(u) || len(nb) == 0 {
+			continue
+		}
+		for _, ap := range append([]int(nil), ma.Homes(u)...) {
+			ma.RemoveHome(u, ap)
+		}
+		for _, i := range rng.Perm(len(nb))[:min(len(nb), 1+rng.Intn(maxHomes))] {
+			ma.AddHome(u, nb[i])
+		}
+	}
+	return ma
 }

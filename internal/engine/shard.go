@@ -107,6 +107,7 @@ func (e *Engine) ApplyBatch(events []Event) (BatchResult, error) {
 			res, err := e.applyCore(ev)
 			if err != nil {
 				br.Applied = i
+				e.deriveMulti()
 				e.updateGauges()
 				return br, err
 			}
@@ -118,6 +119,7 @@ func (e *Engine) ApplyBatch(events []Event) (BatchResult, error) {
 				br.Truncated++
 			}
 		}
+		e.deriveMulti()
 		e.updateGauges()
 		return br, nil
 	}
@@ -163,7 +165,8 @@ func (e *Engine) ApplyBatch(events []Event) (BatchResult, error) {
 	e.seqBase += uint64(routed)
 
 	// Reduce: surface the earliest worker error, fold the tallies and
-	// active deltas, refresh the gauges from the merged trackers.
+	// active deltas, derive the multi-homes and refresh the gauges from
+	// the merged trackers.
 	rStart := e.now()
 	var werr error
 	wGidx := int32(math.MaxInt32)
@@ -181,6 +184,7 @@ func (e *Engine) ApplyBatch(events []Event) (BatchResult, error) {
 		w.dActive = 0
 		e.metrics.shardQueueDepth.At(s).Set(0)
 	}
+	e.deriveMulti()
 	e.updateGauges()
 	e.observeStage(stageReduce, rStart, routed)
 	br.Applied = routed
@@ -336,6 +340,7 @@ func (w *worker) depart(op shardOp, res *ApplyResult) error {
 	ch := e.hand[w.id*e.nShards+int(op.peer)]
 	ap := w.tr.APOf(u)
 	before := 0.0
+	w.touch(u)
 	if ap != wlan.Unassociated {
 		before = w.tr.APLoad(ap)
 		if err := w.tr.Disassociate(u); err != nil {

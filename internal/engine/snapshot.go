@@ -75,9 +75,7 @@ func (e *Engine) EncodeSnapshot() ([]byte, error) {
 			su.X = e.n.Users[u].Pos.X
 			su.Y = e.n.Users[u].Pos.Y
 		}
-		if len(e.mhSec) > 0 && len(e.mhSec[u]) > 0 {
-			su.Sec = append([]int(nil), e.mhSec[u]...)
-		}
+		su.Sec = e.secondaryOf(u)
 		st.Users = append(st.Users, su)
 	}
 	st.DownAPs = append(st.DownAPs, e.n.DownAPs()...)
@@ -115,6 +113,7 @@ func RestoreSnapshot(n *wlan.Network, cfg Config, data []byte) (*Engine, error) 
 	}
 	geometric := n.Geometric()
 	assoc := wlan.NewAssoc(n.NumUsers())
+	var prevSec [][]int
 	prev := -1
 	for _, su := range st.Users {
 		if su.U <= prev || su.U >= n.NumUsers() {
@@ -148,10 +147,10 @@ func RestoreSnapshot(n *wlan.Network, cfg Config, data []byte) (*Engine, error) 
 					return nil, fmt.Errorf("engine: snapshot user %d secondary homes %v malformed", su.U, su.Sec)
 				}
 			}
-			if e.mhSec == nil {
-				e.mhSec = make([][]int, n.NumUsers())
+			if prevSec == nil {
+				prevSec = make([][]int, n.NumUsers())
 			}
-			e.mhSec[su.U] = append([]int(nil), su.Sec...)
+			prevSec[su.U] = su.Sec
 		}
 	}
 	e.nActive = len(st.Users)
@@ -167,7 +166,7 @@ func RestoreSnapshot(n *wlan.Network, cfg Config, data []byte) (*Engine, error) 
 			return nil, fmt.Errorf("engine: restore ap %d down: %w", a, err)
 		}
 	}
-	if err := e.finish(assoc); err != nil {
+	if err := e.finish(assoc, prevSec); err != nil {
 		return nil, err
 	}
 	// finish seeded the trackers by re-associating, which rebuilt the

@@ -42,6 +42,7 @@ func (e *Engine) ApplyStream(events []Event) (BatchResult, error) {
 			// Internal (post-validation) error: the prefix stays
 			// applied, exactly like ApplyBatch.
 			br.Applied = i
+			e.deriveMulti()
 			e.updateGauges()
 			return br, err
 		}
@@ -54,6 +55,7 @@ func (e *Engine) ApplyStream(events []Event) (BatchResult, error) {
 		}
 	}
 	rStart := e.now()
+	e.deriveMulti()
 	e.updateGauges()
 	e.observeStage(stageReduce, rStart, n)
 	return br, verr

@@ -3,6 +3,7 @@ package wlan
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"wlanmcast/internal/radio"
@@ -336,26 +337,53 @@ func (n *Network) ValidateMulti(m *MultiAssoc, enforceBudgets bool) error {
 // MultiTracker maintains per-AP load incrementally as users gain and
 // lose homes, the multi-homing counterpart of Tracker: the same
 // loadCube occupancy cube underneath, but a user may occupy several
-// AP rows at once. The multi-homing augmentation pass evaluates many
-// hypothetical joins per decision; the cube answers each in O(rate
-// levels).
+// AP rows at once.
+//
+// Every load it reports is count-pure: a function of the occupancy
+// counts alone, never of the order past updates arrived in. An AP's
+// load is Σ_s SessionLoad(s, row minimum) summed in ascending session
+// order, recomputed whenever one of its rows changes — bit-identical
+// to APLoadMulti over the materialized association — and LoadIfJoin
+// reads a hypothetical join the same way. Two trackers holding the
+// same homes therefore answer every query with the same bits, which is
+// what lets the engine keep one tracker alive across calls and
+// re-derive only the users a call touched.
+//
+// Each home records the (session, rate level) cell it occupies when it
+// is added, and removal releases that cell: a home can be removed
+// after its AP went down or its user moved or changed session.
 type MultiTracker struct {
+	// cube holds the occupancy counts; its load slice holds the
+	// count-pure per-AP loads (it is never bump-accumulated here).
 	cube loadCube
-	// ma mirrors the tracked multi-association.
-	ma *MultiAssoc
-	// satisfied counts users with at least one home.
-	satisfied int
+	// rowLoad[ap*nSess+s] is SessionLoad(s, row minimum) of (ap, s),
+	// 0 for an empty row.
+	rowLoad []float64
+	// ma mirrors the tracked multi-association; cells[u][i] is the
+	// cube cell s*nLev+level that u's home ma.homes[u][i] occupies.
+	ma    *MultiAssoc
+	cells [][]int32
+	// satisfied counts users with at least one home, homes all homes.
+	satisfied, homes int
+	// maxLoad bounds every AP load from above, and equals one of them
+	// unless maxStale.
+	maxLoad  float64
+	maxStale bool
+	// oldAPs/oldCells are ReplaceHomes' scratch.
+	oldAPs   []int
+	oldCells []int32
 }
 
 // NewMultiTracker builds a tracker over network n starting from
 // multi-association m (which may be nil for the all-unassociated
-// start). Homes are seeded in ascending user then ascending AP order,
-// so the float accumulators are a deterministic function of m.
+// start).
 func NewMultiTracker(n *Network, m *MultiAssoc) (*MultiTracker, error) {
 	t := &MultiTracker{
-		cube: newLoadCube(n),
-		ma:   NewMultiAssoc(n.NumUsers()),
+		cube:  newLoadCube(n),
+		ma:    NewMultiAssoc(n.NumUsers()),
+		cells: make([][]int32, n.NumUsers()),
 	}
+	t.rowLoad = make([]float64, n.NumAPs()*t.cube.nSess)
 	if m != nil {
 		if m.NumUsers() != n.NumUsers() {
 			return nil, fmt.Errorf("wlan: tracker: multi-association covers %d users, network has %d", m.NumUsers(), n.NumUsers())
@@ -379,60 +407,178 @@ func (t *MultiTracker) Homes(u int) []int { return t.ma.Homes(u) }
 func (t *MultiTracker) Degree(u int) int { return t.ma.Degree(u) }
 
 // HasHome reports whether user u is currently homed to ap.
-func (t *MultiTracker) HasHome(u, ap int) bool { return t.ma.HasHome(u, ap) }
+func (t *MultiTracker) HasHome(u, ap int) bool { return t.homeIndex(u, ap) >= 0 }
 
-// APLoad returns the current multicast load of ap.
+// APLoad returns the current count-pure multicast load of ap.
 func (t *MultiTracker) APLoad(ap int) float64 { return t.cube.load[ap] }
 
-// TotalLoad returns the current total multicast load.
-func (t *MultiTracker) TotalLoad() float64 { return t.cube.total }
-
-// MaxLoad returns the current maximum AP load.
-func (t *MultiTracker) MaxLoad() float64 { return t.cube.maxLoad() }
+// MaxLoad returns the current maximum AP load (0 with no homes): the
+// same bits as MaxLoadMulti over the materialized association, without
+// its rescan of every AP's members.
+func (t *MultiTracker) MaxLoad() float64 {
+	if t.maxStale {
+		t.maxLoad = 0
+		for _, l := range t.cube.load {
+			if l > t.maxLoad {
+				t.maxLoad = l
+			}
+		}
+		t.maxStale = false
+	}
+	return t.maxLoad
+}
 
 // Satisfied returns how many users currently have at least one home.
 func (t *MultiTracker) Satisfied() int { return t.satisfied }
 
+// NumHomes returns the total number of homes over all users.
+func (t *MultiTracker) NumHomes() int { return t.homes }
+
 // MultiAssoc materializes the tracked multi-association.
 func (t *MultiTracker) MultiAssoc() *MultiAssoc { return t.ma.Clone() }
 
+// homeIndex returns ap's index in u's home set, or -1.
+func (t *MultiTracker) homeIndex(u, ap int) int {
+	hs := t.ma.homes[u]
+	if i := sort.SearchInts(hs, ap); i < len(hs) && hs[i] == ap {
+		return i
+	}
+	return -1
+}
+
 // AddHome homes user u to AP ap, updating loads incrementally. ap
-// must not already be one of u's homes.
+// must not already be one of u's homes and must be in range.
 func (t *MultiTracker) AddHome(u, ap int) error {
-	if t.ma.HasHome(u, ap) {
+	if t.HasHome(u, ap) {
 		return fmt.Errorf("wlan: tracker: user %d already homed to AP %d", u, ap)
 	}
-	if err := t.cube.add(u, ap); err != nil {
-		return err
+	c := &t.cube
+	r, ok := c.n.TxRate(ap, u)
+	if !ok {
+		return fmt.Errorf("wlan: tracker: user %d out of range of AP %d", u, ap)
 	}
-	t.ma.AddHome(u, ap)
-	if t.ma.Degree(u) == 1 {
+	lv := c.levelOf(r)
+	if lv < 0 {
+		return fmt.Errorf("wlan: tracker: link %d→%d rate %v outside the network's rate levels", ap, u, r)
+	}
+	cell := int32(c.n.UserSession(u)*c.nLev + lv)
+	i := sort.SearchInts(t.ma.homes[u], ap)
+	t.ma.homes[u] = slices.Insert(t.ma.homes[u], i, ap)
+	t.cells[u] = slices.Insert(t.cells[u], i, cell)
+	t.occupy(ap, cell, true)
+	t.homes++
+	if len(t.ma.homes[u]) == 1 {
 		t.satisfied++
 	}
 	return nil
 }
 
-// RemoveHome removes AP ap from user u's homes. ap must currently be
-// one of u's homes.
+// RemoveHome removes AP ap from user u's homes, releasing the cell
+// the home was added with (so it works after the AP went down or u
+// moved). ap must currently be one of u's homes.
 func (t *MultiTracker) RemoveHome(u, ap int) error {
-	if !t.ma.HasHome(u, ap) {
+	i := t.homeIndex(u, ap)
+	if i < 0 {
 		return fmt.Errorf("wlan: tracker: user %d is not homed to AP %d", u, ap)
 	}
-	if err := t.cube.remove(u, ap); err != nil {
-		return err
-	}
-	t.ma.RemoveHome(u, ap)
-	if t.ma.Degree(u) == 0 {
-		t.satisfied--
-	}
+	t.removeAt(u, i)
 	return nil
 }
 
-// LoadIfJoin returns AP ap's load if user u additionally homed to it,
-// and whether the join is possible (in range and not already a home).
-func (t *MultiTracker) LoadIfJoin(u, ap int) (float64, bool) {
-	if t.ma.HasHome(u, ap) {
-		return 0, false
+// removeAt removes u's i-th home.
+func (t *MultiTracker) removeAt(u, i int) {
+	t.occupy(t.ma.homes[u][i], t.cells[u][i], false)
+	t.ma.homes[u] = slices.Delete(t.ma.homes[u], i, i+1)
+	t.cells[u] = slices.Delete(t.cells[u], i, i+1)
+	t.homes--
+	if len(t.ma.homes[u]) == 0 {
+		t.satisfied--
 	}
-	return t.cube.loadIfJoin(u, ap)
+}
+
+// ReplaceHomes sets user u's AP set to aps (no duplicates, every AP in
+// range) and appends to lost each AP where u no longer holds the cell
+// it held before: the AP was dropped, or u now sits there at another
+// session or rate. Those are the APs whose occupancy may have shrunk.
+// On error the set is left partially installed.
+func (t *MultiTracker) ReplaceHomes(u int, aps []int, lost []int) ([]int, error) {
+	t.oldAPs = append(t.oldAPs[:0], t.ma.homes[u]...)
+	t.oldCells = append(t.oldCells[:0], t.cells[u]...)
+	for i := len(t.oldAPs) - 1; i >= 0; i-- {
+		t.removeAt(u, i)
+	}
+	for _, ap := range aps {
+		if err := t.AddHome(u, ap); err != nil {
+			return lost, err
+		}
+	}
+	for i, ap := range t.oldAPs {
+		if j := t.homeIndex(u, ap); j < 0 || t.cells[u][j] != t.oldCells[i] {
+			lost = append(lost, ap)
+		}
+	}
+	return lost, nil
+}
+
+// occupy adds (add) or releases one occupancy of cell on ap, and
+// refreshes the AP's count-pure load when its row term moved.
+func (t *MultiTracker) occupy(ap int, cell int32, add bool) {
+	c := &t.cube
+	s, lv := int(cell)/c.nLev, int(cell)%c.nLev
+	b := c.base(ap, s)
+	if add {
+		c.counts[b+lv]++
+	} else {
+		c.counts[b+lv]--
+	}
+	term := 0.0
+	if r := c.minLevel(b); r > 0 {
+		term = c.n.SessionLoad(s, r)
+	}
+	row := t.rowLoad[ap*c.nSess : (ap+1)*c.nSess]
+	if row[s] == term {
+		return
+	}
+	row[s] = term
+	l := 0.0
+	for _, v := range row {
+		l += v
+	}
+	old := c.load[ap]
+	c.load[ap] = l
+	switch {
+	case l >= t.maxLoad:
+		t.maxLoad, t.maxStale = l, false
+	case old == t.maxLoad:
+		t.maxStale = true
+	}
+}
+
+// LoadIfJoin returns AP ap's load if user u additionally homed to it,
+// the join's exact change to its session row (new row term minus old),
+// and whether the join is possible (in range and not already a home).
+// Both figures are count-pure: the load is the session-order sum with
+// u's row replaced, so it can only grow as the AP gains occupancy.
+func (t *MultiTracker) LoadIfJoin(u, ap int) (load, delta float64, ok bool) {
+	if t.HasHome(u, ap) {
+		return 0, 0, false
+	}
+	c := &t.cube
+	r, ok := c.n.TxRate(ap, u)
+	if !ok {
+		return 0, 0, false
+	}
+	s := c.n.UserSession(u)
+	if old := c.minLevel(c.base(ap, s)); old > 0 && old <= r {
+		return c.load[ap], 0, true
+	}
+	row := t.rowLoad[ap*c.nSess : (ap+1)*c.nSess]
+	term := c.n.SessionLoad(s, r)
+	for i, v := range row {
+		if i == s {
+			v = term
+		}
+		load += v
+	}
+	return load, term - row[s], true
 }

@@ -162,18 +162,18 @@ func TestMultiTrackerMatchesRecompute(t *testing.T) {
 		ma := tr.MultiAssoc()
 		for ap := 0; ap < n.NumAPs(); ap++ {
 			want := n.APLoadMulti(ma, ap)
-			if got := tr.APLoad(ap); math.Abs(got-want) > 1e-9 {
+			if got := tr.APLoad(ap); got != want {
 				t.Fatalf("trial %d: AP %d tracker load %v, recompute %v", trial, ap, got, want)
 			}
 		}
-		if got, want := tr.TotalLoad(), n.TotalLoadMulti(ma); math.Abs(got-want) > 1e-9 {
-			t.Fatalf("trial %d: total %v vs %v", trial, got, want)
-		}
-		if got, want := tr.MaxLoad(), n.MaxLoadMulti(ma); math.Abs(got-want) > 1e-9 {
+		if got, want := tr.MaxLoad(), n.MaxLoadMulti(ma); got != want {
 			t.Fatalf("trial %d: max %v vs %v", trial, got, want)
 		}
 		if got, want := tr.Satisfied(), ma.SatisfiedCount(); got != want {
 			t.Fatalf("trial %d: satisfied %d vs %d", trial, got, want)
+		}
+		if got, want := tr.NumHomes()-tr.Satisfied(), ma.SecondaryCount(); got != want {
+			t.Fatalf("trial %d: secondary homes %d vs %d", trial, got, want)
 		}
 		for u := 0; u < n.NumUsers(); u++ {
 			var sum radio.Mbps
@@ -214,7 +214,8 @@ func TestMultiTrackerWhatIfMatchesApply(t *testing.T) {
 				continue
 			}
 			ap := nb[rng.Intn(len(nb))]
-			want, ok := tr.LoadIfJoin(u, ap)
+			before := tr.APLoad(ap)
+			want, delta, ok := tr.LoadIfJoin(u, ap)
 			if !ok {
 				if !tr.HasHome(u, ap) && n.Reachable(ap, u) {
 					t.Fatalf("LoadIfJoin refused a reachable non-home AP")
@@ -224,8 +225,11 @@ func TestMultiTrackerWhatIfMatchesApply(t *testing.T) {
 			if err := tr.AddHome(u, ap); err != nil {
 				t.Fatal(err)
 			}
-			if got := tr.APLoad(ap); math.Abs(got-want) > 1e-9 {
+			if got := tr.APLoad(ap); got != want {
 				t.Fatalf("trial %d: LoadIfJoin predicted %v, got %v", trial, want, got)
+			}
+			if math.Abs(want-before-delta) > 1e-12 {
+				t.Fatalf("trial %d: join delta %v, load moved %v -> %v", trial, delta, before, want)
 			}
 			if err := tr.RemoveHome(u, ap); err != nil {
 				t.Fatal(err)
@@ -268,10 +272,10 @@ func TestMultiTrackerSeedAndErrors(t *testing.T) {
 	if err := tr.RemoveHome(0, 1); err == nil {
 		t.Fatal("RemoveHome accepted a non-home")
 	}
-	if _, ok := tr.LoadIfJoin(0, 1); ok {
+	if _, _, ok := tr.LoadIfJoin(0, 1); ok {
 		t.Fatal("LoadIfJoin accepted an out-of-range AP")
 	}
-	if _, ok := tr.LoadIfJoin(1, 0); ok {
+	if _, _, ok := tr.LoadIfJoin(1, 0); ok {
 		t.Fatal("LoadIfJoin accepted an existing home")
 	}
 	// Degree-1 seeds must load identically to the single-AP tracker.
@@ -291,11 +295,87 @@ func TestMultiTrackerSeedAndErrors(t *testing.T) {
 			t.Fatalf("AP %d: single %v multi %v", ap, st.APLoad(ap), mt.APLoad(ap))
 		}
 	}
-	if st.TotalLoad() != mt.TotalLoad() {
-		t.Fatal("degree-1 totals differ")
-	}
 	if _, err := NewMultiTracker(n, NewMultiAssoc(5)); err == nil {
 		t.Fatal("NewMultiTracker accepted a wrong-sized seed")
+	}
+}
+
+// TestMultiTrackerRecordedCells pins the removal contract the engine's
+// persistent tracker relies on: a home is released from the cell it
+// was added with even after its user changed session or its AP went
+// down, ReplaceHomes reports exactly the APs whose cell u gave up, and
+// the loads stay bit-equal to APLoadMulti throughout.
+func TestMultiTrackerRecordedCells(t *testing.T) {
+	// rates[ap][user]: both users reach both APs.
+	n, err := NewFromRates(
+		[][]radio.Mbps{{6, 12}, {12, 6}},
+		[]int{0, 0},
+		[]Session{{Rate: 3}, {Rate: 2}},
+		1,
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewMultiTracker(n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range [][2]int{{0, 0}, {0, 1}, {1, 0}} {
+		if err := tr.AddHome(h[0], h[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	exact := func(ctx string) {
+		t.Helper()
+		ma := tr.MultiAssoc()
+		for ap := 0; ap < n.NumAPs(); ap++ {
+			if got, want := tr.APLoad(ap), n.APLoadMulti(ma, ap); got != want {
+				t.Fatalf("%s: AP %d load %v, recompute %v", ctx, ap, got, want)
+			}
+		}
+		if got, want := tr.MaxLoad(), n.MaxLoadMulti(ma); got != want {
+			t.Fatalf("%s: max load %v, recompute %v", ctx, got, want)
+		}
+	}
+	exact("seed")
+	if lost, err := tr.ReplaceHomes(0, []int{1, 0}, nil); err != nil || len(lost) != 0 {
+		t.Fatalf("identical replace: lost %v, err %v", lost, err)
+	}
+	exact("identical replace")
+
+	// A session change moves user 0 to other cells on both of its APs.
+	if err := n.SetUserSession(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	lost, err := tr.ReplaceHomes(0, []int{0, 1}, nil)
+	if err != nil || len(lost) != 2 || lost[0] != 0 || lost[1] != 1 {
+		t.Fatalf("session change: lost %v, err %v; want [0 1]", lost, err)
+	}
+	exact("session change")
+
+	// AP 1 goes down: dropping the home there still releases its cell.
+	if err := n.DisableAP(1); err != nil {
+		t.Fatal(err)
+	}
+	if lost, err = tr.ReplaceHomes(0, []int{0}, lost[:0]); err != nil || len(lost) != 1 || lost[0] != 1 {
+		t.Fatalf("AP down: lost %v, err %v; want [1]", lost, err)
+	}
+	exact("AP down")
+	if tr.APLoad(1) != 0 || tr.NumHomes() != 2 || tr.Satisfied() != 2 {
+		t.Fatalf("AP down: load %v homes %d satisfied %d", tr.APLoad(1), tr.NumHomes(), tr.Satisfied())
+	}
+	if _, err := tr.ReplaceHomes(1, []int{1}, nil); err == nil {
+		t.Fatal("ReplaceHomes accepted a down AP")
+	}
+	if tr.Degree(1) != 0 || tr.Satisfied() != 1 {
+		t.Fatalf("failed replace: degree %d satisfied %d", tr.Degree(1), tr.Satisfied())
+	}
+	if err := tr.RemoveHome(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	exact("emptied")
+	if tr.MaxLoad() != 0 || tr.NumHomes() != 0 {
+		t.Fatalf("emptied tracker: max %v homes %d", tr.MaxLoad(), tr.NumHomes())
 	}
 }
 

@@ -25,9 +25,10 @@ type loadCube struct {
 	// length, nSess the session count (both fixed at construction).
 	levels      []radio.Mbps
 	nSess, nLev int
-	// load[ap] is the cached multicast load of ap.
+	// load[ap] is the cached multicast load of ap: bump-accumulated by
+	// the Tracker, recomputed count-purely by the MultiTracker.
 	load []float64
-	// total is the cached sum of load.
+	// total is the cached sum of load (Tracker only).
 	total float64
 }
 

@@ -32,7 +32,10 @@
 #      degradation semantics; untested means unspecified)
 #   6. the allocation gate: the engine's steady-state incremental
 #      event path must stay <= 2 allocs/event (it measures ~0; the
-#      streaming ingest subsystem depends on this not rotting)
+#      streaming ingest subsystem depends on this not rotting), and
+#      one-event Apply calls with MaxHomes=2 over a trace with AP
+#      failures <= 4 allocs/event (the incremental secondary-home
+#      derivation runs after each)
 #   7. the metrics-doc drift gate: registers the daemon's full metric
 #      surface (base + engine + lazily-registered algo_* families) and
 #      fails if METRICS.md is missing a family, documents a removed
@@ -43,9 +46,16 @@
 #      multi-association decoder, NDJSON stream handler, journal
 #      record decoder, scenario loader, LP solver) so corpus
 #      regressions surface in CI, not just in long local fuzz runs
+#   9. a leftover-process check: fails (after killing them) if any
+#      assocd, loadgen or *.test process this run started is still
+#      alive — every process started below inherits CHECK_RUN_ID, so
+#      even one orphaned by a killed parent is found by its environment
 set -eu
 
 cd "$(dirname "$0")/.."
+
+CHECK_RUN_ID="check-$$-$(date +%s)"
+export CHECK_RUN_ID
 
 echo "== go vet ./..."
 go vet ./...
@@ -90,8 +100,8 @@ END {
     }
 }'
 
-echo "== allocation gate (engine event path <= 2 allocs/event)"
-go test -run 'TestEngineEventAllocGate' -count 1 ./internal/engine
+echo "== allocation gate (engine event path <= 2 allocs/event, multi-homed Apply <= 4)"
+go test -run 'TestEngineEventAllocGate|TestEngineMultihomeAllocGate' -count 1 ./internal/engine
 
 echo "== metrics-doc drift gate (METRICS.md vs registered families)"
 go test -run 'TestMetricsDocCurrent|TestMetricsDocLint' -count 1 ./cmd/assocd
@@ -103,5 +113,26 @@ go test -run '^$' -fuzz 'FuzzStreamEvents' -fuzztime 10s ./cmd/assocd
 go test -run '^$' -fuzz 'FuzzWALDecode' -fuzztime 10s ./internal/wal
 go test -run '^$' -fuzz 'FuzzLoad' -fuzztime 10s ./internal/scenario
 go test -run '^$' -fuzz 'FuzzSolve' -fuzztime 10s ./internal/lp
+
+echo "== leftover processes (assocd, loadgen, *.test started by this run)"
+left=""
+for env in /proc/[0-9]*/environ; do
+    pid=${env#/proc/}
+    pid=${pid%/environ}
+    { tr '\0' '\n' <"$env"; } 2>/dev/null | grep -qx "CHECK_RUN_ID=$CHECK_RUN_ID" || continue
+    # argv[0], not comm: comm is cut at 15 bytes (experiments.tes).
+    name=$({ tr '\0' '\n' <"/proc/$pid/cmdline"; } 2>/dev/null | head -n 1) || continue
+    name=${name##*/}
+    case "$name" in
+    assocd | loadgen | *.test)
+        left="$left $pid($name)"
+        kill -9 "$pid" 2>/dev/null || true
+        ;;
+    esac
+done
+if [ -n "$left" ]; then
+    echo "check.sh: processes left running (now killed):$left" >&2
+    exit 1
+fi
 
 echo "ok: all checks passed"

@@ -18,7 +18,10 @@ cd "$(dirname "$0")/.."
 
 dir=$(mktemp -d)
 dpid=""
-trap 'test -n "$dpid" && kill -9 "$dpid" 2>/dev/null; rm -rf "$dir"' EXIT
+lg=""
+# Kill the daemon and the background loadgen on every exit path, so a
+# failed or interrupted run leaves no process behind.
+trap 'for p in $dpid $lg; do kill -9 "$p" 2>/dev/null; done; rm -rf "$dir"' EXIT
 
 echo "== build"
 go build -o "$dir/assocd" ./cmd/assocd
@@ -69,6 +72,7 @@ if ! wait "$lg"; then
     cat "$dir/loadgen.log" >&2
     exit 1
 fi
+lg=""
 curl -fsS "$base/v1/assoc" >"$dir/assoc.json"
 curl -fsS "$base/v1/loads" >"$dir/loads.json"
 
