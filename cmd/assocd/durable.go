@@ -6,8 +6,8 @@ package main
 // state — scenario request, engine snapshot, stream-session offsets —
 // is periodically checkpointed as an atomic snapshot. On boot the
 // daemon restores the newest snapshot and replays the journal tail
-// through the same ApplyBatch/ApplyStream contract the live handlers
-// use, so a SIGKILL at any instant recovers to the exact state (same
+// through the same engine.ApplyBatch call the live handlers make, so a
+// SIGKILL at any instant recovers to the exact state (same
 // association bytes, same load floats, same counters) an
 // uninterrupted run would have reached.
 //

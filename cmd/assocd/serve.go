@@ -27,13 +27,14 @@ import (
 
 // server is the assocd -serve HTTP daemon: one online association
 // engine behind a JSON API. All engine access is serialized by mu —
-// the HTTP layer is the concurrency boundary. Within one request the
-// engine may still fan out: event batches go through ApplyBatch,
-// which splits the work across the engine's shard workers (-shards,
-// or per-scenario "shards"). Metrics live outside that boundary: the
-// daemon-lifetime series sit in base, each engine carries its own
-// registry of atomic instruments, and /metrics renders both without
-// ever holding mu across an engine call.
+// the HTTP layer is the concurrency boundary. /v1/events, /v1/trace
+// and /v1/events/stream are three framings of one engine call: each
+// request body, generated trace or stream window is one
+// engine.ApplyBatch, which may still fan out over the engine's shard
+// workers (-shards, or per-scenario "shards"). Metrics live outside
+// that boundary: the daemon-lifetime series sit in base, each engine
+// carries its own registry of atomic instruments, and /metrics renders
+// both without ever holding mu across an engine call.
 //
 // Endpoints:
 //
@@ -451,18 +452,23 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusConflict, "no scenario loaded; POST /v1/scenario first")
 		return
 	}
-	// ApplyBatch fans the batch out over the engine's shard workers; on
-	// error the valid prefix is applied and br.Applied is the index of
-	// the offending event — the same wire contract the old per-event
-	// loop had. Rejected batches are journaled too (with their outcome)
-	// so replay reproduces the rejection counters exactly.
+	s.applyBatch(w, events, "event")
+}
+
+// applyBatch is the tail /v1/events and /v1/trace share: one
+// engine.ApplyBatch call, the journal record, then the response. On
+// error the valid prefix is applied and br.Applied is the index of the
+// offending event, reported as "<what> %d: ... (%d applied)". Rejected
+// batches are journaled too (with their outcome) so replay reproduces
+// the rejection counters exactly. Requires s.mu held.
+func (s *server) applyBatch(w http.ResponseWriter, events []engine.Event, what string) {
 	br, err := s.eng.ApplyBatch(events)
 	if jerr := s.journalBatch(events, br.Applied, err); jerr != nil {
 		httpError(w, http.StatusInternalServerError, "journal: %v", jerr)
 		return
 	}
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "event %d: %v (%d applied)", br.Applied, err, br.Applied)
+		httpError(w, http.StatusBadRequest, "%s %d: %v (%d applied)", what, br.Applied, err, br.Applied)
 		return
 	}
 	writeJSON(w, eventsResponse{
@@ -515,22 +521,7 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	// The REMAPPED events are what the engine saw, so they — not the
 	// trace request — are what recovery must re-apply.
-	br, err := s.eng.ApplyBatch(trace)
-	if jerr := s.journalBatch(trace, br.Applied, err); jerr != nil {
-		httpError(w, http.StatusInternalServerError, "journal: %v", jerr)
-		return
-	}
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "trace event %d: %v (%d applied)", br.Applied, err, br.Applied)
-		return
-	}
-	writeJSON(w, eventsResponse{
-		Applied:     br.Applied,
-		Redecisions: br.Redecisions,
-		Moves:       br.Moves,
-		TotalLoad:   s.eng.TotalLoad(),
-		MaxLoad:     s.eng.MaxLoad(),
-	})
+	s.applyBatch(w, trace, "trace event")
 }
 
 // remapTrace rewrites trace user ids (which index GenTrace's
@@ -821,7 +812,7 @@ func (s *server) status(eng *engine.Engine) statusResponse {
 
 // decodeEvents parses a /v1/events body: a single event object or an
 // array of events. It is pure parsing over untrusted bytes — semantic
-// validation (user ranges, kind checks) stays in engine.Apply, which
+// validation (user ranges, kind checks) stays in the engine, which
 // rejects bad events without touching the snapshot. The fuzz suite
 // pins that split: arbitrary input yields an error or a decoded event
 // list, never a panic.

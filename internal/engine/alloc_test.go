@@ -71,25 +71,41 @@ func allocGateSetup(tb testing.TB, events, maxHomes int) (*Engine, []Event) {
 }
 
 // TestEngineEventAllocGate pins the steady-state allocation cost of
-// the incremental event path at <= 2 allocs/event (the PR 7 acceptance
-// bar; the measured value is ~0). One full replay warms every reusable
-// buffer to its high-water mark, then AllocsPerRun measures whole
-// replays streamed in assocd-sized windows.
+// the incremental event path at <= 2 allocs/event (the streaming
+// ingest acceptance bar; the measured value is ~0) in both framings:
+// ApplyStream in assocd-sized windows, and one-event Apply calls,
+// whose batch of one must add no event slice, overlay map or queue.
+// One full replay warms every reusable buffer to its high-water mark,
+// then AllocsPerRun measures whole replays.
 func TestEngineEventAllocGate(t *testing.T) {
 	e, trace := allocGateSetup(t, 2048, 0)
-	replay := func() {
-		for s := 0; s < len(trace); s += allocGateWindow {
-			if _, err := e.ApplyStream(trace[s:min(s+allocGateWindow, len(trace))]); err != nil {
-				t.Fatal(err)
+	framings := []struct {
+		name   string
+		replay func()
+	}{
+		{"stream", func() {
+			for s := 0; s < len(trace); s += allocGateWindow {
+				if _, err := e.ApplyStream(trace[s:min(s+allocGateWindow, len(trace))]); err != nil {
+					t.Fatal(err)
+				}
 			}
+		}},
+		{"apply", func() {
+			for _, ev := range trace {
+				if _, err := e.Apply(ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
+	}
+	for _, f := range framings {
+		f.replay() // warm the worklist, scratch, and adjacency-row capacities
+		perEvent := testing.AllocsPerRun(5, f.replay) / float64(len(trace))
+		if perEvent > 2 {
+			t.Fatalf("%s: incremental event path allocates %.3f allocs/event, gate is 2", f.name, perEvent)
 		}
+		t.Logf("%s: steady-state allocations: %.3f allocs/event", f.name, perEvent)
 	}
-	replay() // warm the worklist, scratch, and adjacency-row capacities
-	perEvent := testing.AllocsPerRun(5, replay) / float64(len(trace))
-	if perEvent > 2 {
-		t.Fatalf("incremental event path allocates %.3f allocs/event, gate is 2", perEvent)
-	}
-	t.Logf("steady-state allocations: %.3f allocs/event", perEvent)
 }
 
 // TestEngineMultihomeAllocGate is the gate's MaxHomes=2 twin on the

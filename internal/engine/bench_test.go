@@ -65,9 +65,7 @@ func benchEngine(b *testing.B, mode Mode, cfgMod func(*Config)) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, _, err := e.ApplyTrace(trace); err != nil {
-			b.Fatal(err)
-		}
+		applyAll(b, e, trace)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchEvents), "ns/event")
 }

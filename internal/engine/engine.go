@@ -33,7 +33,8 @@
 // With Config.Shards > 1 the engine partitions the APs into spatially
 // independent shards (geom.Partition over the AP positions with the
 // radio range) and applies batches of events concurrently, one worker
-// per shard; shard.go holds the router, the cross-shard handoff
+// per shard. shard.go holds the apply pipeline every call runs
+// (validate → route → apply → reduce), the cross-shard handoff
 // protocol, and the determinism argument.
 package engine
 
@@ -172,9 +173,10 @@ type Engine struct {
 	// src*nShards+dst (nil between batches; see shard.go).
 	hand []chan handoff
 
-	// vAct/vDwn are ApplyStream's reusable prevalidation overlay maps
-	// (cleared per batch, buckets retained — see stream.go).
+	// vAct/vDwn are validate's reusable overlay maps (cleared per
+	// batch, buckets retained); one is Apply's reusable batch of one.
 	vAct, vDwn map[int]bool
+	one        [1]Event
 
 	// Multi-homing state (see multihome.go; nil while MaxHomes <= 1):
 	// mh holds every user's home set as of the last call, mhPrim the
@@ -216,7 +218,7 @@ type worker struct {
 	inList   []bool
 
 	// dActive accumulates this worker's join/leave delta to the
-	// active-user count; the serial owner folds it into e.nActive.
+	// active-user count; reduce folds it into e.nActive.
 	dActive int
 	// tally buffers the batch counters so concurrent workers do not
 	// contend on the shared atomics for every event.
@@ -225,6 +227,9 @@ type worker struct {
 	// errGidx the batch index of the event that caused it.
 	err     error
 	errGidx int32
+	// waited is set once the worker has observed this batch's
+	// queue_wait sample.
+	waited bool
 
 	// orphans is applyAPDown's reusable victim buffer (zero-alloc hot
 	// path; worker-owned, so sharded workers never share it).
@@ -463,8 +468,8 @@ func (e *Engine) seedTrackers(assoc *wlan.Assoc) error {
 
 // updateGauges refreshes the point-in-time gauges after any state
 // change. Gauge writes are atomic, so /metrics renders them without
-// the engine lock. Every apply, restore and install path ends here,
-// after its multi-home derivation step.
+// the engine lock. reduce and every restore and install path end
+// here, after their multi-home derivation step.
 func (e *Engine) updateGauges() {
 	sat := e.satisfied()
 	maxLoad := e.MaxLoad()
@@ -519,108 +524,24 @@ type ApplyResult struct {
 }
 
 // Apply validates and applies one churn event, then repairs the
-// association back to a hysteresis-stable equilibrium. A validation
-// failure returns a *InvalidEventError before any state is touched, so
-// the engine is unchanged (and the event counts in Stats.Rejected).
+// association back to a hysteresis-stable equilibrium. It is ApplyBatch
+// over a reused one-event buffer, so the batch totals are exactly this
+// event's costs. A validation failure returns a *InvalidEventError
+// before any state is touched, so the engine is unchanged (and the
+// event counts in Stats.Rejected).
 func (e *Engine) Apply(ev Event) (ApplyResult, error) {
-	if e.nShards == 1 {
-		e.batchStartNS = e.now().UnixNano()
-		res, err := e.applyCore(ev)
-		if err != nil {
-			return res, err
-		}
-		e.deriveMulti()
-		e.updateGauges()
-		return res, nil
-	}
-	// Sharded: a single event is a one-element batch; the batch totals
-	// are exactly this event's costs.
 	start := e.now()
-	br, err := e.ApplyBatch([]Event{ev})
-	res := ApplyResult{
-		Event:       ev,
-		Redecisions: br.Redecisions,
-		Moves:       br.Moves,
-		Truncated:   br.Truncated > 0,
-		Orphaned:    br.Orphaned,
-		Elapsed:     e.now().Sub(start),
-	}
-	return res, err
+	e.one[0] = ev
+	br, err := e.ApplyBatch(e.one[:])
+	return ApplyResult{Event: ev, Redecisions: br.Redecisions, Moves: br.Moves, Truncated: br.Truncated > 0,
+		Orphaned: br.Orphaned, Elapsed: e.now().Sub(start)}, err
 }
 
-// applyCore is the serial (Shards == 1) per-event path: validate,
-// apply, repair, account. Callers refresh the gauges afterwards —
-// per event for Apply, once per batch for ApplyBatch.
-func (e *Engine) applyCore(ev Event) (ApplyResult, error) {
-	if err := e.validateEvent(ev); err != nil {
-		e.metrics.rejected.Inc()
-		return ApplyResult{Event: ev}, err
-	}
-	return e.applyValidated(ev)
-}
-
-// applyValidated is applyCore after validation: the event is known
-// good against the current state (either validateEvent just ran, or an
-// ApplyStream prevalidation pass covered it via the batch overlay).
-func (e *Engine) applyValidated(ev Event) (ApplyResult, error) {
-	w := e.workers[0]
-	start := e.now()
-	res := ApplyResult{Event: ev}
-	err := w.applyPrimary(ev, &res)
-	e.nActive += w.dActive
-	w.dActive = 0
-	if err != nil {
-		e.metrics.rejected.Inc()
-		return res, err
-	}
-	if e.cfg.Mode == ModeFullRecompute {
-		if err := e.fullRepair(&res); err != nil {
-			return res, err
-		}
-	} else if err := w.repair(&res); err != nil {
-		return res, err
-	}
-	res.Elapsed = e.now().Sub(start)
-	e.metrics.record(ev.Kind, res)
-	e.seqBase++
-	w.localEvents++
-	w.localHandoffs += uint64(res.Moves)
-	w.busyNS += int64(res.Elapsed)
-	if e.spansOn {
-		startNS := start.UnixNano()
-		wait := startNS - e.batchStartNS
-		if wait < 0 {
-			wait = 0
-		}
-		w.localWait.Observe(float64(wait) / 1e9)
-		w.localApply.Observe(res.Elapsed.Seconds())
-		e.flight.Record(obs.SpanData{
-			Stage: stageApply, Kind: kindIndex(ev.Kind), User: int32(ev.User),
-			Seq: e.seqBase, StartNS: startNS, DurNS: int64(res.Elapsed), WaitNS: wait,
-		})
-	}
-	if obs.Active(e.trace) {
-		ap := -1
-		if ev.Kind == APDown || ev.Kind == APUp {
-			ap = ev.AP
-		}
-		e.trace.Record(obs.Event{Type: obs.EvChurn, Kind: string(ev.Kind), User: ev.User, AP: ap,
-			N: res.Redecisions, Value: res.Elapsed.Seconds()})
-	}
-	return res, nil
-}
-
-// ApplyTrace applies events in order, stopping at the first error,
-// and returns the aggregate re-decision and move counts.
-func (e *Engine) ApplyTrace(events []Event) (redecisions, moves int, err error) {
-	br, err := e.ApplyBatch(events)
-	if err != nil {
-		if i := br.Applied; i >= 0 && i < len(events) {
-			return br.Redecisions, br.Moves, fmt.Errorf("engine: event %d (%s user %d): %w", i, events[i].Kind, events[i].User, err)
-		}
-		return br.Redecisions, br.Moves, err
-	}
-	return br.Redecisions, br.Moves, nil
+// ApplyStream is ApplyBatch under the name callers replaying long
+// event sequences in windows use: same state, same totals, same
+// first-error rejection with Applied = the rejected index.
+func (e *Engine) ApplyStream(events []Event) (BatchResult, error) {
+	return e.ApplyBatch(events)
 }
 
 // applyPrimary performs the event's own mutation, marking the subject
@@ -755,9 +676,13 @@ const budgetEps = 1e-9
 // user covered by the two APs whose loads changed. Strict improvement
 // beyond the hysteresis threshold bounds the loop (each accepted move
 // decreases the objective potential by more than the threshold);
-// MaxRedecisions is a safety net.
+// MaxRedecisions is a safety net. Under ModeFullRecompute it defers to
+// fullRepair instead.
 func (w *worker) repair(res *ApplyResult) error {
 	e := w.e
+	if e.cfg.Mode == ModeFullRecompute {
+		return w.fullRepair(res)
+	}
 	for w.worklist.Len() > 0 {
 		if res.Redecisions >= e.cfg.MaxRedecisions {
 			res.Truncated = true
@@ -801,8 +726,8 @@ func (w *worker) repair(res *ApplyResult) error {
 // fullRepair is the ModeFullRecompute path (always Shards == 1):
 // rebuild the association from scratch with the batch sequential
 // process.
-func (e *Engine) fullRepair(res *ApplyResult) error {
-	w := e.workers[0]
+func (w *worker) fullRepair(res *ApplyResult) error {
+	e := w.e
 	w.drainWorklist()
 	d := *e.rule
 	d.Start = nil
@@ -814,7 +739,8 @@ func (e *Engine) fullRepair(res *ApplyResult) error {
 	if err != nil {
 		return err
 	}
-	res.Redecisions += detail.Rounds * e.nActive
+	// Active-user deltas fold in reduce, so count this batch's so far.
+	res.Redecisions += detail.Rounds * (e.nActive + w.dActive)
 	res.Moves += detail.Moves
 	return nil
 }

@@ -49,6 +49,18 @@ func newEngine(t *testing.T, n *wlan.Network, cfg Config) *Engine {
 	return e
 }
 
+// applyAll applies events as one batch and fails on any error, naming
+// the offending event.
+func applyAll(tb testing.TB, e *Engine, events []Event) BatchResult {
+	tb.Helper()
+	br, err := e.ApplyBatch(events)
+	if err != nil {
+		ev := events[br.Applied]
+		tb.Fatalf("event %d (%s user %d): %v", br.Applied, ev.Kind, ev.User, err)
+	}
+	return br
+}
+
 func TestEngineEventSemantics(t *testing.T) {
 	p := scenario.PaperDefaults()
 	p.NumAPs = 20
@@ -228,9 +240,7 @@ func TestEngineIncrementalMatchesFullRerun(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			n, trace := churnSetup(t, seed, 30, 80, 55, 4, 120)
 			e := newEngine(t, n, Config{Objective: core.ObjMLA, ActiveUsers: 55})
-			if _, _, err := e.ApplyTrace(trace); err != nil {
-				t.Fatal(err)
-			}
+			applyAll(t, e, trace)
 			if err := n.Validate(e.Snapshot(), false); err != nil {
 				t.Fatalf("incremental association invalid: %v", err)
 			}
@@ -269,9 +279,7 @@ func TestEngineIncrementalMatchesFullRerun(t *testing.T) {
 func TestEngineStability(t *testing.T) {
 	n, trace := churnSetup(t, 11, 20, 50, 35, 3, 60)
 	e := newEngine(t, n, Config{Objective: core.ObjMLA, ActiveUsers: 35})
-	if _, _, err := e.ApplyTrace(trace); err != nil {
-		t.Fatal(err)
-	}
+	applyAll(t, e, trace)
 	d := &core.Distributed{
 		Objective:  core.ObjMLA,
 		Hysteresis: e.Hysteresis(),
@@ -289,9 +297,7 @@ func TestEngineStability(t *testing.T) {
 func TestEngineTrackerConsistency(t *testing.T) {
 	n, trace := churnSetup(t, 5, 15, 40, 30, 3, 100)
 	e := newEngine(t, n, Config{Objective: core.ObjBLA, ActiveUsers: 30})
-	if _, _, err := e.ApplyTrace(trace); err != nil {
-		t.Fatal(err)
-	}
+	applyAll(t, e, trace)
 	// The tracker's cached loads must equal loads recomputed from the
 	// association after 100 mutations.
 	snap := e.Snapshot()

@@ -22,22 +22,32 @@ func (e *InvalidEventError) Error() string {
 	return fmt.Sprintf("engine: invalid %q event: %s", e.Event.Kind, e.Reason)
 }
 
-// validateEvent checks ev against the engine's current state without
-// mutating anything. Apply rejects on the first violation, so a
-// returned *InvalidEventError implies Snapshot() is unchanged.
-func (e *Engine) validateEvent(ev Event) error {
-	return e.validateWith(ev, nil, nil)
-}
-
-// validateWith is validateEvent against an overlay of the mutable
-// state: act/dwn record which users went (in)active and which APs went
-// (un)down earlier in the batch, falling through to the live state for
-// everything untouched (nil maps = pure live state, the serial path).
-// The batch router and ApplyStream's prevalidation pass the overlay
-// they maintain, so a batch rejects exactly where replaying it
-// serially would. Overlay maps rather than closures: this runs once
-// per event and must not allocate.
-func (e *Engine) validateWith(ev Event, act, dwn map[int]bool) error {
+// validate is the engine's one validator, the first step of every
+// batch. It checks events in order without mutating anything and
+// returns how many form the valid prefix plus the first
+// *InvalidEventError (nil when all pass), which it counts once in
+// Stats.Rejected. The prefix then applies exactly as a shorter batch
+// would, so a rejected event never touches state.
+//
+// Each event is checked against an overlay of the pre-batch state,
+// e.vAct/e.vDwn: which users earlier events of the batch made
+// (in)active and which APs they took down or up, falling through to
+// the live state for everything untouched. The overlay is sound
+// because validation depends on exactly those two pieces of mutable
+// state, and every valid event's effect on them is a pure function of
+// the event itself: a join activates its user, a leave deactivates it,
+// ap_down/ap_up flip the AP, and moves/demand changes touch neither.
+// So validating event i against the overlay of events 0..i-1 is
+// identical to validating it after actually applying them. The maps
+// are reused across batches (cleared, buckets retained), so
+// validation allocates nothing.
+func (e *Engine) validate(events []Event) (int, error) {
+	if e.vAct == nil {
+		e.vAct, e.vDwn = make(map[int]bool), make(map[int]bool)
+	}
+	act, dwn := e.vAct, e.vDwn
+	clear(act)
+	clear(dwn)
 	activeNow := func(u int) bool {
 		if v, ok := act[u]; ok {
 			return v
@@ -50,63 +60,47 @@ func (e *Engine) validateWith(ev Event, act, dwn map[int]bool) error {
 		}
 		return e.n.APDown(a)
 	}
-	invalid := func(format string, args ...any) error {
-		return &InvalidEventError{Event: ev, Reason: fmt.Sprintf(format, args...)}
-	}
-	switch ev.Kind {
-	case UserJoin, UserLeave, UserMove, DemandChange:
-		u := ev.User
-		if u < 0 || u >= e.n.NumUsers() {
-			return invalid("unknown user %d", u)
+	for i, ev := range events {
+		reason := ""
+		switch ev.Kind {
+		case UserJoin, UserLeave, UserMove, DemandChange:
+			u := ev.User
+			switch {
+			case u < 0 || u >= e.n.NumUsers():
+				reason = fmt.Sprintf("unknown user %d", u)
+			case ev.Kind == UserJoin && activeNow(u):
+				reason = fmt.Sprintf("user %d is already active", u)
+			case ev.Kind != UserJoin && !activeNow(u):
+				reason = fmt.Sprintf("user %d is not active", u)
+			case (ev.Kind == UserJoin || ev.Kind == DemandChange) && (ev.Session < 0 || ev.Session >= e.n.NumSessions()):
+				reason = fmt.Sprintf("unknown session %d", ev.Session)
+			case (ev.Kind == UserJoin || ev.Kind == UserMove) && !e.n.Geometric():
+				reason = fmt.Sprintf("%s needs a geometric network", ev.Kind)
+			}
+		case APDown, APUp:
+			switch {
+			case ev.AP < 0 || ev.AP >= e.n.NumAPs():
+				reason = fmt.Sprintf("unknown AP %d", ev.AP)
+			case ev.Kind == APDown && downNow(ev.AP):
+				reason = fmt.Sprintf("AP %d is already down", ev.AP)
+			case ev.Kind == APUp && !downNow(ev.AP):
+				reason = fmt.Sprintf("AP %d is not down", ev.AP)
+			}
+		default:
+			reason = "unknown event kind"
+		}
+		if reason != "" {
+			e.metrics.rejected.Inc()
+			return i, &InvalidEventError{Event: ev, Reason: reason}
 		}
 		switch ev.Kind {
-		case UserJoin:
-			if activeNow(u) {
-				return invalid("user %d is already active", u)
-			}
-			if ev.Session < 0 || ev.Session >= e.n.NumSessions() {
-				return invalid("unknown session %d", ev.Session)
-			}
-			if !e.n.Geometric() {
-				return invalid("join needs a geometric network")
-			}
-		case UserLeave:
-			if !activeNow(u) {
-				return invalid("user %d is not active", u)
-			}
-		case UserMove:
-			if !activeNow(u) {
-				return invalid("user %d is not active", u)
-			}
-			if !e.n.Geometric() {
-				return invalid("move needs a geometric network")
-			}
-		case DemandChange:
-			if !activeNow(u) {
-				return invalid("user %d is not active", u)
-			}
-			if ev.Session < 0 || ev.Session >= e.n.NumSessions() {
-				return invalid("unknown session %d", ev.Session)
-			}
+		case UserJoin, UserLeave:
+			act[ev.User] = ev.Kind == UserJoin
+		case APDown, APUp:
+			dwn[ev.AP] = ev.Kind == APDown
 		}
-	case APDown:
-		if ev.AP < 0 || ev.AP >= e.n.NumAPs() {
-			return invalid("unknown AP %d", ev.AP)
-		}
-		if downNow(ev.AP) {
-			return invalid("AP %d is already down", ev.AP)
-		}
-	case APUp:
-		if ev.AP < 0 || ev.AP >= e.n.NumAPs() {
-			return invalid("unknown AP %d", ev.AP)
-		}
-		if !downNow(ev.AP) {
-			return invalid("AP %d is not down", ev.AP)
-		}
-	default:
-		return invalid("unknown event kind")
 	}
-	return nil
+	return len(events), nil
 }
 
 // applyAPDown orphans every user associated with the AP (disassociated

@@ -60,10 +60,10 @@ type metrics struct {
 	// Stage-attributed families (span.go). The label sets are bounded
 	// at registration: stages by the pipeline's stage enum, shards by
 	// the engine's shard count.
-	stageLat        *obs.HistogramVec  // assocd_stage_seconds{stage}
-	shardEvents     *obs.CounterVec    // assocd_shard_events_total{shard}
-	shardHandoffs   *obs.CounterVec    // assocd_shard_handoffs_total{shard}
-	shardQueueDepth *obs.GaugeVec      // assocd_shard_queue_depth{shard}
+	stageLat        *obs.HistogramVec   // assocd_stage_seconds{stage}
+	shardEvents     *obs.CounterVec     // assocd_shard_events_total{shard}
+	shardHandoffs   *obs.CounterVec     // assocd_shard_handoffs_total{shard}
+	shardQueueDepth *obs.GaugeVec       // assocd_shard_queue_depth{shard}
 	shardBusy       []*obs.FloatCounter // assocd_shard_busy_seconds_total{shard}
 	// Multi-homing families (multihome.go). Registered always so the
 	// exposition is stable; with MaxHomes <= 1 they mirror the
@@ -121,38 +121,11 @@ func (m *metrics) register(reg *obs.Registry, nShards int) {
 		"Maximum AP multicast load including secondary-home contributions.")
 }
 
-// record accounts one successfully applied event.
-func (m *metrics) record(kind EventKind, res ApplyResult) {
-	switch kind {
-	case UserJoin:
-		m.joins.Inc()
-	case UserLeave:
-		m.leaves.Inc()
-	case UserMove:
-		m.moves.Inc()
-	case DemandChange:
-		m.demands.Inc()
-	case APDown:
-		m.apDowns.Inc()
-	case APUp:
-		m.apUps.Inc()
-	}
-	m.redecisions.Add(uint64(res.Redecisions))
-	m.handoffs.Add(uint64(res.Moves))
-	if res.Truncated {
-		m.truncated.Inc()
-	}
-	if res.Orphaned > 0 {
-		m.orphaned.Add(uint64(res.Orphaned))
-	}
-	m.latency.Observe(res.Elapsed.Seconds())
-}
-
-// batchTally buffers one shard worker's counter increments for a
-// batch. The per-event latency histogram is observed live (its
-// buckets are atomics), but the plain counters would have every
-// worker hammering the same cache lines per event; instead each
-// worker accumulates privately and the serial batch epilogue flushes.
+// batchTally buffers one worker's counter increments for a batch. The
+// per-event latency histogram is observed live (its buckets are
+// atomics), but the plain counters would have every worker hammering
+// the same cache lines per event; instead each worker accumulates
+// privately and reduce flushes.
 type batchTally struct {
 	joins, leaves, moves, demands uint64
 	apDowns, apUps                uint64

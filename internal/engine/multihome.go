@@ -70,10 +70,10 @@ func (w *worker) touch(u int) {
 	}
 }
 
-// deriveMulti is the post-apply derivation step every apply path runs
-// before refreshing the gauges (per event for Apply, once per batch
-// for ApplyBatch — the derivation granularity is the API call, not the
-// event). It re-derives the users the call touched, as the comment at
+// deriveMulti is the post-apply derivation step reduce runs before
+// refreshing the gauges, once per call (per event for Apply, once per
+// batch for ApplyBatch — the derivation granularity is the API call,
+// not the event). It re-derives the users the call touched, as the comment at
 // the top of this file describes; no-op while MaxHomes <= 1.
 func (e *Engine) deriveMulti() {
 	if !e.multihomeOn() {

@@ -13,24 +13,29 @@ import (
 	"wlanmcast/internal/wlan"
 )
 
-// Sharded batch application.
+// The apply pipeline.
 //
-// ApplyBatch applies a batch of events with one goroutine per spatial
-// shard. The pieces:
+// Every event enters the engine through ApplyBatch — Apply is a batch
+// of one, ApplyStream is ApplyBatch — which runs four steps, the same
+// for every shard count:
 //
-//   - The router (serial): validates the batch in order against an
-//     overlay of the pre-batch state, assigns each event to its
-//     owning shard, and rewrites any owner-changing event — a
-//     cross-shard UserMove, or a UserJoin landing away from the
-//     slot's previous owner — into a depart/arrive op pair linked by
-//     a handoff channel.
-//   - The workers (concurrent): each drains its op queue in global
-//     event order, applying events and repairing with the exact code
-//     the serial engine runs — the worklist, tracker, and mutation
-//     view are all shard-confined.
-//   - The reducer (serial): after the barrier, worker tallies flush
-//     into the shared metrics, the active-user deltas fold, and the
-//     gauges refresh from the merged per-shard trackers.
+//   - Validate (serial): validate (fault.go) checks the batch in order
+//     against an overlay of the pre-batch state and cuts it at the
+//     first invalid event.
+//   - Route (serial, Shards > 1 only): route assigns each valid event
+//     to its owning shard's op queue and rewrites any owner-changing
+//     event — a cross-shard UserMove, or a UserJoin landing away from
+//     the slot's previous owner — into a depart/arrive op pair linked
+//     by a handoff channel.
+//   - Apply: runOp applies one op — applyPrimary, then repair (a full
+//     recompute under ModeFullRecompute), then finish. With Shards > 1
+//     one goroutine per shard drains its queue in global event order,
+//     and the worklist, tracker and mutation view are all
+//     shard-confined; with Shards == 1 the caller's goroutine runs the
+//     batch as the single queue, with no goroutine and no channel.
+//   - Reduce (serial): after the barrier, reduce folds the worker
+//     tallies and active-user deltas, derives the multi-homes and
+//     refreshes the gauges from the merged per-shard trackers.
 //
 // Determinism (invariant 3 in the package doc): events of one shard
 // apply in global order on one goroutine; events of different shards
@@ -93,40 +98,31 @@ type handoff struct {
 }
 
 // ApplyBatch validates and applies events in order, repairing after
-// each, and refreshes the gauges once at the end. With Shards == 1 it
-// is exactly a loop over the serial per-event path; with more it fans
-// the batch out across the shard workers. Either way the resulting
-// state and BatchResult totals are identical. On a validation failure
-// the earlier events stay applied, the batch stops, and the error
-// reports the offending event; Applied tells how far it got.
+// each, then reduces once: one multi-home derivation and one gauge
+// refresh per call. Any shard count yields the same state and
+// BatchResult totals. On a validation failure the earlier events stay
+// applied, the batch stops, and the error reports the offending event;
+// Applied tells how far it got.
 func (e *Engine) ApplyBatch(events []Event) (BatchResult, error) {
-	var br BatchResult
-	e.batchStartNS = e.now().UnixNano()
+	start := e.now()
+	e.batchStartNS = start.UnixNano()
+	n, verr := e.validate(events)
+	e.observeStage(stageValidate, start, n)
 	if e.nShards == 1 {
-		for i, ev := range events {
-			res, err := e.applyCore(ev)
-			if err != nil {
-				br.Applied = i
-				e.deriveMulti()
-				e.updateGauges()
-				return br, err
-			}
-			br.Applied++
-			br.Redecisions += res.Redecisions
-			br.Moves += res.Moves
-			br.Orphaned += res.Orphaned
-			if res.Truncated {
-				br.Truncated++
-			}
+		w := e.workers[0]
+		for i := range events[:n] {
+			w.runOp(shardOp{gidx: int32(i), op: opApply, ev: events[i]})
 		}
-		e.deriveMulti()
-		e.updateGauges()
-		return br, nil
+	} else {
+		e.runShards(e.route(events[:n]))
 	}
+	return e.reduce(n, verr)
+}
 
-	vStart := e.now()
-	queues, routed, verr := e.route(events)
-	e.observeStage(stageValidate, vStart, routed)
+// runShards runs one routed batch on the shard workers, one goroutine
+// per non-empty queue, under the stall watchdog when armed, and waits
+// for all of them.
+func (e *Engine) runShards(queues [][]shardOp) {
 	expected := make([]int, e.nShards)
 	for s, q := range queues {
 		expected[s] = len(q)
@@ -153,7 +149,9 @@ func (e *Engine) ApplyBatch(events []Event) (BatchResult, error) {
 			// The pprof labels make CPU profiles attribute samples
 			// per shard (go tool pprof -tagfocus shard=3).
 			pprof.Do(context.Background(), w.pprofLabels, func(context.Context) {
-				w.runQueue(ops)
+				for _, op := range ops {
+					w.runOp(op)
+				}
 			})
 		}(e.workers[s], q)
 	}
@@ -162,19 +160,24 @@ func (e *Engine) ApplyBatch(events []Event) (BatchResult, error) {
 		stopWatchdog()
 	}
 	e.hand = nil
-	e.seqBase += uint64(routed)
+}
 
-	// Reduce: surface the earliest worker error, fold the tallies and
-	// active deltas, derive the multi-homes and refresh the gauges from
-	// the merged trackers.
-	rStart := e.now()
+// reduce is the batch epilogue, the same for every shard count:
+// surface the earliest worker error, fold the tallies and active
+// deltas, derive the multi-homes, refresh the gauges from the merged
+// trackers, and observe the reduce stage. routed is the validated
+// prefix length, verr the validation error.
+func (e *Engine) reduce(routed int, verr error) (BatchResult, error) {
+	start := e.now()
+	e.seqBase += uint64(routed)
+	var br BatchResult
 	var werr error
 	wGidx := int32(math.MaxInt32)
 	for s, w := range e.workers {
 		if w.err != nil && w.errGidx < wGidx {
 			werr, wGidx = w.err, w.errGidx
 		}
-		w.err, w.errGidx = nil, 0
+		w.err, w.errGidx, w.waited = nil, 0, false
 		br.Redecisions += int(w.tally.redecisions)
 		br.Moves += int(w.tally.handoffs)
 		br.Orphaned += int(w.tally.orphaned)
@@ -186,7 +189,7 @@ func (e *Engine) ApplyBatch(events []Event) (BatchResult, error) {
 	}
 	e.deriveMulti()
 	e.updateGauges()
-	e.observeStage(stageReduce, rStart, routed)
+	e.observeStage(stageReduce, start, routed)
 	br.Applied = routed
 	if werr != nil {
 		br.Applied = int(wGidx)
@@ -195,30 +198,14 @@ func (e *Engine) ApplyBatch(events []Event) (BatchResult, error) {
 	return br, verr
 }
 
-// route validates events in order against an overlay of the current
-// state and distributes them onto per-shard op queues. It stops at the
-// first invalid event, returning how many were routed and the
-// validation error; the routed prefix then applies exactly as a
-// shorter batch would. Routing also sizes and installs the handoff
-// channels (exact per-pair capacity, so sends never block) and
-// maintains shardOfUser — safely, because routing is serial and the
-// workers have not started.
-func (e *Engine) route(events []Event) (queues [][]shardOp, routed int, verr error) {
-	queues = make([][]shardOp, e.nShards)
-	// Overlay of the mutable validation state: earlier batch events
-	// change what later ones may do, before any worker has run.
-	act := make(map[int]bool)
-	dwn := make(map[int]bool)
-	handCnt := make(map[int]int)
-	routed = len(events)
+// route distributes an already-validated batch onto per-shard op
+// queues. It also sizes and installs the handoff channels (exact
+// per-pair capacity, so sends never block) and maintains shardOfUser —
+// safely, because routing is serial and the workers have not started.
+func (e *Engine) route(events []Event) [][]shardOp {
+	queues := make([][]shardOp, e.nShards)
+	handCnt := make([]int, e.nShards*e.nShards)
 	for i, ev := range events {
-		if err := e.validateWith(ev, act, dwn); err != nil {
-			// The routed prefix still runs (and still needs its
-			// handoff channels below), exactly like a shorter batch.
-			e.metrics.rejected.Inc()
-			routed, verr = i, err
-			break
-		}
 		gidx := int32(i)
 		switch ev.Kind {
 		case UserJoin, UserMove:
@@ -229,9 +216,6 @@ func (e *Engine) route(events []Event) (queues [][]shardOp, routed int, verr err
 			// workers would race on the user's state.
 			src := int(e.shardOfUser[ev.User])
 			dst := e.shardForPos(ev.Pos, src)
-			if ev.Kind == UserJoin {
-				act[ev.User] = true
-			}
 			if dst == src {
 				queues[src] = append(queues[src], shardOp{gidx: gidx, op: opApply, ev: ev})
 				break
@@ -240,24 +224,21 @@ func (e *Engine) route(events []Event) (queues [][]shardOp, routed int, verr err
 			queues[dst] = append(queues[dst], shardOp{gidx: gidx, op: opArrive, peer: int32(src), ev: ev})
 			handCnt[src*e.nShards+dst]++
 			e.shardOfUser[ev.User] = int32(dst)
-		case UserLeave:
-			act[ev.User] = false
-			src := e.shardOfUser[ev.User]
-			queues[src] = append(queues[src], shardOp{gidx: gidx, op: opApply, ev: ev})
-		case DemandChange:
+		case UserLeave, DemandChange:
 			src := e.shardOfUser[ev.User]
 			queues[src] = append(queues[src], shardOp{gidx: gidx, op: opApply, ev: ev})
 		case APDown, APUp:
-			dwn[ev.AP] = ev.Kind == APDown
 			s := e.shardOfAP[ev.AP]
 			queues[s] = append(queues[s], shardOp{gidx: gidx, op: opApply, ev: ev})
 		}
 	}
 	e.hand = make([]chan handoff, e.nShards*e.nShards)
 	for k, c := range handCnt {
-		e.hand[k] = make(chan handoff, c)
+		if c > 0 {
+			e.hand[k] = make(chan handoff, c)
+		}
 	}
-	return queues, routed, verr
+	return queues
 }
 
 // shardForPos returns the shard owning the region around pos, or
@@ -270,63 +251,66 @@ func (e *Engine) shardForPos(pos geom.Point, fallback int) int {
 	return fallback
 }
 
-// runQueue drains one shard's op queue in global event order. After an
+// runOp applies one routed op; it is the only code that applies an
+// event. Shard workers run it over their queues, and with Shards == 1
+// the caller's goroutine runs it over the whole batch. After an
 // internal error the worker stops mutating but keeps draining so every
 // handoff channel still sees its sends and receives — a peer must
 // never be left blocking (see drainOp).
-func (w *worker) runQueue(ops []shardOp) {
+func (w *worker) runOp(op shardOp) {
 	e := w.e
-	for _, op := range ops {
-		if w.err != nil {
-			w.drainOp(op)
-			w.progress.Add(1)
-			continue
+	defer w.progress.Add(1)
+	if w.err != nil {
+		w.drainOp(op)
+		return
+	}
+	start := e.now()
+	startNS := start.UnixNano()
+	waitNS := max(startNS-e.batchStartNS, 0)
+	if !w.waited {
+		// queue_wait is one sample per worker per batch (batch start to
+		// this worker's first op), so its sum stays within wall time.
+		w.waited = true
+		if e.spansOn {
+			w.localWait.Observe(float64(waitNS) / 1e9)
 		}
-		start := e.now()
-		startNS := start.UnixNano()
-		waitNS := startNS - e.batchStartNS
-		if waitNS < 0 {
-			waitNS = 0
+	}
+	seq := e.seqBase + uint64(op.gidx) + 1
+	res := ApplyResult{Event: op.ev}
+	switch op.op {
+	case opApply:
+		w.beginSpan(stageApply, op, seq, startNS, waitNS)
+		if err := w.applyPrimary(op.ev, &res); err != nil {
+			w.fail(op.gidx, err)
+		} else if err := w.repair(&res); err != nil {
+			w.fail(op.gidx, err)
+		} else {
+			w.finish(op.ev, &res, start)
 		}
-		seq := e.seqBase + uint64(op.gidx) + 1
-		var res ApplyResult
-		res.Event = op.ev
-		switch op.op {
-		case opApply:
-			w.beginSpan(stageApply, op, seq, startNS, waitNS)
-			if err := w.applyPrimary(op.ev, &res); err != nil {
-				w.fail(op.gidx, err)
-			} else if err := w.repair(&res); err != nil {
-				w.fail(op.gidx, err)
-			} else {
-				w.finish(op.ev, &res, start)
-			}
-			w.endSpan(stageApply, w.localApply, op, seq, startNS, waitNS)
-		case opDepart:
-			w.beginSpan(stageHandoffDepart, op, seq, startNS, waitNS)
-			if err := w.depart(op, &res); err != nil {
-				w.fail(op.gidx, err)
-			}
-			// The source half accounts its repair costs but not the
-			// event itself — the arrive side completes (and counts)
-			// the move.
-			w.tally.redecisions += uint64(res.Redecisions)
-			w.tally.handoffs += uint64(res.Moves)
-			w.localHandoffs += uint64(res.Moves)
-			if res.Truncated {
-				w.tally.truncated++
-			}
-			w.endSpan(stageHandoffDepart, w.localDepart, op, seq, startNS, waitNS)
-		case opArrive:
-			w.beginSpan(stageHandoffArrive, op, seq, startNS, waitNS)
-			if err := w.arrive(op, &res); err != nil {
-				w.fail(op.gidx, err)
-			} else {
-				w.finish(op.ev, &res, start)
-			}
-			w.endSpan(stageHandoffArrive, w.localArrive, op, seq, startNS, waitNS)
+		w.endSpan(stageApply, w.localApply, op, seq, startNS, waitNS)
+	case opDepart:
+		w.beginSpan(stageHandoffDepart, op, seq, startNS, waitNS)
+		if err := w.depart(op, &res); err != nil {
+			w.fail(op.gidx, err)
 		}
-		w.progress.Add(1)
+		// The source half accounts its repair costs but not the
+		// event itself — the arrive side completes (and counts)
+		// the move.
+		w.tally.redecisions += uint64(res.Redecisions)
+		w.tally.handoffs += uint64(res.Moves)
+		w.localHandoffs += uint64(res.Moves)
+		if res.Truncated {
+			w.tally.truncated++
+		}
+		w.endSpan(stageHandoffDepart, w.localDepart, op, seq, startNS, waitNS)
+	case opArrive:
+		w.beginSpan(stageHandoffArrive, op, seq, startNS, waitNS)
+		if err := w.arrive(op, &res); err != nil {
+			w.fail(op.gidx, err)
+		} else {
+			w.finish(op.ev, &res, start)
+		}
+		w.endSpan(stageHandoffArrive, w.localArrive, op, seq, startNS, waitNS)
 	}
 }
 

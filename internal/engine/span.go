@@ -1,9 +1,8 @@
 package engine
 
 // Stage-attributed observability (see DESIGN.md "Stage-attributed
-// tracing"). The pipeline router -> shard worker -> reducer is
-// instrumented three ways, all sourced from the same per-event
-// timestamps:
+// tracing"). The apply pipeline (shard.go) is instrumented three
+// ways, all sourced from the same per-op timestamps:
 //
 //   - per-stage histograms (assocd_stage_seconds{stage=...}) say
 //     where wall-clock goes in aggregate — queue wait vs validate vs
@@ -92,8 +91,8 @@ type StallInfo struct {
 func (e *Engine) Flight() *obs.FlightRecorder { return e.flight }
 
 // setupFlight builds the flight recorder and the per-worker staging
-// buffers. Writer 0 belongs to the serial path (router, reducer,
-// Shards == 1 applies); shard worker s writes as s+1.
+// buffers. Writer 0 belongs to the batch-level stages (validate,
+// reduce); worker s writes its op spans as s+1.
 func (e *Engine) setupFlight() {
 	if e.cfg.FlightSpans >= 0 {
 		e.spansOn = true
@@ -123,8 +122,9 @@ func (w *worker) beginSpan(stage uint8, op shardOp, seq uint64, startNS, waitNS 
 }
 
 // endSpan closes the op's span: busy time always accrues, and with
-// spans on the queue-wait and stage durations stage into the worker's
-// local histograms while the completed span enters the flight ring.
+// spans on the stage duration stages into the worker's local histogram
+// while the completed span, with its queue wait, enters the flight
+// ring.
 func (w *worker) endSpan(stage uint8, lh *obs.LocalHistogram, op shardOp, seq uint64, startNS, waitNS int64) {
 	e := w.e
 	durNS := e.now().UnixNano() - startNS
@@ -132,7 +132,6 @@ func (w *worker) endSpan(stage uint8, lh *obs.LocalHistogram, op shardOp, seq ui
 	if !e.spansOn {
 		return
 	}
-	w.localWait.Observe(float64(waitNS) / 1e9)
 	lh.Observe(float64(durNS) / 1e9)
 	e.flight.End(w.flightWriter, obs.SpanData{
 		Stage: stage, Kind: kindIndex(op.ev.Kind), Shard: int32(w.id), User: int32(op.ev.User),
@@ -141,8 +140,9 @@ func (w *worker) endSpan(stage uint8, lh *obs.LocalHistogram, op shardOp, seq ui
 }
 
 // observeStage records one batch-level stage (validate, reduce) into
-// the stage histogram, the flight ring (writer 0, the serial path),
-// and the trace as an EvSpan carrying the event count.
+// the stage histogram, the flight ring, and the trace as an EvSpan
+// carrying the event count. Every call observes both, for any shard
+// count.
 func (e *Engine) observeStage(stage int, start time.Time, events int) {
 	end := e.now()
 	if e.spansOn {
@@ -158,9 +158,8 @@ func (e *Engine) observeStage(stage int, start time.Time, events int) {
 
 // flushWorkerStats folds every worker's staged per-event observations
 // (stage histograms, per-shard tallies, busy time) into the shared
-// instruments. Runs serially — per event on the Apply path, per batch
-// on ApplyBatch/ApplyStream — from updateGauges, so every public
-// entry point leaves the registry current.
+// instruments. Runs serially, once per call, from updateGauges, so
+// every public entry point leaves the registry current.
 func (e *Engine) flushWorkerStats() {
 	for _, w := range e.workers {
 		if w.localEvents != 0 {

@@ -72,14 +72,15 @@ func ExtChurn(ctx context.Context, cfg Config) (*metrics.Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			redecisions, _, err := eng.ApplyTrace(trace)
+			br, err := eng.ApplyBatch(trace)
 			if err != nil {
-				return nil, fmt.Errorf("%s: %w", m.label, err)
+				ev := trace[br.Applied]
+				return nil, fmt.Errorf("%s: event %d (%s user %d): %w", m.label, br.Applied, ev.Kind, ev.User, err)
 			}
 			out = append(out,
 				Value{m.label + "/total-load", eng.TotalLoad()},
 				Value{m.label + "/max-load", eng.MaxLoad()},
-				Value{m.label + "/redecisions-per-event", float64(redecisions) / float64(len(trace))},
+				Value{m.label + "/redecisions-per-event", float64(br.Redecisions) / float64(len(trace))},
 			)
 		}
 		return out, nil

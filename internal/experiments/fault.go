@@ -81,13 +81,14 @@ func ExtFault(ctx context.Context, cfg Config) (*metrics.Figure, error) {
 			if err != nil {
 				return nil, err
 			}
-			redecisions, handoffs, err := eng.ApplyTrace(trace)
+			br, err := eng.ApplyBatch(trace)
 			if err != nil {
-				return nil, fmt.Errorf("%s: %w", o.label, err)
+				ev := trace[br.Applied]
+				return nil, fmt.Errorf("%s: event %d (%s user %d): %w", o.label, br.Applied, ev.Kind, ev.User, err)
 			}
 			out = append(out,
-				Value{o.label + "/redecisions-per-fault", float64(redecisions) / faults},
-				Value{o.label + "/handoffs-per-fault", float64(handoffs) / faults},
+				Value{o.label + "/redecisions-per-fault", float64(br.Redecisions) / faults},
+				Value{o.label + "/handoffs-per-fault", float64(br.Moves) / faults},
 				Value{o.label + "/max-load", eng.MaxLoad()},
 			)
 		}

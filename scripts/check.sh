@@ -31,7 +31,8 @@
 #      landed (AugmentHomes' grandfather/fill passes are the
 #      degradation semantics; untested means unspecified)
 #   6. the allocation gate: the engine's steady-state incremental
-#      event path must stay <= 2 allocs/event (it measures ~0; the
+#      event path must stay <= 2 allocs/event, both in ApplyStream
+#      windows and in one-event Apply calls (both measure ~0; the
 #      streaming ingest subsystem depends on this not rotting), and
 #      one-event Apply calls with MaxHomes=2 over a trace with AP
 #      failures <= 4 allocs/event (the incremental secondary-home
@@ -46,7 +47,13 @@
 #      multi-association decoder, NDJSON stream handler, journal
 #      record decoder, scenario loader, LP solver) so corpus
 #      regressions surface in CI, not just in long local fuzz runs
-#   9. a leftover-process check: fails (after killing them) if any
+#   9. the benchmark module (bench/, a nested module outside
+#      `go test ./...`): vet plus its tests, where TestQuickRuns runs
+#      all five workloads at -quick with verified outputs and
+#      TestSpecShape is the metric-name drift gate against
+#      BENCHMARK.json — bench/ imports internal packages, so a
+#      refactor that breaks it fails here
+#  10. a leftover-process check: fails (after killing them) if any
 #      assocd, loadgen or *.test process this run started is still
 #      alive — every process started below inherits CHECK_RUN_ID, so
 #      even one orphaned by a killed parent is found by its environment
@@ -113,6 +120,9 @@ go test -run '^$' -fuzz 'FuzzStreamEvents' -fuzztime 10s ./cmd/assocd
 go test -run '^$' -fuzz 'FuzzWALDecode' -fuzztime 10s ./internal/wal
 go test -run '^$' -fuzz 'FuzzLoad' -fuzztime 10s ./internal/scenario
 go test -run '^$' -fuzz 'FuzzSolve' -fuzztime 10s ./internal/lp
+
+echo "== benchmark module (cd bench && go vet + go test)"
+(cd bench && go vet ./... && go test -count 1 ./...)
 
 echo "== leftover processes (assocd, loadgen, *.test started by this run)"
 left=""
