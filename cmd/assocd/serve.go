@@ -646,7 +646,7 @@ func (s *server) handleAssoc(w http.ResponseWriter, r *http.Request) {
 			Assoc       *wlan.Assoc `json:"assoc"`
 			ActiveUsers int         `json:"active_users"`
 			Satisfied   int         `json:"satisfied"`
-		}{s.eng.Snapshot(), s.eng.ActiveUsers(), s.eng.Snapshot().SatisfiedCount()})
+		}{s.eng.Snapshot(), s.eng.ActiveUsers(), s.eng.Satisfied()})
 	case http.MethodPut:
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 		if err != nil {
@@ -787,13 +787,12 @@ func (s *server) handleTraceExport(w http.ResponseWriter, r *http.Request) {
 
 // status must be called with mu held (or on a fresh engine).
 func (s *server) status(eng *engine.Engine) statusResponse {
-	snap := eng.Snapshot()
 	resp := statusResponse{
 		APs:         eng.NumAPs(),
 		Users:       eng.NumUsers(),
 		Shards:      eng.Shards(),
 		ActiveUsers: eng.ActiveUsers(),
-		Satisfied:   snap.SatisfiedCount(),
+		Satisfied:   eng.Satisfied(),
 		TotalLoad:   eng.TotalLoad(),
 		MaxLoad:     eng.MaxLoad(),
 		ShardStats:  eng.ShardStats(),

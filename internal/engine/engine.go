@@ -471,7 +471,7 @@ func (e *Engine) seedTrackers(assoc *wlan.Assoc) error {
 // the engine lock. reduce and every restore and install path end
 // here, after their multi-home derivation step.
 func (e *Engine) updateGauges() {
-	sat := e.satisfied()
+	sat := e.Satisfied()
 	maxLoad := e.MaxLoad()
 	e.metrics.activeUsers.Set(float64(e.nActive))
 	e.metrics.apLoadTotal.Set(e.TotalLoad())
@@ -756,9 +756,9 @@ func (w *worker) markUser(u int) {
 
 // markAPIfChanged queues every user covered by ap when ap's load
 // moved from before — those are exactly the users whose neighborhood
-// view changed.
+// view changed. Loads are exact, so an unchanged one compares equal.
 func (w *worker) markAPIfChanged(ap int, before float64) {
-	if diff := w.tr.APLoad(ap) - before; diff < 1e-15 && diff > -1e-15 {
+	if w.tr.APLoad(ap) == before {
 		return
 	}
 	for _, v := range w.e.n.Coverage(ap) {
@@ -789,8 +789,9 @@ func (e *Engine) primaryOf(u int) int {
 	return e.workers[e.shardOfUser[u]].tr.APOf(u)
 }
 
-// satisfied returns the number of currently associated users.
-func (e *Engine) satisfied() int {
+// Satisfied returns the number of currently associated users, summed
+// over the workers' trackers without materializing the association.
+func (e *Engine) Satisfied() int {
 	s := 0
 	for _, w := range e.workers {
 		s += w.tr.Satisfied()
@@ -843,23 +844,23 @@ func (e *Engine) ActiveUsers() int { return e.nActive }
 // Active reports whether user slot u is active.
 func (e *Engine) Active(u int) bool { return e.active[u] }
 
-// TotalLoad returns the current total multicast load, summed over APs
-// in ascending id order — the same float for every shard count.
+// TotalLoad returns the current total multicast load: the exact sum of
+// the workers' tracker totals (each holds its own shard's APs), so the
+// same float for every shard count.
 func (e *Engine) TotalLoad() float64 {
-	t := 0.0
-	for a := 0; a < e.n.NumAPs(); a++ {
-		t += e.trackerOf(a).APLoad(a)
+	var q wlan.Quanta
+	for _, w := range e.workers {
+		q += w.tr.TotalQuanta()
 	}
-	return t
+	return q.Load()
 }
 
-// MaxLoad returns the current maximum AP load.
+// MaxLoad returns the current maximum AP load, the largest of the
+// workers' tracker maxima.
 func (e *Engine) MaxLoad() float64 {
 	m := 0.0
-	for a := 0; a < e.n.NumAPs(); a++ {
-		if l := e.trackerOf(a).APLoad(a); l > m {
-			m = l
-		}
+	for _, w := range e.workers {
+		m = max(m, w.tr.MaxLoad())
 	}
 	return m
 }

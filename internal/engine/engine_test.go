@@ -299,17 +299,19 @@ func TestEngineTrackerConsistency(t *testing.T) {
 	e := newEngine(t, n, Config{Objective: core.ObjBLA, ActiveUsers: 30})
 	applyAll(t, e, trace)
 	// The tracker's cached loads must equal loads recomputed from the
-	// association after 100 mutations.
+	// association after 100 mutations, bit for bit.
 	snap := e.Snapshot()
 	loads := e.APLoads()
 	for ap := 0; ap < n.NumAPs(); ap++ {
-		want := n.APLoad(snap, ap)
-		if math.Abs(loads[ap]-want) > 1e-9 {
-			t.Fatalf("AP %d tracked load %.6f, recomputed %.6f", ap, loads[ap], want)
+		if want := n.APLoad(snap, ap); loads[ap] != want {
+			t.Fatalf("AP %d tracked load %v, recomputed %v", ap, loads[ap], want)
 		}
 	}
-	if math.Abs(e.TotalLoad()-n.TotalLoad(snap)) > 1e-9 {
-		t.Fatalf("tracked total %.6f, recomputed %.6f", e.TotalLoad(), n.TotalLoad(snap))
+	if e.TotalLoad() != n.TotalLoad(snap) {
+		t.Fatalf("tracked total %v, recomputed %v", e.TotalLoad(), n.TotalLoad(snap))
+	}
+	if e.MaxLoad() != n.MaxLoad(snap) {
+		t.Fatalf("tracked max %v, recomputed %v", e.MaxLoad(), n.MaxLoad(snap))
 	}
 }
 

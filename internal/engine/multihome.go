@@ -29,7 +29,7 @@ import (
 // local to each user, so an unchanged user's pass-1 set is its old
 // set; and pass 2 only adds homes, so every neighbour AP of a clean
 // user holds a superset of its old occupancy, and the tracker's
-// count-pure loads are monotone in that set — a clean user whose fill
+// exact loads are monotone in that set — a clean user whose fill
 // failed last call fails again. TestEngineMultihomeIncrementalExact
 // checks the equality after every call.
 //
@@ -195,7 +195,7 @@ func (e *Engine) MultiSatisfied() int {
 	if e.multihomeOn() {
 		return e.mh.Satisfied()
 	}
-	return e.satisfied()
+	return e.Satisfied()
 }
 
 // SetMultiAssoc force-installs an externally supplied

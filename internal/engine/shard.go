@@ -47,9 +47,10 @@ import (
 // (the old AP is out of range at the new position, by the partition
 // invariant) and re-admits at the destination, which is exactly the
 // depart/arrive split. Merged reads (Snapshot, APLoads, TotalLoad)
-// iterate in fixed ascending order, so even float summation is
-// bit-identical across shard counts. The latency histogram and the
-// trace event order are the only observables allowed to differ.
+// read exact loads: each worker's tracker counts its APs' loads in
+// integer quanta, so they sum to the same bits for any split. The
+// latency histogram and the trace event order are the only observables
+// allowed to differ.
 //
 // Deadlock freedom: handoff channels are buffered with the exact
 // per-pair handoff count (sends never block), so a worker can only

@@ -10,8 +10,11 @@ import (
 )
 
 // snapshotVersion guards the persisted encoding. Bump it on any shape
-// change; RestoreSnapshot refuses mismatches rather than guessing.
-const snapshotVersion = 1
+// change; RestoreSnapshot refuses versions it cannot read rather than
+// guessing. Version 1 also carried the per-AP loads; they are exact
+// functions of the association now, so RestoreSnapshot still reads a
+// version-1 blob and ignores them.
+const snapshotVersion = 2
 
 // snapUser is one active user slot's full mutable state: where it is,
 // what it subscribes to, and where it is associated.
@@ -44,16 +47,10 @@ type snapCounters struct {
 // rate model, budgets) is NOT here — recovery rebuilds it from the
 // journaled scenario and this delta re-applies the churn outcome.
 type snapState struct {
-	Version int        `json:"version"`
-	Users   []snapUser `json:"users"` // active slots, ascending by id
-	DownAPs []int      `json:"down_aps,omitempty"`
-	// Loads carries the per-AP load accumulators bit-exactly. The
-	// loads are derivable from Users in principle, but only up to
-	// float accumulation order; recovery must continue from the exact
-	// pre-crash floats to stay byte-identical with an uninterrupted
-	// run (see wlan.Tracker.RestoreLoads).
-	Loads []float64    `json:"loads"`
-	Stats snapCounters `json:"stats"`
+	Version int          `json:"version"`
+	Users   []snapUser   `json:"users"` // active slots, ascending by id
+	DownAPs []int        `json:"down_aps,omitempty"`
+	Stats   snapCounters `json:"stats"`
 }
 
 // EncodeSnapshot serializes the engine's full mutable state —
@@ -80,7 +77,6 @@ func (e *Engine) EncodeSnapshot() ([]byte, error) {
 	}
 	st.DownAPs = append(st.DownAPs, e.n.DownAPs()...)
 	sort.Ints(st.DownAPs)
-	st.Loads = e.APLoads()
 	s := e.metrics.snapshot()
 	st.Stats = snapCounters{
 		Joins: s.Joins, Leaves: s.Leaves, UserMoves: s.UserMoves,
@@ -104,8 +100,8 @@ func RestoreSnapshot(n *wlan.Network, cfg Config, data []byte) (*Engine, error) 
 	if err := json.Unmarshal(data, &st); err != nil {
 		return nil, fmt.Errorf("engine: decode snapshot: %w", err)
 	}
-	if st.Version != snapshotVersion {
-		return nil, fmt.Errorf("engine: snapshot version %d, want %d", st.Version, snapshotVersion)
+	if st.Version != 1 && st.Version != snapshotVersion {
+		return nil, fmt.Errorf("engine: snapshot version %d, want 1 or %d", st.Version, snapshotVersion)
 	}
 	e, err := newShell(n, cfg)
 	if err != nil {
@@ -166,35 +162,11 @@ func RestoreSnapshot(n *wlan.Network, cfg Config, data []byte) (*Engine, error) 
 			return nil, fmt.Errorf("engine: restore ap %d down: %w", a, err)
 		}
 	}
+	// finish seeds the trackers by re-associating; their loads are exact
+	// functions of the association, so they equal the original's bits.
 	if err := e.finish(assoc, prevSec); err != nil {
 		return nil, err
 	}
-	// finish seeded the trackers by re-associating, which rebuilt the
-	// load accumulators in a fresh order; overwrite them with the
-	// persisted bit-exact values so future increments continue the
-	// original accumulation history.
-	if len(st.Loads) != n.NumAPs() {
-		return nil, fmt.Errorf("engine: snapshot carries %d AP loads for %d APs", len(st.Loads), n.NumAPs())
-	}
-	if e.nShards == 1 {
-		if err := e.workers[0].tr.RestoreLoads(st.Loads); err != nil {
-			return nil, err
-		}
-	} else {
-		masked := make([]float64, len(st.Loads))
-		for s, w := range e.workers {
-			for a := range masked {
-				masked[a] = 0
-				if int(e.shardOfAP[a]) == s {
-					masked[a] = st.Loads[a]
-				}
-			}
-			if err := w.tr.RestoreLoads(masked); err != nil {
-				return nil, err
-			}
-		}
-	}
-	e.updateGauges()
 	e.metrics.restore(st.Stats)
 	return e, nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"testing"
 
 	"wlanmcast/internal/core"
@@ -49,9 +50,9 @@ func statsSansLatency(s Stats) snapCounters {
 func TestSnapshotRestoreEquivalence(t *testing.T) {
 	p := scenario.PaperDefaults()
 	for _, tc := range []struct {
-		seed                 int64
-		shardsA, shardsB     int
-		faults               bool
+		seed             int64
+		shardsA, shardsB int
+		faults           bool
 	}{
 		{seed: 1, shardsA: 1, shardsB: 1},
 		{seed: 2, shardsA: 4, shardsB: 4},
@@ -190,5 +191,68 @@ func TestRestoreSnapshotContinuesStats(t *testing.T) {
 	}
 	if after := statsSansLatency(r.Stats()); after != before {
 		t.Fatalf("restored stats %+v, want %+v", after, before)
+	}
+}
+
+// TestRestoreSnapshotVersion1 pins backward compatibility: a version-1
+// blob, which also carried per-AP float loads (here nudged by an ulp,
+// as a float accumulation history leaves them), restores to the same
+// state as the version-2 blob of the same engine, and both continue
+// identically.
+func TestRestoreSnapshotVersion1(t *testing.T) {
+	const seed, aps, users, sessions, initial = 6, 12, 40, 3, 25
+	trace, err := GenTrace(TraceParams{Seed: seed, Events: 200, Area: scenario.PaperDefaults().Area,
+		Users: users, InitialActive: initial, Sessions: sessions})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Objective: core.ObjMLA, ActiveUsers: initial, Shards: 2}
+	e := newEngine(t, buildSnapNet(t, seed, aps, users, sessions), cfg)
+	for _, ev := range trace[:100] {
+		_, _ = e.Apply(ev)
+	}
+	v2, err := e.EncodeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st map[string]any
+	if err := json.Unmarshal(v2, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st["version"] != float64(2) {
+		t.Fatalf("encoded version %v, want 2", st["version"])
+	}
+	loads := e.APLoads()
+	for i, l := range loads {
+		loads[i] = math.Nextafter(l, 1)
+	}
+	st["version"], st["loads"] = 1, loads
+	v1, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := func(blob []byte) *Engine {
+		r, err := RestoreSnapshot(buildSnapNet(t, seed, aps, users, sessions), cfg, blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	b1, b2 := restore(v1), restore(v2)
+	compareSnapEngines(t, "post-restore", b1, b2)
+	compareSnapEngines(t, "post-restore vs original", b1, e)
+	for _, r := range []*Engine{b1, b2} {
+		for _, ev := range trace[100:] {
+			_, _ = r.Apply(ev)
+		}
+	}
+	compareSnapEngines(t, "post-remainder", b1, b2)
+	r1, err := b1.EncodeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := b2.EncodeSnapshot()
+	if err != nil || !bytes.Equal(r1, r2) {
+		t.Fatalf("re-encoded snapshots differ (err %v)", err)
 	}
 }

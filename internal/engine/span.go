@@ -282,13 +282,12 @@ func (e *Engine) ShardStats() []ShardStat {
 			QueueDepth:  int(e.metrics.shardQueueDepth.At(s).Value()),
 		}
 	}
+	for s, w := range e.workers {
+		out[s].Load = w.tr.TotalLoad()
+	}
 	if e.nShards == 1 {
-		out[0].Load = e.TotalLoad()
 		out[0].Users = e.nActive
 		return out
-	}
-	for a := 0; a < e.n.NumAPs(); a++ {
-		out[e.shardOfAP[a]].Load += e.trackerOf(a).APLoad(a)
 	}
 	for u, s := range e.shardOfUser {
 		if e.active[u] {

@@ -311,8 +311,8 @@ func TestDynamicTrackerInterplay(t *testing.T) {
 	snap := tr.Assoc()
 	for ap := 0; ap < n.NumAPs(); ap++ {
 		want := n.APLoad(snap, ap)
-		if got := tr.APLoad(ap); got < want-1e-9 || got > want+1e-9 {
-			t.Fatalf("AP %d tracked load %.9f, recomputed %.9f", ap, got, want)
+		if got := tr.APLoad(ap); got != want {
+			t.Fatalf("AP %d tracked load %v, recomputed %v", ap, got, want)
 		}
 	}
 }

@@ -158,63 +158,70 @@ func (a *Assoc) Equal(b *Assoc) bool {
 	return true
 }
 
-// APLoad computes the multicast load of AP ap under association a:
-// for each session with at least one associated user, the AP transmits
-// at the slowest of those users' rates (so everyone can decode), and
-// the loads add up (Definition 1).
-func (n *Network) APLoad(a *Assoc, ap int) float64 {
+// homed reports whether user u is associated with ap.
+func (a *Assoc) homed(u, ap int) bool { return a.apOf[u] == ap }
+
+// apQuanta computes the multicast load of AP ap when homed(u, ap)
+// tells which of its covered users it serves: for each session with at
+// least one served user, the AP transmits at the slowest of those
+// users' rates (so everyone can decode), and the loads add up
+// (Definition 1). It sums the same quanta a Tracker does, so the two
+// agree bit for bit. minRate is per-session scratch. Iterating the
+// AP's adjacency row reads each tx rate in place instead of
+// binary-searching per user via TxRate.
+func (n *Network) apQuanta(ap int, homed func(u, ap int) bool, minRate []radio.Mbps) Quanta {
 	if n.APDown(ap) {
 		return 0
 	}
-	// Track the slowest associated user per session in index order:
-	// summing in a fixed order keeps the float result bit-identical
-	// across runs (map iteration order would reshuffle the additions),
-	// which the parallel experiment runner's determinism guarantee
-	// relies on. Iterating the AP's adjacency row reads each tx rate
-	// in place instead of binary-searching per user via TxRate.
-	minRate := make([]radio.Mbps, len(n.Sessions))
-	served := make([]bool, len(n.Sessions))
+	clear(minRate)
 	for i, u := range n.adjUsers[ap] {
-		if a.apOf[u] != ap {
+		if !homed(u, ap) {
 			continue
 		}
 		r := n.adjRates[ap][i]
 		if n.BasicRateOnly {
 			r = n.basicRate
 		}
-		s := n.Users[u].Session
-		if !served[s] || r < minRate[s] {
-			served[s] = true
+		if s := n.Users[u].Session; minRate[s] == 0 || r < minRate[s] {
 			minRate[s] = r
 		}
 	}
-	load := 0.0
+	var q Quanta
 	for s, r := range minRate {
-		if served[s] {
-			load += n.SessionLoad(s, r)
+		if r > 0 {
+			q += n.quanta(s, r)
 		}
 	}
-	return load
+	return q
+}
+
+// loadTotals returns the sum and the maximum of every AP's apQuanta.
+func (n *Network) loadTotals(homed func(u, ap int) bool) (total, peak Quanta) {
+	minRate := make([]radio.Mbps, len(n.Sessions))
+	for ap := range n.APs {
+		q := n.apQuanta(ap, homed, minRate)
+		total += q
+		peak = max(peak, q)
+	}
+	return total, peak
+}
+
+// APLoad computes the multicast load of AP ap under association a
+// (Definition 1; see apQuanta).
+func (n *Network) APLoad(a *Assoc, ap int) float64 {
+	return n.apQuanta(ap, a.homed, make([]radio.Mbps, len(n.Sessions))).Load()
 }
 
 // TotalLoad returns the sum of all AP loads (the MLA objective).
 func (n *Network) TotalLoad(a *Assoc) float64 {
-	t := 0.0
-	for ap := range n.APs {
-		t += n.APLoad(a, ap)
-	}
-	return t
+	total, _ := n.loadTotals(a.homed)
+	return total.Load()
 }
 
 // MaxLoad returns the maximum AP load (the BLA objective).
 func (n *Network) MaxLoad(a *Assoc) float64 {
-	m := 0.0
-	for ap := range n.APs {
-		if l := n.APLoad(a, ap); l > m {
-			m = l
-		}
-	}
-	return m
+	_, peak := n.loadTotals(a.homed)
+	return peak.Load()
 }
 
 // LoadVector returns all AP loads sorted in non-increasing order, the

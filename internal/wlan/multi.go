@@ -237,55 +237,19 @@ func DecodeMultiAssoc(data []byte, numAPs, numUsers, maxHomes int) (*MultiAssoc,
 // sessions is transmitted once at the slowest homed member's rate no
 // matter how many other APs those members also receive from.
 func (n *Network) APLoadMulti(m *MultiAssoc, ap int) float64 {
-	if n.APDown(ap) {
-		return 0
-	}
-	// Slowest homed user per session in index order: summing in a
-	// fixed order keeps the float result bit-identical across runs,
-	// exactly as APLoad does for the single-AP path.
-	minRate := make([]radio.Mbps, len(n.Sessions))
-	served := make([]bool, len(n.Sessions))
-	for i, u := range n.adjUsers[ap] {
-		if !m.HasHome(u, ap) {
-			continue
-		}
-		r := n.adjRates[ap][i]
-		if n.BasicRateOnly {
-			r = n.basicRate
-		}
-		s := n.Users[u].Session
-		if !served[s] || r < minRate[s] {
-			served[s] = true
-			minRate[s] = r
-		}
-	}
-	load := 0.0
-	for s, r := range minRate {
-		if served[s] {
-			load += n.SessionLoad(s, r)
-		}
-	}
-	return load
+	return n.apQuanta(ap, m.HasHome, make([]radio.Mbps, len(n.Sessions))).Load()
 }
 
 // TotalLoadMulti returns the sum of all AP loads under m.
 func (n *Network) TotalLoadMulti(m *MultiAssoc) float64 {
-	t := 0.0
-	for ap := range n.APs {
-		t += n.APLoadMulti(m, ap)
-	}
-	return t
+	total, _ := n.loadTotals(m.HasHome)
+	return total.Load()
 }
 
 // MaxLoadMulti returns the maximum AP load under m.
 func (n *Network) MaxLoadMulti(m *MultiAssoc) float64 {
-	mx := 0.0
-	for ap := range n.APs {
-		if l := n.APLoadMulti(m, ap); l > mx {
-			mx = l
-		}
-	}
-	return mx
+	_, peak := n.loadTotals(m.HasHome)
+	return peak.Load()
 }
 
 // AggregateRate returns user u's combined receive rate under m: the
@@ -337,38 +301,23 @@ func (n *Network) ValidateMulti(m *MultiAssoc, enforceBudgets bool) error {
 // MultiTracker maintains per-AP load incrementally as users gain and
 // lose homes, the multi-homing counterpart of Tracker: the same
 // loadCube occupancy cube underneath, but a user may occupy several
-// AP rows at once.
-//
-// Every load it reports is count-pure: a function of the occupancy
-// counts alone, never of the order past updates arrived in. An AP's
-// load is Σ_s SessionLoad(s, row minimum) summed in ascending session
-// order, recomputed whenever one of its rows changes — bit-identical
-// to APLoadMulti over the materialized association — and LoadIfJoin
-// reads a hypothetical join the same way. Two trackers holding the
-// same homes therefore answer every query with the same bits, which is
-// what lets the engine keep one tracker alive across calls and
+// AP rows at once. Its loads are exact (see Quanta), so two trackers
+// holding the same homes answer every query with the same bits as each
+// other and as APLoadMulti over the materialized association — which
+// is what lets the engine keep one tracker alive across calls and
 // re-derive only the users a call touched.
 //
 // Each home records the (session, rate level) cell it occupies when it
 // is added, and removal releases that cell: a home can be removed
 // after its AP went down or its user moved or changed session.
 type MultiTracker struct {
-	// cube holds the occupancy counts; its load slice holds the
-	// count-pure per-AP loads (it is never bump-accumulated here).
 	cube loadCube
-	// rowLoad[ap*nSess+s] is SessionLoad(s, row minimum) of (ap, s),
-	// 0 for an empty row.
-	rowLoad []float64
 	// ma mirrors the tracked multi-association; cells[u][i] is the
 	// cube cell s*nLev+level that u's home ma.homes[u][i] occupies.
 	ma    *MultiAssoc
 	cells [][]int32
 	// satisfied counts users with at least one home, homes all homes.
 	satisfied, homes int
-	// maxLoad bounds every AP load from above, and equals one of them
-	// unless maxStale.
-	maxLoad  float64
-	maxStale bool
 	// oldAPs/oldCells are ReplaceHomes' scratch.
 	oldAPs   []int
 	oldCells []int32
@@ -378,12 +327,15 @@ type MultiTracker struct {
 // multi-association m (which may be nil for the all-unassociated
 // start).
 func NewMultiTracker(n *Network, m *MultiAssoc) (*MultiTracker, error) {
+	cube, err := newLoadCube(n)
+	if err != nil {
+		return nil, err
+	}
 	t := &MultiTracker{
-		cube:  newLoadCube(n),
+		cube:  cube,
 		ma:    NewMultiAssoc(n.NumUsers()),
 		cells: make([][]int32, n.NumUsers()),
 	}
-	t.rowLoad = make([]float64, n.NumAPs()*t.cube.nSess)
 	if m != nil {
 		if m.NumUsers() != n.NumUsers() {
 			return nil, fmt.Errorf("wlan: tracker: multi-association covers %d users, network has %d", m.NumUsers(), n.NumUsers())
@@ -409,24 +361,16 @@ func (t *MultiTracker) Degree(u int) int { return t.ma.Degree(u) }
 // HasHome reports whether user u is currently homed to ap.
 func (t *MultiTracker) HasHome(u, ap int) bool { return t.homeIndex(u, ap) >= 0 }
 
-// APLoad returns the current count-pure multicast load of ap.
-func (t *MultiTracker) APLoad(ap int) float64 { return t.cube.load[ap] }
+// APLoad returns the current multicast load of ap.
+func (t *MultiTracker) APLoad(ap int) float64 { return t.cube.load[ap].Load() }
+
+// TotalLoad returns the current total multicast load.
+func (t *MultiTracker) TotalLoad() float64 { return t.cube.total.Load() }
 
 // MaxLoad returns the current maximum AP load (0 with no homes): the
 // same bits as MaxLoadMulti over the materialized association, without
 // its rescan of every AP's members.
-func (t *MultiTracker) MaxLoad() float64 {
-	if t.maxStale {
-		t.maxLoad = 0
-		for _, l := range t.cube.load {
-			if l > t.maxLoad {
-				t.maxLoad = l
-			}
-		}
-		t.maxStale = false
-	}
-	return t.maxLoad
-}
+func (t *MultiTracker) MaxLoad() float64 { return t.cube.maxLoad().Load() }
 
 // Satisfied returns how many users currently have at least one home.
 func (t *MultiTracker) Satisfied() int { return t.satisfied }
@@ -453,19 +397,14 @@ func (t *MultiTracker) AddHome(u, ap int) error {
 		return fmt.Errorf("wlan: tracker: user %d already homed to AP %d", u, ap)
 	}
 	c := &t.cube
-	r, ok := c.n.TxRate(ap, u)
-	if !ok {
-		return fmt.Errorf("wlan: tracker: user %d out of range of AP %d", u, ap)
-	}
-	lv := c.levelOf(r)
+	s, lv := c.cell(u, ap)
 	if lv < 0 {
-		return fmt.Errorf("wlan: tracker: link %d→%d rate %v outside the network's rate levels", ap, u, r)
+		return fmt.Errorf("wlan: tracker: AP %d cannot serve user %d (out of range, or a rate outside the network's levels)", ap, u)
 	}
-	cell := int32(c.n.UserSession(u)*c.nLev + lv)
 	i := sort.SearchInts(t.ma.homes[u], ap)
 	t.ma.homes[u] = slices.Insert(t.ma.homes[u], i, ap)
-	t.cells[u] = slices.Insert(t.cells[u], i, cell)
-	t.occupy(ap, cell, true)
+	t.cells[u] = slices.Insert(t.cells[u], i, int32(s*c.nLev+lv))
+	c.occupy(ap, s, lv, 1)
 	t.homes++
 	if len(t.ma.homes[u]) == 1 {
 		t.satisfied++
@@ -487,7 +426,9 @@ func (t *MultiTracker) RemoveHome(u, ap int) error {
 
 // removeAt removes u's i-th home.
 func (t *MultiTracker) removeAt(u, i int) {
-	t.occupy(t.ma.homes[u][i], t.cells[u][i], false)
+	c := &t.cube
+	cell := int(t.cells[u][i])
+	c.occupy(t.ma.homes[u][i], cell/c.nLev, cell%c.nLev, -1)
 	t.ma.homes[u] = slices.Delete(t.ma.homes[u], i, i+1)
 	t.cells[u] = slices.Delete(t.cells[u], i, i+1)
 	t.homes--
@@ -520,65 +461,17 @@ func (t *MultiTracker) ReplaceHomes(u int, aps []int, lost []int) ([]int, error)
 	return lost, nil
 }
 
-// occupy adds (add) or releases one occupancy of cell on ap, and
-// refreshes the AP's count-pure load when its row term moved.
-func (t *MultiTracker) occupy(ap int, cell int32, add bool) {
-	c := &t.cube
-	s, lv := int(cell)/c.nLev, int(cell)%c.nLev
-	b := c.base(ap, s)
-	if add {
-		c.counts[b+lv]++
-	} else {
-		c.counts[b+lv]--
-	}
-	term := 0.0
-	if r := c.minLevel(b); r > 0 {
-		term = c.n.SessionLoad(s, r)
-	}
-	row := t.rowLoad[ap*c.nSess : (ap+1)*c.nSess]
-	if row[s] == term {
-		return
-	}
-	row[s] = term
-	l := 0.0
-	for _, v := range row {
-		l += v
-	}
-	old := c.load[ap]
-	c.load[ap] = l
-	switch {
-	case l >= t.maxLoad:
-		t.maxLoad, t.maxStale = l, false
-	case old == t.maxLoad:
-		t.maxStale = true
-	}
-}
-
 // LoadIfJoin returns AP ap's load if user u additionally homed to it,
 // the join's exact change to its session row (new row term minus old),
 // and whether the join is possible (in range and not already a home).
-// Both figures are count-pure: the load is the session-order sum with
-// u's row replaced, so it can only grow as the AP gains occupancy.
+// The load can only grow as the AP gains occupancy.
 func (t *MultiTracker) LoadIfJoin(u, ap int) (load, delta float64, ok bool) {
 	if t.HasHome(u, ap) {
 		return 0, 0, false
 	}
-	c := &t.cube
-	r, ok := c.n.TxRate(ap, u)
+	d, ok := t.cube.joinDelta(u, ap)
 	if !ok {
 		return 0, 0, false
 	}
-	s := c.n.UserSession(u)
-	if old := c.minLevel(c.base(ap, s)); old > 0 && old <= r {
-		return c.load[ap], 0, true
-	}
-	row := t.rowLoad[ap*c.nSess : (ap+1)*c.nSess]
-	term := c.n.SessionLoad(s, r)
-	for i, v := range row {
-		if i == s {
-			v = term
-		}
-		load += v
-	}
-	return load, term - row[s], true
+	return (t.cube.load[ap] + d).Load(), d.Load(), true
 }

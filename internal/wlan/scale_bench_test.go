@@ -9,11 +9,12 @@ import (
 	"wlanmcast/internal/radio"
 )
 
-// Scale benchmark: dense vs sparse construction at 1k/10k/100k users.
-// scripts/bench.sh runs the set with -benchtime 1x -benchmem and folds
-// the pairs into BENCH_scale.json; the sparse-core acceptance bar is a
-// >= 10x construction speedup and >= 10x fewer allocated bytes at 100k
-// users. AP density is held at the paper's §7 setting (one AP per
+// Scale benchmark: dense vs sparse construction at 1k/10k/100k users
+// (go test -bench NewGeometric -benchtime 1x -benchmem). The
+// benchmark's wlan.build_s and wlan.build_alloc_mb metrics track the
+// sparse build alone; this pair is the dense comparison, whose
+// acceptance bar is a >= 10x construction speedup and >= 10x fewer
+// allocated bytes at 100k users. AP density is held at the paper's §7 setting (one AP per
 // 6000 m², 200 APs on 1.2 km²), so per-user candidate counts stay
 // constant and the dense baseline's O(APs x users) cost is the only
 // thing that grows superlinearly.

@@ -1,7 +1,6 @@
 package wlan
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -48,14 +47,14 @@ func TestTrackerMatchesRecompute(t *testing.T) {
 		a := tr.Assoc()
 		for ap := 0; ap < n.NumAPs(); ap++ {
 			want := n.APLoad(a, ap)
-			if got := tr.APLoad(ap); math.Abs(got-want) > 1e-9 {
+			if got := tr.APLoad(ap); got != want {
 				t.Fatalf("trial %d: AP %d tracker load %v, recompute %v", trial, ap, got, want)
 			}
 		}
-		if got, want := tr.TotalLoad(), n.TotalLoad(a); math.Abs(got-want) > 1e-9 {
+		if got, want := tr.TotalLoad(), n.TotalLoad(a); got != want {
 			t.Fatalf("trial %d: total %v vs %v", trial, got, want)
 		}
-		if got, want := tr.MaxLoad(), n.MaxLoad(a); math.Abs(got-want) > 1e-9 {
+		if got, want := tr.MaxLoad(), n.MaxLoad(a); got != want {
 			t.Fatalf("trial %d: max %v vs %v", trial, got, want)
 		}
 	}
@@ -91,7 +90,7 @@ func TestTrackerWhatIfMatchesApply(t *testing.T) {
 				if err := cp.Disassociate(u); err != nil {
 					t.Fatal(err)
 				}
-				if math.Abs(cp.APLoad(ap)-pred) > 1e-9 {
+				if cp.APLoad(ap) != pred {
 					t.Fatalf("LoadIfLeave(%d) = %v, actual %v", u, pred, cp.APLoad(ap))
 				}
 			}
@@ -116,7 +115,7 @@ func TestTrackerWhatIfMatchesApply(t *testing.T) {
 				if err := cp.Associate(u, ap); err != nil {
 					t.Fatal(err)
 				}
-				if math.Abs(cp.APLoad(ap)-pred) > 1e-9 {
+				if cp.APLoad(ap) != pred {
 					t.Fatalf("LoadIfJoin(%d,%d) = %v, actual %v", u, ap, pred, cp.APLoad(ap))
 				}
 			}
@@ -165,7 +164,7 @@ func TestTrackerSeededFromAssoc(t *testing.T) {
 	if !tr.Assoc().Equal(a) {
 		t.Error("tracker does not reproduce the seed association")
 	}
-	if math.Abs(tr.APLoad(0)-n.APLoad(a, 0)) > 1e-12 {
+	if tr.APLoad(0) != n.APLoad(a, 0) {
 		t.Error("seeded tracker load mismatch")
 	}
 }
@@ -209,7 +208,7 @@ func TestAPLoadMonotoneInUsers(t *testing.T) {
 			if err := tr.Associate(u, ap); err != nil {
 				t.Fatal(err)
 			}
-			if after := tr.APLoad(ap); after < before-1e-12 {
+			if after := tr.APLoad(ap); after < before {
 				t.Fatalf("trial %d: load of AP %d dropped %v -> %v on join", trial, ap, before, after)
 			}
 		}
@@ -233,7 +232,7 @@ func TestLoadVectorSorted(t *testing.T) {
 		sum := 0.0
 		for i := range v {
 			sum += v[i]
-			if i > 0 && v[i] > v[i-1]+1e-12 {
+			if i > 0 && v[i] > v[i-1] {
 				t.Fatalf("vector not non-increasing at %d: %v", i, v)
 			}
 		}
@@ -264,72 +263,185 @@ func randomNet(t *testing.T, rng *rand.Rand, nAPs, nUsers, nSessions int) *Netwo
 	return n
 }
 
-func TestTrackerRestoreLoads(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	n := randomNet(t, rng, 6, 25, 3)
-	tr, err := NewTracker(n, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Churn to build a nontrivial accumulation history.
-	for u := 0; u < n.NumUsers(); u++ {
-		if nb := n.NeighborAPs(u); len(nb) > 0 {
-			if err := tr.Associate(u, nb[rng.Intn(len(nb))]); err != nil {
-				t.Fatal(err)
+// TestLoadsHistoryFree pins the exact-load contract: however a state
+// was reached — joins, leaves, moves, home swaps, user moves, AP
+// failures — every tracker load equals, bit for bit, both the Network
+// function over the materialized association and a tracker freshly
+// built from it. The session rates are chosen so that float sums of
+// the terms would depend on their order.
+func TestLoadsHistoryFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	area := geom.Square(400)
+	sessions := []Session{{Rate: 0.3}, {Rate: 0.7}, {Rate: 1.1}}
+	for trial := 0; trial < 10; trial++ {
+		userSession := make([]int, 30)
+		for u := range userSession {
+			userSession[u] = rng.Intn(len(sessions))
+		}
+		n, err := NewGeometric(area, geom.UniformPoints(rng, 6, area), geom.UniformPoints(rng, 30, area),
+			userSession, sessions, radio.Table1(), DefaultBudget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := NewTracker(n, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mt, err := NewMultiTracker(n, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for step := 0; step < 300; step++ {
+			u := rng.Intn(n.NumUsers())
+			nb := n.NeighborAPs(u)
+			var ap int
+			if len(nb) > 0 {
+				ap = nb[rng.Intn(len(nb))]
 			}
+			var err error
+			switch op := rng.Intn(8); {
+			case op < 3 && len(nb) > 0:
+				if tr.APOf(u) == Unassociated || op == 0 {
+					err = tr.Move(u, ap)
+				} else {
+					err = tr.Disassociate(u)
+				}
+			case op < 5 && len(nb) > 0:
+				if mt.HasHome(u, ap) {
+					err = mt.RemoveHome(u, ap)
+				} else {
+					err = mt.AddHome(u, ap)
+				}
+			case op == 5 && len(nb) > 0:
+				_, err = mt.ReplaceHomes(u, nb[:1+rng.Intn(len(nb))], nil)
+			case op == 6:
+				// A user changes position only while the single-AP
+				// tracker has it detached; its homes are re-derived at
+				// the new rates, as the engine does.
+				if tr.APOf(u) != Unassociated {
+					err = tr.Disassociate(u)
+				}
+				if err == nil {
+					err = n.MoveUser(u, geom.UniformPoints(rng, 1, area)[0])
+				}
+				if err == nil {
+					var kept []int
+					for _, a := range mt.Homes(u) {
+						if n.Reachable(a, u) {
+							kept = append(kept, a)
+						}
+					}
+					_, err = mt.ReplaceHomes(u, kept, nil)
+				}
+			case op == 7:
+				err = toggleAP(n, tr, mt, rng.Intn(n.NumAPs()))
+			}
+			if err != nil {
+				t.Fatalf("trial %d step %d: %v", trial, step, err)
+			}
+			requireExactLoads(t, n, tr, mt)
 		}
 	}
-	for u := 0; u < n.NumUsers(); u += 3 {
-		if tr.APOf(u) != Unassociated {
+}
+
+// toggleAP brings AP a back up, or takes it down after evicting its
+// users from both trackers (the single-AP tracker first, while the
+// links still exist; the multi-homing one releases recorded cells).
+func toggleAP(n *Network, tr *Tracker, mt *MultiTracker, a int) error {
+	if n.APDown(a) {
+		return n.EnableAP(a)
+	}
+	for u := 0; u < n.NumUsers(); u++ {
+		if tr.APOf(u) == a {
 			if err := tr.Disassociate(u); err != nil {
-				t.Fatal(err)
+				return err
 			}
 		}
 	}
-	// Persist the accumulators, rebuild a tracker from the association
-	// (fresh accumulation order), and restore: the exact bit patterns
-	// must come back, and future deltas continue from them.
-	saved := make([]float64, n.NumAPs())
-	for a := range saved {
-		saved[a] = tr.APLoad(a)
+	if err := n.DisableAP(a); err != nil {
+		return err
 	}
-	tr2, err := NewTracker(n, tr.Assoc())
+	for u := 0; u < n.NumUsers(); u++ {
+		if mt.HasHome(u, a) {
+			if err := mt.RemoveHome(u, a); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// requireExactLoads fails unless both trackers' APLoad, TotalLoad and
+// MaxLoad are == to the Network functions and to fresh trackers.
+func requireExactLoads(t *testing.T, n *Network, tr *Tracker, mt *MultiTracker) {
+	t.Helper()
+	a, ma := tr.Assoc(), mt.MultiAssoc()
+	ftr, err := NewTracker(n, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr2.RestoreLoads(saved); err != nil {
+	fmtr, err := NewMultiTracker(n, ma)
+	if err != nil {
 		t.Fatal(err)
 	}
-	wantTotal := 0.0
-	for a := range saved {
-		if got := tr2.APLoad(a); got != saved[a] {
-			t.Fatalf("AP %d load %v != restored %v", a, got, saved[a])
+	same := func(what string, got, recompute, fresh float64) {
+		t.Helper()
+		if got != recompute || got != fresh {
+			t.Fatalf("%s: tracker %v, recompute %v, fresh tracker %v", what, got, recompute, fresh)
 		}
-		wantTotal += saved[a]
 	}
-	if tr2.TotalLoad() != wantTotal {
-		t.Fatalf("TotalLoad %v != %v", tr2.TotalLoad(), wantTotal)
+	for ap := 0; ap < n.NumAPs(); ap++ {
+		same("AP load", tr.APLoad(ap), n.APLoad(a, ap), ftr.APLoad(ap))
+		same("multi AP load", mt.APLoad(ap), n.APLoadMulti(ma, ap), fmtr.APLoad(ap))
 	}
-	// Identical op on both trackers keeps them bit-identical.
-	for u := 0; u < n.NumUsers(); u++ {
-		if tr.APOf(u) == Unassociated {
-			if nb := n.NeighborAPs(u); len(nb) > 0 {
-				if err := tr.Associate(u, nb[0]); err != nil {
-					t.Fatal(err)
-				}
-				if err := tr2.Associate(u, nb[0]); err != nil {
-					t.Fatal(err)
-				}
-				break
+	same("total", tr.TotalLoad(), n.TotalLoad(a), ftr.TotalLoad())
+	same("max", tr.MaxLoad(), n.MaxLoad(a), ftr.MaxLoad())
+	same("multi total", mt.TotalLoad(), n.TotalLoadMulti(ma), fmtr.TotalLoad())
+	same("multi max", mt.MaxLoad(), n.MaxLoadMulti(ma), fmtr.MaxLoad())
+}
+
+// TestTrackerRefusesInexactLoads pins the construction check: a
+// network where one AP could carry maxQuanta or more is refused,
+// whether one session alone or the sum over sessions gets there.
+func TestTrackerRefusesInexactLoads(t *testing.T) {
+	for _, rates := range [][]radio.Mbps{{200}, {100, 100}, {50, 50}} {
+		sessions := make([]Session, len(rates))
+		for s, r := range rates {
+			sessions[s] = Session{Rate: r}
+		}
+		n, err := NewFromRates([][]radio.Mbps{{1, 1}}, []int{0, len(rates) - 1}, sessions, DefaultBudget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, terr := NewTracker(n, nil)
+		_, merr := NewMultiTracker(n, nil)
+		if fits := float64(rates[0])*float64(len(rates)) < maxQuanta.Load(); fits != (terr == nil) || fits != (merr == nil) {
+			t.Errorf("session rates %v: tracker err %v, multi-tracker err %v", rates, terr, merr)
+		}
+	}
+}
+
+// TestQuantaExactForPaperRates pins why the quantum is 1/(27·2⁴⁰):
+// under the paper's ratio load model every Table 1 rate loads a
+// session of a few-bit bitrate by a whole number of quanta, so equal
+// fractions of a load unit compare equal however they were summed.
+func TestQuantaExactForPaperRates(t *testing.T) {
+	var sessions []Session
+	for _, r := range []radio.Mbps{0.25, 0.5, 1, 1.5, 2, 3, 4, 6, 8} {
+		sessions = append(sessions, Session{Rate: r})
+	}
+	n := &Network{Sessions: sessions, Load: RatioLoad{}}
+	for s, sess := range sessions {
+		for _, r := range radio.Table1().Rates() {
+			if q := n.quanta(s, r); float64(q)*float64(r) != float64(sess.Rate)*quantaPerLoad {
+				t.Errorf("session rate %v at %v Mbps: %d quanta, not exact", sess.Rate, r, q)
 			}
 		}
 	}
-	for a := 0; a < n.NumAPs(); a++ {
-		if tr.APLoad(a) != tr2.APLoad(a) {
-			t.Fatalf("post-restore divergence at AP %d: %v vs %v", a, tr.APLoad(a), tr2.APLoad(a))
-		}
-	}
-	if err := tr2.RestoreLoads(nil); err == nil {
-		t.Fatal("RestoreLoads(nil) accepted a wrong-length vector")
+	// Session 4 streams 2 Mbps: 1/3 - 1/6 is exactly 1/6, which
+	// rounding each term to a power-of-two quantum (2⁻⁴⁴) would miss by
+	// one quantum.
+	if d, want := n.quanta(4, 6)-n.quanta(4, 12), n.quanta(4, 12); d != want {
+		t.Errorf("1/3 - 1/6 = %d quanta, 1/6 = %d", d, want)
 	}
 }
