@@ -301,7 +301,6 @@ func crashReference(t *testing.T, seed int64, trace []engine.Event, window int) 
 	t.Helper()
 	s := newServer()
 	s.errlog = io.Discard
-	s.shards = 2
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	crashPost(t, ts.URL+"/v1/scenario", "application/json", crashScenario(seed))

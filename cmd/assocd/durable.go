@@ -402,10 +402,6 @@ func (s *server) buildFromRequest(req scenarioRequest) (*wlan.Network, engine.Co
 	default:
 		return nil, engine.Config{}, fmt.Errorf("unknown mode %q", req.Mode)
 	}
-	shards := req.Shards
-	if shards == 0 {
-		shards = s.shards
-	}
 	maxHomes := req.MaxHomes
 	if maxHomes == 0 {
 		maxHomes = s.multihome
@@ -416,12 +412,10 @@ func (s *server) buildFromRequest(req scenarioRequest) (*wlan.Network, engine.Co
 		Hysteresis:    req.Hysteresis,
 		Mode:          mode,
 		ActiveUsers:   req.ActiveUsers,
-		Shards:        shards,
+		Shards:        req.Shards,
 		MaxHomes:      maxHomes,
 		Obs:           obs.NewRegistry(),
 		Trace:         s.ring,
-		StallTimeout:  s.stallTimeout,
-		OnStall:       s.onStall,
 	}, nil
 }
 
@@ -460,7 +454,6 @@ func (s *server) recoverState(stderr io.Writer) error {
 			s.sessions[tok] = seq
 		}
 		s.scenarios.Inc()
-		s.shardsGauge.Set(float64(eng.Shards()))
 		fmt.Fprintf(stderr, "assocd: recovered snapshot at journal seq %d (%d APs, %d users)\n",
 			snapSeq, eng.NumAPs(), eng.NumUsers())
 	}
@@ -492,7 +485,6 @@ func (s *server) recoverState(stderr io.Writer) error {
 			d.scenarioRaw = hdr.Req
 			clear(s.sessions)
 			s.scenarios.Inc()
-			s.shardsGauge.Set(float64(eng.Shards()))
 		case recBatch, recWindow:
 			if s.eng == nil {
 				return fmt.Errorf("journal seq %d: %s record before any scenario", seq, hdr.T)

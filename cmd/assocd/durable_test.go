@@ -27,7 +27,6 @@ func durableServer(t *testing.T, dir string, snapEvents int) *server {
 	t.Helper()
 	s := newServer()
 	s.errlog = io.Discard
-	s.shards = 2
 	if snapEvents <= 0 {
 		snapEvents = 1 << 30
 	}
@@ -437,7 +436,6 @@ func TestStreamResumeExactlyOnce(t *testing.T) {
 	// Reference daemon: the same trace in one clean stream.
 	ref := newServer()
 	ref.errlog = io.Discard
-	ref.shards = 2
 	tsRef := httptest.NewServer(ref)
 	defer tsRef.Close()
 	mustPost(t, ref, "/v1/scenario", durableScenario)

@@ -14,13 +14,12 @@
 //
 // With -serve the command instead runs as a long-lived association
 // daemon: an HTTP JSON API (see serve.go) over the online incremental
-// engine in internal/engine. Event batches are applied concurrently
-// across -shards spatial shard workers (default GOMAXPROCS; a
-// scenario request can override per scenario). Ctrl-C / SIGTERM shuts
-// it down gracefully; SIGQUIT dumps the engine's flight recorder to
-// stderr without stopping it.
+// engine in internal/engine. -shards is accepted and ignored: the
+// engine applies every batch serially. Ctrl-C / SIGTERM shuts it down
+// gracefully; SIGQUIT dumps the engine's flight recorder to stderr
+// without stopping it.
 //
-//	assocd -serve [-addr 127.0.0.1:8700] [-shards N] [-stall-timeout 30s]
+//	assocd -serve [-addr 127.0.0.1:8700] [-data-dir DIR]
 package main
 
 import (
@@ -31,7 +30,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"runtime"
 	"syscall"
 	"time"
 
@@ -65,8 +63,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	parallel := fs.Int("parallel", 0, "concurrent runs with -runs (0 = all CPUs)")
 	serve := fs.Bool("serve", false, "run as a long-lived association daemon (HTTP JSON API)")
 	addr := fs.String("addr", "127.0.0.1:8700", "listen address with -serve")
-	shards := fs.Int("shards", runtime.GOMAXPROCS(0), "engine shard workers for -serve scenarios (>= 1)")
-	stall := fs.Duration("stall-timeout", 30*time.Second, "with -serve, dump the flight recorder when a shard worker makes no progress this long (0 disables the watchdog)")
+	shards := fs.Int("shards", 1, "accepted for compatibility and ignored: the engine is serial (>= 1)")
 	dataDir := fs.String("data-dir", "", "with -serve, directory for the write-ahead journal and snapshots (empty = no durability)")
 	fsyncPolicy := fs.String("fsync", "interval", "with -data-dir, journal fsync policy: always, interval, off")
 	fsyncInterval := fs.Duration("fsync-interval", 100*time.Millisecond, "with -fsync interval, maximum time appended records stay unsynced")
@@ -89,8 +86,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		if err := serveOn(ctx, ln, stderr, serveOptions{
-			shards:        *shards,
-			stall:         *stall,
 			dataDir:       *dataDir,
 			fsync:         *fsyncPolicy,
 			fsyncInterval: *fsyncInterval,

@@ -11,7 +11,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -30,8 +29,7 @@ import (
 // the HTTP layer is the concurrency boundary. /v1/events, /v1/trace
 // and /v1/events/stream are three framings of one engine call: each
 // request body, generated trace or stream window is one
-// engine.ApplyBatch, which may still fan out over the engine's shard
-// workers (-shards, or per-scenario "shards"). Metrics live outside
+// engine.ApplyBatch. Metrics live outside
 // that boundary: the daemon-lifetime series sit in base, each engine
 // carries its own registry of atomic instruments, and /metrics renders
 // both without ever holding mu across an engine call.
@@ -42,7 +40,7 @@ import (
 //	POST /v1/events        apply churn events (one object or an array)
 //	POST /v1/events/stream apply an NDJSON event stream with windowed acks
 //	POST /v1/trace         generate + apply a seeded Poisson churn trace
-//	GET  /v1/status        engine summary + per-shard breakdown
+//	GET  /v1/status        engine summary
 //	GET  /v1/assoc         association snapshot
 //	PUT  /v1/assoc         force-install an association (validated)
 //	GET  /v1/multiassoc    multi-connectivity AP-set snapshot
@@ -73,25 +71,14 @@ type server struct {
 	// errlog receives panic reports (default os.Stderr; tests divert
 	// it).
 	errlog io.Writer
-	// shards is the engine shard count for scenarios that do not ask
-	// for one explicitly (the -shards flag; defaults to GOMAXPROCS).
-	shards int
-	// stallTimeout arms the engine watchdog on every loaded scenario
-	// (the -stall-timeout flag; 0 leaves it off).
-	stallTimeout time.Duration
 	// multihome is the default per-user AP-set cap for scenarios that
 	// do not ask for one (the -multihome flag; <= 1 keeps single-AP
 	// association).
 	multihome int
-	// logmu serializes multi-line diagnostics (stall + SIGQUIT flight
-	// dumps) on errlog so concurrent dumps do not interleave.
-	logmu sync.Mutex
 
-	scenarios     *obs.Counter
-	httpLatency   *obs.Histogram
-	panics        *obs.Counter
-	shardsGauge   *obs.Gauge
-	watchdogDumps *obs.Counter
+	scenarios   *obs.Counter
+	httpLatency *obs.Histogram
+	panics      *obs.Counter
 
 	// streamSlot is the /v1/events/stream single-flight guard: one
 	// stream at a time, extras get 429 + Retry-After.
@@ -140,7 +127,6 @@ func newServer() *server {
 		base:    obs.NewRegistry(),
 		ring:    obs.NewRing(0),
 		errlog:  os.Stderr,
-		shards:  runtime.GOMAXPROCS(0),
 
 		sessions: make(map[string]uint64),
 	}
@@ -151,14 +137,12 @@ func newServer() *server {
 	s.scenarios = s.base.Counter("assocd_scenarios_loaded_total", "Scenarios loaded over the daemon's lifetime.")
 	s.httpLatency = s.base.Histogram("assocd_http_request_seconds", "Wall-clock time to serve one HTTP request.", nil)
 	s.panics = s.base.Counter("assocd_panics_total", "Handler panics recovered by the HTTP middleware.")
-	s.shardsGauge = s.base.Gauge("assocd_shards", "Shard workers in the current engine (0 before a scenario loads).")
 	s.streamConns = s.base.Counter("assocd_stream_connections_total", "Event streams accepted on /v1/events/stream.")
 	s.streamActive = s.base.Gauge("assocd_stream_active", "Event streams currently open (0 or 1; the endpoint is single-flight).")
 	s.streamEvents = s.base.Counter("assocd_stream_events_total", "Events applied via the streaming endpoint.")
 	s.streamWindows = s.base.Counter("assocd_stream_windows_total", "Ack windows completed on the streaming endpoint.")
 	s.streamErrors = s.base.Counter("assocd_stream_errors_total", "Error frames sent on the streaming endpoint.")
 	s.streamBusy = s.base.Counter("assocd_stream_busy_total", "Streams rejected with 429 because another stream was active.")
-	s.watchdogDumps = s.base.Counter("assocd_watchdog_dumps_total", "Flight-recorder dumps triggered by the shard-stall watchdog.")
 	s.base.GaugeFunc("assocd_trace_events", "Trace events recorded over the daemon's lifetime.",
 		func() float64 { return float64(s.ring.Total()) })
 	s.base.GaugeFunc("assocd_trace_dropped", "Trace events evicted from the export ring.",
@@ -226,8 +210,6 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // serveOptions configures serveOn; the zero value runs an in-memory
 // daemon with the compiled-in defaults (no journaling).
 type serveOptions struct {
-	shards int
-	stall  time.Duration
 	// dataDir enables the durability layer: journal + snapshots live
 	// there, and boot recovers from whatever the directory holds.
 	dataDir       string
@@ -251,10 +233,6 @@ type serveOptions struct {
 func serveOn(ctx context.Context, ln net.Listener, stderr io.Writer, opt serveOptions) error {
 	h := newServer()
 	h.errlog = stderr
-	if opt.shards > 0 {
-		h.shards = opt.shards
-	}
-	h.stallTimeout = opt.stall
 	h.multihome = opt.multihome
 	if opt.dataDir != "" {
 		if err := h.enableDurability(opt, stderr); err != nil {
@@ -330,9 +308,9 @@ type scenarioRequest struct {
 	Hysteresis    float64 `json:"hysteresis,omitempty"`
 	Mode          string  `json:"mode,omitempty"` // incremental | full (default incremental)
 	ActiveUsers   int     `json:"active_users,omitempty"`
-	// Shards overrides the daemon's -shards default for this scenario
-	// (0 = use the default; the engine clamps to 1 when the scenario
-	// has no geometry or mode is full-recompute).
+	// Shards is accepted and ignored (the engine is serial). It stays
+	// so that old requests, journaled scenario records and snapshots
+	// still decode; a negative value is still rejected.
 	Shards int `json:"shards,omitempty"`
 	// MaxHomes overrides the daemon's -multihome default for this
 	// scenario (0 = use the default; <= 1 keeps single-AP association).
@@ -342,7 +320,6 @@ type scenarioRequest struct {
 type statusResponse struct {
 	APs         int     `json:"aps"`
 	Users       int     `json:"users"`
-	Shards      int     `json:"shards"`
 	ActiveUsers int     `json:"active_users"`
 	Satisfied   int     `json:"satisfied"`
 	TotalLoad   float64 `json:"total_load"`
@@ -352,10 +329,6 @@ type statusResponse struct {
 	// least one live home (primary or secondary).
 	MaxHomes       int `json:"max_homes,omitempty"`
 	MultiSatisfied int `json:"multi_satisfied,omitempty"`
-	// ShardStats breaks the engine down per shard: cumulative events,
-	// handoffs and busy time, the last batch's queue depth, current
-	// load and users.
-	ShardStats []engine.ShardStat `json:"shard_stats,omitempty"`
 	// Flight summarizes the flight recorder (absent when disabled).
 	Flight *flightSummary `json:"flight,omitempty"`
 }
@@ -427,7 +400,6 @@ func (s *server) handleScenario(w http.ResponseWriter, r *http.Request) {
 	clear(s.sessions)
 	s.mu.Unlock()
 	s.scenarios.Inc()
-	s.shardsGauge.Set(float64(eng.Shards()))
 	writeJSON(w, s.status(eng))
 }
 
@@ -563,9 +535,8 @@ func (s *server) remapTrace(trace []engine.Event) error {
 	return nil
 }
 
-// handleStatus reports the engine summary plus the per-shard
-// breakdown — the operator's first stop before reaching for the
-// flight recorder or pprof.
+// handleStatus reports the engine summary — the operator's first stop
+// before reaching for the flight recorder or pprof.
 func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "GET required")
@@ -581,7 +552,7 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleFlightRecord dumps the engine's flight recorder: the last N
-// completed pipeline spans plus any open span per shard worker. With
+// completed pipeline spans plus the span of the event being applied. With
 // the recorder disabled (flight_spans < 0) the dump is empty.
 func (s *server) handleFlightRecord(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
@@ -600,28 +571,12 @@ func (s *server) handleFlightRecord(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, eng.Flight().Snapshot())
 }
 
-// onStall is the engine watchdog callback: count the dump and write
-// it to the error log. The engine has already rate-limited episodes;
-// this must stay panic-free and cheap.
-func (s *server) onStall(si engine.StallInfo) {
-	s.watchdogDumps.Inc()
-	b, err := json.Marshal(si)
-	if err != nil {
-		b = []byte(fmt.Sprintf(`{"worker": %d}`, si.Worker))
-	}
-	s.logmu.Lock()
-	defer s.logmu.Unlock()
-	fmt.Fprintf(s.errlog, "assocd: shard worker %d stalled %v; flight dump: %s\n", si.Worker, si.Stalled, b)
-}
-
 // dumpFlight writes the current engine's flight-recorder dump to the
 // error log (the SIGQUIT path).
 func (s *server) dumpFlight(why string) {
 	s.mu.Lock()
 	eng := s.eng
 	s.mu.Unlock()
-	s.logmu.Lock()
-	defer s.logmu.Unlock()
 	if eng == nil {
 		fmt.Fprintf(s.errlog, "assocd: %s flight dump: no scenario loaded\n", why)
 		return
@@ -790,12 +745,10 @@ func (s *server) status(eng *engine.Engine) statusResponse {
 	resp := statusResponse{
 		APs:         eng.NumAPs(),
 		Users:       eng.NumUsers(),
-		Shards:      eng.Shards(),
 		ActiveUsers: eng.ActiveUsers(),
 		Satisfied:   eng.Satisfied(),
 		TotalLoad:   eng.TotalLoad(),
 		MaxLoad:     eng.MaxLoad(),
-		ShardStats:  eng.ShardStats(),
 	}
 	if eng.MaxHomes() > 1 {
 		resp.MaxHomes = eng.MaxHomes()

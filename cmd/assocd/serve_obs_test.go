@@ -61,7 +61,6 @@ func TestServeMetricsLint(t *testing.T) {
 	newSeries := []string{
 		"assocd_scenarios_loaded_total",
 		"assocd_panics_total",
-		"assocd_shards",
 		`assocd_events_total{kind="ap_down"}`,
 		`assocd_events_total{kind="ap_up"}`,
 		"fault_aps_down",

@@ -20,8 +20,7 @@ import (
 )
 
 // TestServeStatus pins GET /v1/status: 409 before a scenario, then
-// the engine summary with a per-shard breakdown that partitions the
-// applied-event total, and a flight-recorder summary.
+// the engine summary and a flight-recorder summary.
 func TestServeStatus(t *testing.T) {
 	ts := testServer(t)
 	if code, _ := doJSON(t, "GET", ts.URL+"/v1/status", nil, nil); code != http.StatusConflict {
@@ -44,26 +43,8 @@ func TestServeStatus(t *testing.T) {
 	if code, raw := doJSON(t, "GET", ts.URL+"/v1/status", nil, &st); code != http.StatusOK {
 		t.Fatalf("GET /v1/status = %d: %s", code, raw)
 	}
-	if len(st.ShardStats) != st.Shards || st.Shards != 3 {
-		t.Fatalf("status has %d shard stats for %d shards, want 3", len(st.ShardStats), st.Shards)
-	}
-	var events uint64
-	var users int
-	for i, ss := range st.ShardStats {
-		if ss.Shard != i {
-			t.Errorf("shard_stats[%d].shard = %d", i, ss.Shard)
-		}
-		if ss.QueueDepth != 0 {
-			t.Errorf("shard %d queue depth %d at rest, want 0", i, ss.QueueDepth)
-		}
-		events += ss.Events
-		users += ss.Users
-	}
-	if events != 80 {
-		t.Errorf("sum shard events = %d, want 80", events)
-	}
-	if users != st.ActiveUsers {
-		t.Errorf("sum shard users = %d, want %d", users, st.ActiveUsers)
+	if st.APs != 20 || st.Users != 50 || st.ActiveUsers <= 0 || st.TotalLoad <= 0 {
+		t.Errorf("status = %+v, want 20 APs / 50 users, active users and load", st)
 	}
 	if st.Flight == nil || st.Flight.Spans == 0 || st.Flight.Capacity != obs.DefaultFlightSpans {
 		t.Errorf("flight summary = %+v, want spans > 0 and capacity %d", st.Flight, obs.DefaultFlightSpans)
@@ -137,7 +118,7 @@ func TestServeSIGQUITDump(t *testing.T) {
 	defer cancel()
 	log := &syncWriter{}
 	done := make(chan error, 1)
-	go func() { done <- serveOn(ctx, ln, log, serveOptions{shards: 2}) }()
+	go func() { done <- serveOn(ctx, ln, log, serveOptions{}) }()
 
 	base := fmt.Sprintf("http://%s", ln.Addr())
 	waitFor := func(what string, ok func() bool) {
@@ -216,17 +197,16 @@ func TestServeSIGQUITDump(t *testing.T) {
 }
 
 // TestServeStreamMetricsConsistency holds a stream open mid-flight
-// and asserts the assocd_stream_* and per-shard series stay
+// and asserts the assocd_stream_* and engine event series stay
 // consistent through 429 contention and a mid-stream error frame:
 // connections count only admitted streams, busy counts the rejected
-// one, error frames count once, and the per-shard event series sum to
-// exactly the stream's applied events.
+// one, error frames count once, and the engine's event counters sum
+// to exactly the stream's applied events.
 func TestServeStreamMetricsConsistency(t *testing.T) {
 	ts := testServer(t)
-	var st statusResponse
 	if code, raw := doJSON(t, "POST", ts.URL+"/v1/scenario", scenarioRequest{
 		APs: 20, Users: 50, Sessions: 3, Seed: 7, ActiveUsers: 30, Shards: 3,
-	}, &st); code != http.StatusOK {
+	}, nil); code != http.StatusOK {
 		t.Fatalf("POST /v1/scenario = %d: %s", code, raw)
 	}
 
@@ -303,18 +283,17 @@ func TestServeStreamMetricsConsistency(t *testing.T) {
 		"assocd_stream_events_total":      2,
 		"assocd_stream_windows_total":     2,
 		"assocd_stream_active":            0,
-		"assocd_watchdog_dumps_total":     0,
 	} {
 		if got := metricValue(t, text, series); got != want {
 			t.Errorf("%s = %v, want %v", series, got, want)
 		}
 	}
-	var shardSum float64
-	for s := 0; s < st.Shards; s++ {
-		shardSum += metricValue(t, text, fmt.Sprintf(`assocd_shard_events_total{shard="%d"}`, s))
+	var applied float64
+	for _, kind := range []string{"join", "leave", "move", "demand"} {
+		applied += metricValue(t, text, fmt.Sprintf(`assocd_events_total{kind="%s"}`, kind))
 	}
-	if shardSum != 2 {
-		t.Errorf("per-shard events sum = %v, want 2 (the stream's applied events)", shardSum)
+	if applied != 2 {
+		t.Errorf("engine events sum = %v, want 2 (the stream's applied events)", applied)
 	}
 	if err := obs.LintProm(strings.NewReader(text)); err != nil {
 		t.Errorf("exposition lint after stream churn: %v", err)

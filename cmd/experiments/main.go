@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	experiments [-seeds N] [-size F] [-ilp-nodes N] [-parallel N] [-shards N] [-timeout D] [-csv] [-quiet] [-trace FILE] [-trace-sample N] [id|group ...]
+//	experiments [-seeds N] [-size F] [-ilp-nodes N] [-parallel N] [-timeout D] [-csv] [-quiet] [-trace FILE] [-trace-sample N] [id|group ...]
 //
 // With no arguments, every paper figure runs in order. Arguments may
 // be individual experiment ids (see -list) or group aliases:
@@ -36,7 +36,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -58,7 +57,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	size := fs.Float64("size", 1.0, "scale factor on AP/user counts")
 	ilpNodes := fs.Int("ilp-nodes", 200000, "branch-and-bound node cap for fig12 optimal curves")
 	parallel := fs.Int("parallel", 0, "concurrent seed evaluations (0 = all CPUs, 1 = sequential)")
-	shards := fs.Int("shards", runtime.GOMAXPROCS(0), "engine shard workers for the engine-backed experiments (>= 1; figures are identical for every value)")
 	timeout := fs.Duration("timeout", 0, "cancel the whole run after this long (0 = no limit)")
 	csv := fs.Bool("csv", false, "emit CSV instead of text tables")
 	quiet := fs.Bool("quiet", false, "suppress progress lines and the timing summary")
@@ -66,10 +64,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 	traceOut := fs.String("trace", "", "write one JSONL trace event per seed evaluation to this file")
 	traceSample := fs.Int("trace-sample", 1, "with -trace, keep roughly 1 in N events per type")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *shards < 1 {
-		fmt.Fprintf(stderr, "experiments: -shards must be >= 1\n")
 		return 2
 	}
 
@@ -96,7 +90,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int
 		SizeFactor:  *size,
 		ILPMaxNodes: *ilpNodes,
 		Workers:     *parallel,
-		Shards:      *shards,
 		Obs:         reg,
 	}
 	if !*quiet {

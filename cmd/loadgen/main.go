@@ -136,7 +136,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		users     = fs.Int("users", 200, "scenario user slots")
 		sessions  = fs.Int("sessions", 4, "scenario session count")
 		active    = fs.Int("active", 150, "initially active users")
-		shards    = fs.Int("shards", 0, "engine shards (0 = daemon default)")
 		seed      = fs.Int64("seed", 1, "trace and scenario seed")
 		events    = fs.Int("events", 10000, "churn events to stream")
 		rate      = fs.Float64("rate", 0, "target events/s (0 = unpaced)")
@@ -161,19 +160,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var st struct {
 		APs       int     `json:"aps"`
 		Users     int     `json:"users"`
-		Shards    int     `json:"shards"`
 		Active    int     `json:"active_users"`
 		TotalLoad float64 `json:"total_load"`
 	}
 	screq := map[string]any{
 		"aps": *aps, "users": *users, "sessions": *sessions,
-		"seed": *seed, "active_users": *active, "shards": *shards,
+		"seed": *seed, "active_users": *active,
 	}
 	if err := postJSON(base+"/v1/scenario", screq, &st); err != nil {
 		return fmt.Errorf("load scenario: %w", err)
 	}
-	fmt.Fprintf(stderr, "loadgen: scenario loaded: %d APs, %d users (%d active), %d shards\n",
-		st.APs, st.Users, st.Active, st.Shards)
+	fmt.Fprintf(stderr, "loadgen: scenario loaded: %d APs, %d users (%d active)\n",
+		st.APs, st.Users, st.Active)
 
 	trace, err := engine.GenTrace(engine.TraceParams{
 		Seed:          *seed,

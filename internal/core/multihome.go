@@ -75,8 +75,8 @@ func StrongestOf(n *wlan.Network, u int, aps []int) int {
 // ascending user/AP order, and every load comparison is count-pure
 // (wlan.MultiTracker: a function of the AP's occupancy counts alone),
 // so the result is a pure deterministic function of the inputs — the
-// engine's shard-count invariance and crash-recovery byte-identity
-// both lean on that.
+// engine's determinism and crash-recovery byte-identity both lean on
+// that.
 //
 // Pass 1 (KeptHomes) grandfathers prev (the previous derivation's
 // secondary sets, nil for a from-scratch run): a previous secondary is

@@ -27,25 +27,18 @@
 //     equilibrium).
 //  3. Applying the same event sequence to the same starting network
 //     yields byte-identical association snapshots at every step, for
-//     any Config.Mode — and any Config.Shards (see shard.go and
-//     DESIGN.md "Sharded engine").
-//
-// With Config.Shards > 1 the engine partitions the APs into spatially
-// independent shards (geom.Partition over the AP positions with the
-// radio range) and applies batches of events concurrently, one worker
-// per shard. shard.go holds the apply pipeline every call runs
-// (validate → route → apply → reduce), the cross-shard handoff
-// protocol, and the determinism argument.
+//     any Config.Mode and any split of the sequence into Apply,
+//     ApplyBatch and ApplyStream calls. Every event applies on the
+//     caller's goroutine, in order (batch.go holds the pipeline;
+//     DESIGN.md "Why the engine is serial" says why there is no
+//     parallel path).
 package engine
 
 import (
 	"fmt"
-	"runtime/pprof"
-	"sync/atomic"
 	"time"
 
 	"wlanmcast/internal/core"
-	"wlanmcast/internal/geom"
 	"wlanmcast/internal/obs"
 	"wlanmcast/internal/wlan"
 )
@@ -84,11 +77,9 @@ type Config struct {
 	MaxRedecisions int
 	// Mode selects incremental repair or the full-recompute baseline.
 	Mode Mode
-	// Shards is the number of concurrent spatial shards (0 or 1 =
-	// the serial engine). Sharding needs a geometric network and
-	// incremental mode; the engine silently clamps to 1 otherwise.
-	// Any value produces byte-identical snapshots and stats (invariant
-	// 3); more shards only buy ApplyBatch parallelism.
+	// Shards is accepted for compatibility and ignored: the engine is
+	// serial, and every non-negative value yields the same engine.
+	// A negative value is still rejected.
 	Shards int
 	// ActiveUsers, when positive, marks only the first ActiveUsers
 	// slots of the network as initially present; the rest are
@@ -104,9 +95,8 @@ type Config struct {
 	// suite). See DESIGN.md "Multi-homing".
 	MaxHomes int
 	// Now supplies timestamps for the latency metrics (nil =
-	// time.Now). With Shards > 1 it is called concurrently from the
-	// shard workers, so a custom clock must be safe for concurrent
-	// use. Decisions never depend on it.
+	// time.Now). It is called only from the goroutine running the
+	// engine call. Decisions never depend on it.
 	Now func() time.Time
 	// Obs receives the engine's metrics (the assocd_* families, plus
 	// the distributed rule's algo_* families). nil gets a private
@@ -119,37 +109,15 @@ type Config struct {
 	Trace obs.Recorder
 	// FlightSpans sizes the flight recorder's span ring (0 =
 	// obs.DefaultFlightSpans). Negative disables the flight recorder
-	// and the per-event span path entirely — the stage histogram and
-	// per-shard families still register (so exposition is stable) but
-	// stay at zero. See DESIGN.md "Stage-attributed tracing".
+	// and the per-event span path entirely — the stage histogram still
+	// registers (so exposition is stable) but stays at zero. See
+	// DESIGN.md "Stage-attributed tracing".
 	FlightSpans int
-	// StallTimeout arms the stall watchdog on sharded batches: a
-	// worker that makes no progress for this long triggers OnStall
-	// with a flight-recorder dump. 0 disables the watchdog.
-	StallTimeout time.Duration
-	// OnStall receives stall reports (at most one per stall episode,
-	// rate-limited; panics are swallowed). Called from the watchdog
-	// goroutine while the batch is still running, so it must not
-	// touch the engine beyond the dump it is handed.
-	OnStall func(StallInfo)
-}
-
-// netMutator is the mutation surface a shard worker applies events
-// through: the bare *wlan.Network when Shards == 1, a wlan.ShardView
-// per worker otherwise (which confines every write to the worker's
-// own shard).
-type netMutator interface {
-	MoveUser(u int, pos geom.Point) error
-	DetachUser(u int) error
-	SetUserSession(u, s int) error
-	DisableAP(a int) error
-	EnableAP(a int) error
 }
 
 // Engine is a long-lived association engine. It is not safe for
-// concurrent use — the assocd server serializes access; with
-// Shards > 1 ApplyBatch fans one batch out over the shard workers
-// internally, which is the only concurrency in the engine.
+// concurrent use — the assocd server serializes access — and it
+// starts no goroutines.
 type Engine struct {
 	n    *wlan.Network
 	cfg  Config
@@ -158,20 +126,9 @@ type Engine struct {
 	active  []bool
 	nActive int
 
-	// Sharding state (nShards == 1: only workers[0] is set and the
-	// rest stay nil — the serial engine).
-	nShards       int
-	part          *geom.Partition
-	shardOfRegion []int
-	shardOfAP     []int32
-	// shardOfUser[u] is the shard owning user u's links and tracker
-	// row. The router updates it while routing (serial); workers only
-	// read their own users'.
-	shardOfUser []int32
-	workers     []*worker
-	// hand holds the current batch's handoff channels, indexed
-	// src*nShards+dst (nil between batches; see shard.go).
-	hand []chan handoff
+	// w applies the events: it owns the tracker and the repair
+	// worklist.
+	w *worker
 
 	// vAct/vDwn are validate's reusable overlay maps (cleared per
 	// batch, buckets retained); one is Apply's reusable batch of one.
@@ -194,67 +151,47 @@ type Engine struct {
 	now     func() time.Time
 
 	// Span/flight state (see span.go). seqBase numbers events across
-	// the engine's lifetime; batchStartNS anchors queue-wait; the
-	// batchBase/lastStallDump pair belongs to the watchdog.
-	flight        *obs.FlightRecorder
-	spansOn       bool
-	seqBase       uint64
-	batchStartNS  int64
-	batchBase     []uint64
-	lastStallDump time.Time
+	// the engine's lifetime; batchStartNS anchors queue-wait.
+	flight       *obs.FlightRecorder
+	spansOn      bool
+	seqBase      uint64
+	batchStartNS int64
 }
 
-// worker is one shard's application state: its tracker slice, its
-// repair worklist, and its mutation view. With Shards == 1 a single
-// worker owns everything and runs on the caller's goroutine.
+// worker is the engine's application state: the tracker, the repair
+// worklist, and the per-batch tallies. It runs on the caller's
+// goroutine and mutates the engine's network directly.
 type worker struct {
-	e    *Engine
-	id   int
-	view netMutator
-	tr   *wlan.Tracker
+	e  *Engine
+	tr *wlan.Tracker
 
 	// worklist is the pending re-decision min-heap; inList dedups.
 	worklist intHeap
 	inList   []bool
 
-	// dActive accumulates this worker's join/leave delta to the
+	// dActive accumulates the batch's join/leave delta to the
 	// active-user count; reduce folds it into e.nActive.
 	dActive int
-	// tally buffers the batch counters so concurrent workers do not
-	// contend on the shared atomics for every event.
+	// tally buffers the batch counters; reduce flushes them into the
+	// registry once per call.
 	tally batchTally
 	// err is the worker's first internal error in the current batch,
 	// errGidx the batch index of the event that caused it.
 	err     error
 	errGidx int32
-	// waited is set once the worker has observed this batch's
-	// queue_wait sample.
-	waited bool
 
 	// orphans is applyAPDown's reusable victim buffer (zero-alloc hot
-	// path; worker-owned, so sharded workers never share it).
+	// path).
 	orphans []int
 
 	// mhTouched logs the users this call changed for the multi-home
-	// derivation (see touch), mhUp the APs it brought back up; both
-	// are per worker so sharded batches log without sharing.
+	// derivation (see touch), mhUp the APs it brought back up.
 	mhTouched, mhUp []int
 
-	// Span/flight staging (see span.go): the flight-recorder writer
-	// index, worker-local stage-histogram buffers and per-shard
-	// tallies flushed by flushWorkerStats, the busy-time accumulator,
-	// the watchdog's progress counter, and the pprof label set that
-	// attributes this worker's CPU samples to its shard.
-	flightWriter  int
-	localWait     *obs.LocalHistogram
-	localApply    *obs.LocalHistogram
-	localDepart   *obs.LocalHistogram
-	localArrive   *obs.LocalHistogram
-	localEvents   uint64
-	localHandoffs uint64
-	busyNS        int64
-	progress      atomic.Uint64
-	pprofLabels   pprof.LabelSet
+	// Stage-histogram staging (see span.go), flushed by
+	// flushStageStats.
+	localWait  *obs.LocalHistogram
+	localApply *obs.LocalHistogram
 }
 
 // New builds an engine over n, detaches the inactive slots, and seeds
@@ -292,7 +229,7 @@ func New(n *wlan.Network, cfg Config) (*Engine, error) {
 
 // newShell validates cfg, normalizes it, and builds an Engine with
 // its rule, registry, and metric families — but no active-user flags,
-// workers, or trackers yet. New seeds those with a full distributed
+// worker, or tracker yet. New seeds those with a full distributed
 // run; RestoreSnapshot seeds them from persisted state instead.
 func newShell(n *wlan.Network, cfg Config) (*Engine, error) {
 	if cfg.Objective == 0 {
@@ -305,9 +242,6 @@ func newShell(n *wlan.Network, cfg Config) (*Engine, error) {
 	}
 	if n.BasicRateOnly {
 		return nil, fmt.Errorf("engine: basic-rate-only networks are not supported (mutations can change the basic rate under a live tracker)")
-	}
-	if n.Sharded() {
-		return nil, fmt.Errorf("engine: network is already sharded")
 	}
 	if cfg.Hysteresis == 0 {
 		cfg.Hysteresis = DefaultHysteresis
@@ -326,17 +260,6 @@ func newShell(n *wlan.Network, cfg Config) (*Engine, error) {
 	if cfg.Shards < 0 {
 		return nil, fmt.Errorf("engine: negative shard count %d", cfg.Shards)
 	}
-	// Sharding partitions by AP position and repairs incrementally per
-	// shard; without geometry there is no partition, and a full
-	// recompute is global by definition. Clamp rather than error so
-	// callers can pass one -shards value across mixed scenarios.
-	nShards := cfg.Shards
-	if nShards == 0 {
-		nShards = 1
-	}
-	if !n.Geometric() || cfg.Mode == ModeFullRecompute {
-		nShards = 1
-	}
 	reg := cfg.Obs
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -351,15 +274,14 @@ func newShell(n *wlan.Network, cfg Config) (*Engine, error) {
 			Obs:           reg,
 			Trace:         cfg.Trace,
 		},
-		active:  make([]bool, n.NumUsers()),
-		nShards: nShards,
-		reg:     reg,
-		trace:   cfg.Trace,
-		now:     cfg.Now,
+		active: make([]bool, n.NumUsers()),
+		reg:    reg,
+		trace:  cfg.Trace,
+		now:    cfg.Now,
 	}
 	// Register the assocd_* families before the first distributed run
 	// so the exposition keeps its historical family order.
-	e.metrics.register(reg, nShards)
+	e.metrics.register(reg)
 	if e.now == nil {
 		e.now = time.Now
 	}
@@ -367,15 +289,13 @@ func newShell(n *wlan.Network, cfg Config) (*Engine, error) {
 }
 
 // finish completes an engine shell around an already-decided
-// association: shard partition and workers, flight recorder, tracker
-// seeding, the multi-home derivation grandfathering prevSec (nil for
-// none), and the first gauge refresh.
+// association: worker, flight recorder, tracker seeding, the
+// multi-home derivation grandfathering prevSec (nil for none), and the
+// first gauge refresh.
 func (e *Engine) finish(assoc *wlan.Assoc, prevSec [][]int) error {
-	if err := e.setupWorkers(); err != nil {
-		return err
-	}
+	e.w = &worker{e: e, inList: make([]bool, e.n.NumUsers())}
 	e.setupFlight()
-	if err := e.seedTrackers(assoc); err != nil {
+	if err := e.seedTracker(assoc); err != nil {
 		return err
 	}
 	e.installMulti(prevSec)
@@ -383,86 +303,13 @@ func (e *Engine) finish(assoc *wlan.Assoc, prevSec [][]int) error {
 	return nil
 }
 
-// setupWorkers builds the shard partition and the per-shard workers.
-// With nShards == 1 the single worker mutates the bare network; with
-// more, the network flips into sharded mode and each worker gets its
-// ShardView.
-func (e *Engine) setupWorkers() error {
-	n := e.n
-	if e.nShards == 1 {
-		w := &worker{e: e, id: 0, view: n, inList: make([]bool, n.NumUsers())}
-		e.workers = []*worker{w}
-		return nil
-	}
-	apPos := make([]geom.Point, n.NumAPs())
-	for a := range apPos {
-		apPos[a] = n.APs[a].Pos
-	}
-	part, err := geom.NewPartition(apPos, n.RadioRange())
+// seedTracker installs assoc into a fresh tracker.
+func (e *Engine) seedTracker(assoc *wlan.Assoc) error {
+	tr, err := wlan.NewTracker(e.n, assoc)
 	if err != nil {
-		return fmt.Errorf("engine: shard partition: %w", err)
+		return err
 	}
-	shardOfRegion, err := part.Assign(e.nShards)
-	if err != nil {
-		return fmt.Errorf("engine: shard assignment: %w", err)
-	}
-	shardOfAP := make([]int, n.NumAPs())
-	for a := range shardOfAP {
-		shardOfAP[a] = shardOfRegion[part.RegionOfPoint(a)]
-	}
-	views, err := n.ShardViews(shardOfAP, e.nShards)
-	if err != nil {
-		return fmt.Errorf("engine: shard views: %w", err)
-	}
-	e.part = part
-	e.shardOfRegion = shardOfRegion
-	e.shardOfAP = make([]int32, len(shardOfAP))
-	for a, s := range shardOfAP {
-		e.shardOfAP[a] = int32(s)
-	}
-	e.shardOfUser = make([]int32, n.NumUsers())
-	e.workers = make([]*worker, e.nShards)
-	for s := range e.workers {
-		e.workers[s] = &worker{e: e, id: s, view: views[s], inList: make([]bool, n.NumUsers())}
-	}
-	return nil
-}
-
-// seedTrackers installs assoc into the per-shard trackers and derives
-// the user ownership map: an associated user belongs to its AP's
-// shard, an unassociated one to the shard owning the region around
-// its position (shard 0 when no AP is in range — an ownerless user
-// has no links, so any shard serves).
-func (e *Engine) seedTrackers(assoc *wlan.Assoc) error {
-	if e.nShards == 1 {
-		tr, err := wlan.NewTracker(e.n, assoc)
-		if err != nil {
-			return err
-		}
-		e.workers[0].tr = tr
-		return nil
-	}
-	for _, w := range e.workers {
-		tr, err := wlan.NewTracker(e.n, nil)
-		if err != nil {
-			return err
-		}
-		w.tr = tr
-	}
-	for u := 0; u < e.n.NumUsers(); u++ {
-		s := 0
-		if ap := assoc.APOf(u); ap != wlan.Unassociated {
-			s = int(e.shardOfAP[ap])
-			if err := e.workers[s].tr.Associate(u, ap); err != nil {
-				return err
-			}
-		} else if e.active[u] {
-			if r := e.part.RegionOf(e.n.Users[u].Pos); r >= 0 {
-				s = e.shardOfRegion[r]
-			}
-		}
-		e.shardOfUser[u] = int32(s)
-	}
+	e.w.tr = tr
 	return nil
 }
 
@@ -487,7 +334,7 @@ func (e *Engine) updateGauges() {
 		e.metrics.mhSecondary.Set(0)
 		e.metrics.mhLoadMax.Set(maxLoad)
 	}
-	e.flushWorkerStats()
+	e.flushStageStats()
 }
 
 // Registry returns the engine's metrics registry (Config.Obs, or the
@@ -553,10 +400,10 @@ func (w *worker) applyPrimary(ev Event, res *ApplyResult) error {
 	u := ev.User
 	switch ev.Kind {
 	case UserJoin:
-		if err := w.view.SetUserSession(u, ev.Session); err != nil {
+		if err := e.n.SetUserSession(u, ev.Session); err != nil {
 			return err
 		}
-		if err := w.view.MoveUser(u, ev.Pos); err != nil {
+		if err := e.n.MoveUser(u, ev.Pos); err != nil {
 			return err
 		}
 		e.active[u] = true
@@ -576,7 +423,7 @@ func (w *worker) applyPrimary(ev Event, res *ApplyResult) error {
 			}
 			w.markAPIfChanged(ap, before)
 		}
-		if err := w.view.DetachUser(u); err != nil {
+		if err := e.n.DetachUser(u); err != nil {
 			return err
 		}
 		e.active[u] = false
@@ -625,9 +472,9 @@ func (w *worker) rehome(ev Event, res *ApplyResult) error {
 	var err error
 	switch ev.Kind {
 	case UserMove:
-		err = w.view.MoveUser(u, ev.Pos)
+		err = e.n.MoveUser(u, ev.Pos)
 	case DemandChange:
-		err = w.view.SetUserSession(u, ev.Session)
+		err = e.n.SetUserSession(u, ev.Session)
 	default:
 		err = fmt.Errorf("engine: rehome on %q event", ev.Kind)
 	}
@@ -723,8 +570,7 @@ func (w *worker) repair(res *ApplyResult) error {
 	return nil
 }
 
-// fullRepair is the ModeFullRecompute path (always Shards == 1):
-// rebuild the association from scratch with the batch sequential
+// fullRepair is the ModeFullRecompute path: rebuild the association from scratch with the batch sequential
 // process.
 func (w *worker) fullRepair(res *ApplyResult) error {
 	e := w.e
@@ -772,49 +618,14 @@ func (w *worker) drainWorklist() {
 	}
 }
 
-// trackerOf returns the tracker holding AP a's load — the single
-// tracker when serial, the owning shard's otherwise.
-func (e *Engine) trackerOf(a int) *wlan.Tracker {
-	if e.nShards == 1 {
-		return e.workers[0].tr
-	}
-	return e.workers[e.shardOfAP[a]].tr
-}
-
-// primaryOf returns user u's current primary AP, or wlan.Unassociated.
-func (e *Engine) primaryOf(u int) int {
-	if e.nShards == 1 {
-		return e.workers[0].tr.APOf(u)
-	}
-	return e.workers[e.shardOfUser[u]].tr.APOf(u)
-}
-
-// Satisfied returns the number of currently associated users, summed
-// over the workers' trackers without materializing the association.
-func (e *Engine) Satisfied() int {
-	s := 0
-	for _, w := range e.workers {
-		s += w.tr.Satisfied()
-	}
-	return s
-}
+// Satisfied returns the number of currently associated users without
+// materializing the association.
+func (e *Engine) Satisfied() int { return e.w.tr.Satisfied() }
 
 // Snapshot returns a copy of the current association. Identical
 // (network, config, event sequence) inputs yield byte-identical
-// JSON-marshalled snapshots at every point in the stream, for any
-// shard count.
-func (e *Engine) Snapshot() *wlan.Assoc {
-	if e.nShards == 1 {
-		return e.workers[0].tr.Assoc()
-	}
-	out := wlan.NewAssoc(e.n.NumUsers())
-	for u := 0; u < e.n.NumUsers(); u++ {
-		if ap := e.primaryOf(u); ap != wlan.Unassociated {
-			out.Associate(u, ap)
-		}
-	}
-	return out
-}
+// JSON-marshalled snapshots at every point in the stream.
+func (e *Engine) Snapshot() *wlan.Assoc { return e.w.tr.Assoc() }
 
 // Network returns the engine's underlying network. The engine owns
 // it: callers must treat it as strictly read-only — mutating it (or
@@ -835,41 +646,23 @@ func (e *Engine) NumUsers() int { return e.n.NumUsers() }
 // NumSessions returns the network's session count.
 func (e *Engine) NumSessions() int { return e.n.NumSessions() }
 
-// Shards returns the engine's effective shard count (1 = serial).
-func (e *Engine) Shards() int { return e.nShards }
-
 // ActiveUsers returns how many user slots are currently active.
 func (e *Engine) ActiveUsers() int { return e.nActive }
 
 // Active reports whether user slot u is active.
 func (e *Engine) Active(u int) bool { return e.active[u] }
 
-// TotalLoad returns the current total multicast load: the exact sum of
-// the workers' tracker totals (each holds its own shard's APs), so the
-// same float for every shard count.
-func (e *Engine) TotalLoad() float64 {
-	var q wlan.Quanta
-	for _, w := range e.workers {
-		q += w.tr.TotalQuanta()
-	}
-	return q.Load()
-}
+// TotalLoad returns the current total multicast load.
+func (e *Engine) TotalLoad() float64 { return e.w.tr.TotalLoad() }
 
-// MaxLoad returns the current maximum AP load, the largest of the
-// workers' tracker maxima.
-func (e *Engine) MaxLoad() float64 {
-	m := 0.0
-	for _, w := range e.workers {
-		m = max(m, w.tr.MaxLoad())
-	}
-	return m
-}
+// MaxLoad returns the current maximum AP load.
+func (e *Engine) MaxLoad() float64 { return e.w.tr.MaxLoad() }
 
 // APLoads returns a copy of the per-AP load vector.
 func (e *Engine) APLoads() []float64 {
 	out := make([]float64, e.n.NumAPs())
 	for ap := range out {
-		out[ap] = e.trackerOf(ap).APLoad(ap)
+		out[ap] = e.w.tr.APLoad(ap)
 	}
 	return out
 }
@@ -893,7 +686,7 @@ func (e *Engine) SetAssoc(a *wlan.Assoc) error {
 			prevSec[u] = e.secondaryOf(u)
 		}
 	}
-	if err := e.seedTrackers(a); err != nil {
+	if err := e.seedTracker(a); err != nil {
 		return err
 	}
 	e.installMulti(prevSec)

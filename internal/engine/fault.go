@@ -107,9 +107,7 @@ func (e *Engine) validate(events []Event) (int, error) {
 // while the link still resolves, per the tracker contract), takes the
 // AP down, and queues the orphans for re-decision. Orphans no other AP
 // covers simply stay unassociated — degradation, not an error; the
-// fault_unsatisfied_users gauge tracks them. In sharded mode the AP,
-// its covered users, and their tracker rows all live on this worker's
-// shard, so the whole cascade is shard-local.
+// fault_unsatisfied_users gauge tracks them.
 func (w *worker) applyAPDown(ev Event, res *ApplyResult) error {
 	e := w.e
 	ap := ev.AP
@@ -122,9 +120,7 @@ func (w *worker) applyAPDown(ev Event, res *ApplyResult) error {
 	w.orphans = orphans // keep the grown buffer for the next failure
 	if e.multihomeOn() {
 		// Every user with any home here loses it. The multi tracker is
-		// frozen at the last call's state until the derivation step, so
-		// concurrent shard workers may read it; the AP's coverage is
-		// shard-local.
+		// frozen at the last call's state until the derivation step.
 		for _, u := range e.n.Coverage(ap) {
 			if e.mh.HasHome(u, ap) {
 				w.touch(u)
@@ -141,7 +137,7 @@ func (w *worker) applyAPDown(ev Event, res *ApplyResult) error {
 			e.trace.Record(obs.Event{Type: obs.EvHandoff, User: u, AP: wlan.Unassociated})
 		}
 	}
-	if err := w.view.DisableAP(ap); err != nil {
+	if err := e.n.DisableAP(ap); err != nil {
 		return err
 	}
 	res.Orphaned = len(orphans)
@@ -157,7 +153,7 @@ func (w *worker) applyAPDown(ev Event, res *ApplyResult) error {
 // recovered AP is a new candidate for all of them, and unsatisfied
 // users in its coverage re-admit through the normal repair pass.
 func (w *worker) applyAPUp(ev Event, res *ApplyResult) error {
-	if err := w.view.EnableAP(ev.AP); err != nil {
+	if err := w.e.n.EnableAP(ev.AP); err != nil {
 		return err
 	}
 	if w.e.multihomeOn() {

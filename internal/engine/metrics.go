@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"strconv"
-
-	"wlanmcast/internal/obs"
-)
+import "wlanmcast/internal/obs"
 
 // Stats is a point-in-time copy of the engine's cumulative counters,
 // as exposed on the assocd /metrics endpoint. All fields are totals
@@ -57,14 +53,9 @@ type metrics struct {
 	apsDown     *obs.Gauge
 	orphaned    *obs.Counter
 	unsatisfied *obs.Gauge
-	// Stage-attributed families (span.go). The label sets are bounded
-	// at registration: stages by the pipeline's stage enum, shards by
-	// the engine's shard count.
-	stageLat        *obs.HistogramVec   // assocd_stage_seconds{stage}
-	shardEvents     *obs.CounterVec     // assocd_shard_events_total{shard}
-	shardHandoffs   *obs.CounterVec     // assocd_shard_handoffs_total{shard}
-	shardQueueDepth *obs.GaugeVec       // assocd_shard_queue_depth{shard}
-	shardBusy       []*obs.FloatCounter // assocd_shard_busy_seconds_total{shard}
+	// Stage-attributed family (span.go); its label set is the
+	// pipeline's stage enum.
+	stageLat *obs.HistogramVec // assocd_stage_seconds{stage}
 	// Multi-homing families (multihome.go). Registered always so the
 	// exposition is stable; with MaxHomes <= 1 they mirror the
 	// single-AP satisfied/max-load values and zero secondaries.
@@ -74,9 +65,9 @@ type metrics struct {
 }
 
 // register resolves the engine's instruments, creating the families in
-// the historical exposition order (the stage/shard families append
-// after it — wire names, once exposed, never move).
-func (m *metrics) register(reg *obs.Registry, nShards int) {
+// the historical exposition order (the stage family appends after it —
+// wire names, once exposed, never move).
+func (m *metrics) register(reg *obs.Registry) {
 	const evHelp = "Churn events applied, by kind."
 	m.joins = reg.Counter("assocd_events_total", evHelp, obs.L("kind", string(UserJoin)))
 	m.leaves = reg.Counter("assocd_events_total", evHelp, obs.L("kind", string(UserLeave)))
@@ -96,23 +87,8 @@ func (m *metrics) register(reg *obs.Registry, nShards int) {
 	m.orphaned = reg.Counter("fault_orphaned_users_total", "Users disassociated by AP failures.")
 	m.unsatisfied = reg.Gauge("fault_unsatisfied_users", "Active users with no association (degraded service).")
 	m.stageLat = reg.HistogramVec("assocd_stage_seconds",
-		"Wall-clock spent per pipeline stage (router -> shard worker -> reducer).",
+		"Wall-clock spent per pipeline stage (the two handoff stages are always zero).",
 		StageBounds(), "stage", stageNames)
-	shards := make([]string, nShards)
-	for s := range shards {
-		shards[s] = strconv.Itoa(s)
-	}
-	m.shardEvents = reg.CounterVec("assocd_shard_events_total",
-		"Events applied, by owning shard.", "shard", shards)
-	m.shardHandoffs = reg.CounterVec("assocd_shard_handoffs_total",
-		"Association changes, by shard they ran on.", "shard", shards)
-	m.shardQueueDepth = reg.GaugeVec("assocd_shard_queue_depth",
-		"Routed op-queue length of the current/last batch, by shard.", "shard", shards)
-	m.shardBusy = make([]*obs.FloatCounter, nShards)
-	for s := range m.shardBusy {
-		m.shardBusy[s] = reg.FloatCounter("assocd_shard_busy_seconds_total",
-			"Seconds a shard worker spent applying events.", obs.L("shard", shards[s]))
-	}
 	m.mhSatisfied = reg.Gauge("assocd_multihome_satisfied_users",
 		"Users with at least one live home (primary or secondary).")
 	m.mhSecondary = reg.Gauge("assocd_multihome_secondary_homes",
@@ -121,11 +97,10 @@ func (m *metrics) register(reg *obs.Registry, nShards int) {
 		"Maximum AP multicast load including secondary-home contributions.")
 }
 
-// batchTally buffers one worker's counter increments for a batch. The
-// per-event latency histogram is observed live (its buckets are
-// atomics), but the plain counters would have every worker hammering
-// the same cache lines per event; instead each worker accumulates
-// privately and reduce flushes.
+// batchTally buffers the worker's counter increments for a batch: the
+// per-event latency histogram is observed live, but the plain counters
+// accumulate here and reduce flushes them once per call, which also
+// gives ApplyBatch its BatchResult totals.
 type batchTally struct {
 	joins, leaves, moves, demands uint64
 	apDowns, apUps                uint64
@@ -159,7 +134,7 @@ func (t *batchTally) count(kind EventKind, res *ApplyResult) {
 	t.orphaned += uint64(res.Orphaned)
 }
 
-// applyTally flushes a worker's tally into the live counters and
+// applyTally flushes the worker's tally into the live counters and
 // resets it.
 func (m *metrics) applyTally(t *batchTally) {
 	m.joins.Add(t.joins)

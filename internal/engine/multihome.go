@@ -18,7 +18,7 @@ import (
 //
 // The derivation is incremental and exact. The engine keeps one
 // wlan.MultiTracker holding every user's home set as of the last call.
-// During a call each worker logs the users whose primary, position,
+// During a call the worker logs the users whose primary, position,
 // session or activity it changed, the users holding a home on an AP it
 // took down, and the APs it brought up. At the end of the call
 // deriveMulti replaces the home sets of the logged (changed) users
@@ -36,8 +36,8 @@ import (
 // The derivation is a deterministic function of (primary association,
 // previous secondary sets, network up/down state), so it inherits the
 // engine's two structural guarantees: the primary association is
-// byte-identical for any shard count (invariant 3), hence so are the
-// derived sets; and re-deriving from persisted sets is a fixed point,
+// deterministic (invariant 3), hence so are the derived sets of the
+// same calls; and re-deriving from persisted sets is a fixed point,
 // hence crash recovery lands on the identical state. Install and
 // restore paths derive from scratch with every user dirty
 // (installMulti). In ModeFullRecompute every call does, with the
@@ -86,13 +86,12 @@ func (e *Engine) deriveMulti() {
 	// dirtyAPs collects the APs whose coverage is dirty: those brought
 	// up, then those a changed user gave up an occupancy cell on.
 	dirty, dirtyAPs := e.mhDirty[:0], e.mhDirtyAPs[:0]
-	for _, w := range e.workers {
-		for _, u := range w.mhTouched {
-			dirty = e.markDirty(dirty, u)
-		}
-		dirtyAPs = append(dirtyAPs, w.mhUp...)
-		w.mhTouched, w.mhUp = w.mhTouched[:0], w.mhUp[:0]
+	w := e.w
+	for _, u := range w.mhTouched {
+		dirty = e.markDirty(dirty, u)
 	}
+	dirtyAPs = append(dirtyAPs, w.mhUp...)
+	w.mhTouched, w.mhUp = w.mhTouched[:0], w.mhUp[:0]
 	for _, u := range dirty {
 		prev := e.mhPrev[:0]
 		for _, ap := range e.mh.Homes(u) {
@@ -100,7 +99,7 @@ func (e *Engine) deriveMulti() {
 				prev = append(prev, ap)
 			}
 		}
-		p := e.primaryOf(u)
+		p := w.tr.APOf(u)
 		e.mhKept = core.KeptHomes(e.n, u, p, prev, e.cfg.MaxHomes, e.mhKept)
 		var err error
 		if dirtyAPs, err = e.mh.ReplaceHomes(u, e.mhKept, dirtyAPs); err != nil {
@@ -155,9 +154,7 @@ func (e *Engine) installMulti(prev [][]int) {
 	for u := range e.mhPrim {
 		e.mhPrim[u] = primary.APOf(u)
 	}
-	for _, w := range e.workers {
-		w.mhTouched, w.mhUp = w.mhTouched[:0], w.mhUp[:0]
-	}
+	e.w.mhTouched, e.w.mhUp = e.w.mhTouched[:0], e.w.mhUp[:0]
 }
 
 // secondaryOf returns a copy of user u's secondary homes (nil for none
@@ -180,7 +177,7 @@ func (e *Engine) secondaryOf(u int) []int {
 // sorted ascending. With MaxHomes <= 1 it is exactly the single-AP
 // Snapshot lifted to sets. Identical (network, config, event
 // sequence) inputs yield byte-identical JSON-marshalled snapshots at
-// every point in the stream, for any shard count.
+// every point in the stream.
 func (e *Engine) MultiSnapshot() *wlan.MultiAssoc {
 	if e.multihomeOn() {
 		return e.mh.MultiAssoc()
@@ -235,7 +232,7 @@ func (e *Engine) SetMultiAssoc(ma *wlan.MultiAssoc) error {
 			}
 		}
 	}
-	if err := e.seedTrackers(primary); err != nil {
+	if err := e.seedTracker(primary); err != nil {
 		return err
 	}
 	e.installMulti(sec)

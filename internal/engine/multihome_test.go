@@ -92,17 +92,14 @@ func assertMultiInvariants(t *testing.T, e *Engine, ctx string) *wlan.MultiAssoc
 // bit-identical to the pre-multi-homing engine (MaxHomes=0) — same
 // snapshots, loads, stats, persisted bytes, and a MultiSnapshot that
 // is exactly the single-AP snapshot lifted to sets — over zoned
-// churn+fault traces at several shard counts. Runs under -race in
-// check.sh.
+// churn+fault traces. Runs under -race in check.sh.
 func TestEngineMultiDegree1Differential(t *testing.T) {
 	const chunk = 16
-	shardCounts := []int{1, 2, 3}
 	for seed := int64(1); seed <= 6; seed++ {
-		shards := shardCounts[int(seed)%len(shardCounts)]
 		n0, trace, initial := zonedSetup(t, seed, 4, 6, 20, 160)
-		base := newEngine(t, n0, Config{ActiveUsers: initial, Shards: shards})
+		base := newEngine(t, n0, Config{ActiveUsers: initial})
 		n1, _, _ := zonedSetup(t, seed, 4, 6, 20, 160)
-		m1 := newEngine(t, n1, Config{ActiveUsers: initial, Shards: shards, MaxHomes: 1})
+		m1 := newEngine(t, n1, Config{ActiveUsers: initial, MaxHomes: 1})
 		compareEngines(t, base, m1, "seed init")
 		for start := 0; start < len(trace); start += chunk {
 			batch := trace[start:min(start+chunk, len(trace))]
@@ -126,43 +123,6 @@ func TestEngineMultiDegree1Differential(t *testing.T) {
 			}
 		}
 		compareStats(t, base, m1, "final")
-	}
-}
-
-// TestEngineMultihomeShardInvariance extends engine invariant 3 to
-// the derived layer: with MaxHomes=2, the multi-association (and the
-// persisted snapshot carrying it) is byte-identical for any shard
-// count at every batch boundary. Both engines see the same batch
-// boundaries: in ModeIncremental the derivation granularity is the
-// API call (grandfathering makes it path-dependent by design, see
-// deriveMulti), so the invariance contract is per-boundary, not
-// per-event.
-func TestEngineMultihomeShardInvariance(t *testing.T) {
-	const chunk = 16
-	for seed := int64(7); seed <= 9; seed++ {
-		for _, shards := range []int{2, 3} {
-			n1, trace, initial := zonedSetup(t, seed, 4, 6, 20, 160)
-			ref := newEngine(t, n1, Config{ActiveUsers: initial, MaxHomes: 2})
-			n2, _, _ := zonedSetup(t, seed, 4, 6, 20, 160)
-			sh := newEngine(t, n2, Config{ActiveUsers: initial, Shards: shards, MaxHomes: 2})
-			for start := 0; start < len(trace); start += chunk {
-				batch := trace[start:min(start+chunk, len(trace))]
-				if _, err := ref.ApplyBatch(batch); err != nil {
-					t.Fatalf("seed %d: reference batch at %d: %v", seed, start, err)
-				}
-				if _, err := sh.ApplyBatch(batch); err != nil {
-					t.Fatalf("seed %d: sharded batch at %d: %v", seed, start, err)
-				}
-				compareEngines(t, ref, sh, "batch")
-				mr, ms := mustJSON(t, ref.MultiSnapshot()), mustJSON(t, sh.MultiSnapshot())
-				if !bytes.Equal(mr, ms) {
-					t.Fatalf("seed %d shards %d batch at %d: multi-association differs:\n%s\n%s", seed, shards, start, mr, ms)
-				}
-				if !bytes.Equal(mustEncode(t, ref), mustEncode(t, sh)) {
-					t.Fatalf("seed %d shards %d batch at %d: persisted snapshots differ", seed, shards, start)
-				}
-			}
-		}
 	}
 }
 
@@ -558,7 +518,7 @@ func zonedFaultSetup(t *testing.T, seed int64, events int) (*wlan.Network, []Eve
 
 // TestEngineMultihomeIncrementalExact is the exactness suite for the
 // incremental secondary-home derivation: over 20 seeded zoned
-// scenarios (churn merged with fault schedules) × Shards {1, 2, 4} ×
+// scenarios (churn merged with fault schedules) × three call mixes ×
 // MaxHomes {2, 3}, the trace is driven through a random mix of Apply,
 // ApplyBatch and ApplyStream calls, interleaved with SetAssoc,
 // SetMultiAssoc and snapshot/restore, and after every call the
@@ -567,9 +527,9 @@ func zonedFaultSetup(t *testing.T, seed int64, events int) (*wlan.Network, []Eve
 func TestEngineMultihomeIncrementalExact(t *testing.T) {
 	secondaries := 0
 	for seed := int64(1); seed <= 20; seed++ {
-		for _, shards := range []int{1, 2, 4} {
+		for _, mix := range []int{1, 2, 4} {
 			for _, maxHomes := range []int{2, 3} {
-				secondaries += runIncrementalExact(t, seed, shards, maxHomes)
+				secondaries += runIncrementalExact(t, seed, mix, maxHomes)
 			}
 		}
 	}
@@ -578,16 +538,18 @@ func TestEngineMultihomeIncrementalExact(t *testing.T) {
 	}
 }
 
-func runIncrementalExact(t *testing.T, seed int64, shards, maxHomes int) int {
+// runIncrementalExact drives one seeded scenario through the call mix
+// that mix seeds and returns how many secondary homes it derived.
+func runIncrementalExact(t *testing.T, seed int64, mix, maxHomes int) int {
 	t.Helper()
 	n, trace, initial := zonedFaultSetup(t, seed, 160)
-	cfg := Config{ActiveUsers: initial, Shards: shards, MaxHomes: maxHomes}
+	cfg := Config{ActiveUsers: initial, MaxHomes: maxHomes}
 	e := newEngine(t, n, cfg)
 	c := &multiCallChecker{t: t, maxHomes: maxHomes}
-	c.check(e, fmt.Sprintf("seed %d shards %d homes %d: init", seed, shards, maxHomes), nil)
-	rng := rand.New(rand.NewSource(seed*7 + int64(shards*3+maxHomes)))
+	c.check(e, fmt.Sprintf("seed %d mix %d homes %d: init", seed, mix, maxHomes), nil)
+	rng := rand.New(rand.NewSource(seed*7 + int64(mix*3+maxHomes)))
 	for i := 0; i < len(trace); {
-		ctx := fmt.Sprintf("seed %d shards %d homes %d at %d", seed, shards, maxHomes, i)
+		ctx := fmt.Sprintf("seed %d mix %d homes %d at %d", seed, mix, maxHomes, i)
 		var installSec [][]int
 		switch k := rng.Intn(20); {
 		case k < 8:

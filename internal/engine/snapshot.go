@@ -56,7 +56,7 @@ type snapState struct {
 // EncodeSnapshot serializes the engine's full mutable state —
 // active users (position, session, association), down APs, and the
 // cumulative counters — deterministically: identical engine states
-// produce identical bytes for any shard count, which is what lets the
+// produce identical bytes, which is what lets the
 // crash harness compare a recovered daemon against an uninterrupted
 // one byte-for-byte.
 func (e *Engine) EncodeSnapshot() ([]byte, error) {
@@ -91,7 +91,7 @@ func (e *Engine) EncodeSnapshot() ([]byte, error) {
 // (same scenario, same layout as the engine that called
 // EncodeSnapshot) so that it is behaviorally indistinguishable from
 // the original: the same events applied to both afterwards yield
-// byte-identical snapshots, loads, and stats for any shard count.
+// byte-identical snapshots, loads, and stats.
 // cfg must match the original engine's config (the daemon journals
 // the scenario request and rebuilds both from it). No distributed
 // seeding run happens — the association comes from the snapshot.
@@ -116,9 +116,6 @@ func RestoreSnapshot(n *wlan.Network, cfg Config, data []byte) (*Engine, error) 
 			return nil, fmt.Errorf("engine: snapshot user %d out of order or range (prev %d, slots %d)", su.U, prev, n.NumUsers())
 		}
 		prev = su.U
-		// Mutations run on the bare pre-shard network; finish shards it
-		// afterwards, which is equivalent to the original engine's
-		// view-confined mutations by the PR 6 equivalence argument.
 		if err := n.SetUserSession(su.U, su.Session); err != nil {
 			return nil, fmt.Errorf("engine: restore user %d: %w", su.U, err)
 		}

@@ -46,7 +46,7 @@ func statsSansLatency(s Stats) snapCounters {
 // engine A there, restore engine B from the bytes onto a fresh
 // network, then drive both through the identical remainder — every
 // association snapshot, load vector, and counter must match exactly,
-// including across different shard counts on the two sides.
+// including when the two sides set different (ignored) Shards values.
 func TestSnapshotRestoreEquivalence(t *testing.T) {
 	p := scenario.PaperDefaults()
 	for _, tc := range []struct {

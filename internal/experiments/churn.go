@@ -67,7 +67,6 @@ func ExtChurn(ctx context.Context, cfg Config) (*metrics.Figure, error) {
 				Objective:   core.ObjMLA,
 				Mode:        m.mode,
 				ActiveUsers: initial,
-				Shards:      max(cfg.Shards, 0),
 			})
 			if err != nil {
 				return nil, err

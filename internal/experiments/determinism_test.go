@@ -47,36 +47,6 @@ func TestWorkersDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardsDeterminism pins the sharded engine's promise at the
-// figure level: the engine-backed experiments emit byte-identical CSV
-// whether events apply on one shard or fan out over several.
-func TestShardsDeterminism(t *testing.T) {
-	base := Config{Seeds: 3, SizeFactor: 0.1}
-	for _, id := range []string{"ext-churn", "ext-fault"} {
-		e, ok := GetAny(id)
-		if !ok {
-			t.Fatalf("experiment %q not registered", id)
-		}
-		t.Run(id, func(t *testing.T) {
-			serial, sharded := base, base
-			serial.Shards = 1
-			sharded.Shards = 3
-			figSerial, err := e.Run(context.Background(), serial)
-			if err != nil {
-				t.Fatalf("Shards=1: %v", err)
-			}
-			figSharded, err := e.Run(context.Background(), sharded)
-			if err != nil {
-				t.Fatalf("Shards=3: %v", err)
-			}
-			a, b := figSerial.CSV(), figSharded.CSV()
-			if a != b {
-				t.Errorf("Shards=1 and Shards=3 CSVs differ:\n--- serial ---\n%s--- sharded ---\n%s", a, b)
-			}
-		})
-	}
-}
-
 // TestProgressSerialized pins the Config.Progress contract: the
 // callback is never invoked concurrently, so this unsynchronized
 // append is race-free (the -race target in scripts/check.sh proves

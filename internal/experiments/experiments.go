@@ -44,11 +44,6 @@ type Config struct {
 	// sequential order. The figures are identical for every value;
 	// only wall-clock time changes.
 	Workers int
-	// Shards is the engine shard count for the engine-backed
-	// experiments (ext-churn, ext-fault): <= 0 selects 1. The figures
-	// are byte-identical for every value — the sharded engine's
-	// determinism invariant — so this only trades wall-clock time.
-	Shards int
 	// Progress, when non-nil, receives one line per completed data
 	// point. Delivery is serialized even when Workers > 1 — the
 	// callback is never invoked concurrently, so it needs no locking

@@ -76,7 +76,6 @@ func ExtFault(ctx context.Context, cfg Config) (*metrics.Figure, error) {
 				return nil, err
 			}
 			o.ecfg.Mode = engine.ModeIncremental
-			o.ecfg.Shards = max(cfg.Shards, 0)
 			eng, err := engine.New(n, o.ecfg)
 			if err != nil {
 				return nil, err

@@ -119,7 +119,6 @@ func ExtMultihome(ctx context.Context, cfg Config) (*metrics.Figure, error) {
 				Objective:     core.ObjMLA,
 				EnforceBudget: true,
 				Mode:          engine.ModeIncremental,
-				Shards:        max(cfg.Shards, 0),
 				ActiveUsers:   users,
 				MaxHomes:      o.maxHomes,
 			})

@@ -7,14 +7,16 @@ import (
 
 // FlightRecorder is a lock-free ring of the last N completed spans
 // plus one "open span" slot per writer, built for post-mortem dumps:
-// when a shard worker stalls, the watchdog snapshots the recorder and
-// the dump shows both the recent history and the span each worker is
-// stuck inside right now.
+// a snapshot shows both the recent history and the span each writer
+// is inside right now.
 //
-// The write path is wait-free: a completed span claims a ring slot
-// with one atomic ticket fetch-add and publishes it under a per-slot
-// seqlock (version odd while writing, even when stable); Begin/End
-// publish the open span the same way into the writer's private slot.
+// The write path is wait-free: a completed span takes a ring ticket
+// with one atomic fetch-add, claims the ticket's slot with a
+// compare-and-swap of the slot's seqlock version (odd while writing,
+// even when stable) and publishes it; a span whose slot another writer
+// lapping the ring holds or has already refilled is dropped, so two
+// writers never interleave their stores in one slot. Begin/End publish
+// the open span the same way into the writer's private slot.
 // Snapshot never blocks writers — it rereads the version around each
 // slot copy and discards torn reads. No allocation happens on the
 // record path, so the engine keeps its <= 2 allocs/event gate with
@@ -33,13 +35,13 @@ type FlightRecorder struct {
 }
 
 // slotWords is the per-slot stride: version + 5 payload words, padded
-// to 8 so adjacent slots written by different workers do not share a
+// to 8 so adjacent slots written by different writers do not share a
 // cache line.
 const slotWords = 8
 
 const (
 	slotVersion = 0 // seqlock: 0 empty, odd writing, even stable
-	slotMeta    = 1 // stage<<56 | kind<<48 | uint16(shard)<<32 | uint32(user)
+	slotMeta    = 1 // stage<<56 | kind<<48 | uint32(user)
 	slotSeq     = 2 // event sequence number
 	slotStart   = 3 // start, ns
 	slotDur     = 4 // duration, ns
@@ -51,13 +53,11 @@ const (
 const DefaultFlightSpans = 4096
 
 // SpanData is the payload of one flight-recorder span. Stage and Kind
-// index the recorder's string tables; Shard and User are clamped to
-// 16 and 32 bits on the wire (far beyond any shard count, and user
-// ids are int32 throughout the engine).
+// index the recorder's string tables; User is clamped to 32 bits on
+// the wire (user ids are int32 throughout the engine).
 type SpanData struct {
 	Stage   uint8
 	Kind    uint8
-	Shard   int32
 	User    int32
 	Seq     uint64
 	StartNS int64
@@ -87,19 +87,23 @@ func NewFlightRecorder(spans, writers int, stages, kinds []string) *FlightRecord
 }
 
 func packMeta(d SpanData) uint64 {
-	return uint64(d.Stage)<<56 | uint64(d.Kind)<<48 |
-		uint64(uint16(d.Shard))<<32 | uint64(uint32(d.User))
+	return uint64(d.Stage)<<56 | uint64(d.Kind)<<48 | uint64(uint32(d.User))
 }
 
-func unpackMeta(m uint64) (stage, kind uint8, shard, user int32) {
-	return uint8(m >> 56), uint8(m >> 48),
-		int32(uint16(m >> 32)), int32(uint32(m))
+func unpackMeta(m uint64) (stage, kind uint8, user int32) {
+	return uint8(m >> 56), uint8(m >> 48), int32(uint32(m))
 }
 
 // writeSlot publishes d into slot at base under the seqlock version v
 // (which must be even and non-zero).
 func writeSlot(slot []atomic.Uint64, v uint64, d SpanData) {
 	slot[slotVersion].Store(v - 1) // odd: writing
+	fillSlot(slot, v, d)
+}
+
+// fillSlot writes d into a slot its caller holds at the odd version
+// v-1, then publishes it as v.
+func fillSlot(slot []atomic.Uint64, v uint64, d SpanData) {
 	slot[slotMeta].Store(packMeta(d))
 	slot[slotSeq].Store(d.Seq)
 	slot[slotStart].Store(uint64(d.StartNS))
@@ -123,7 +127,7 @@ func readSlot(slot []atomic.Uint64) (d SpanData, version uint64, ok bool) {
 	if slot[slotVersion].Load() != v1 {
 		return SpanData{}, 0, false
 	}
-	d.Stage, d.Kind, d.Shard, d.User = unpackMeta(m)
+	d.Stage, d.Kind, d.User = unpackMeta(m)
 	return d, v1, true
 }
 
@@ -133,13 +137,23 @@ func (f *FlightRecorder) Record(d SpanData) {
 		return
 	}
 	ticket := f.cursor.Add(1) - 1
-	slot := f.ring[int(ticket%uint64(f.cap))*slotWords:]
-	writeSlot(slot[:slotWords], 2*(ticket+1), d)
+	slot := f.ring[int(ticket%uint64(f.cap))*slotWords:][:slotWords]
+	v := 2 * (ticket + 1)
+	for {
+		cur := slot[slotVersion].Load()
+		if cur%2 == 1 || cur >= v {
+			return // another writer holds the slot or has refilled it
+		}
+		if slot[slotVersion].CompareAndSwap(cur, v-1) {
+			break
+		}
+	}
+	fillSlot(slot, v, d)
 }
 
 // Begin publishes d as writer's in-flight span. It stays visible to
 // Snapshot until End (or the next Begin) replaces it — this is what
-// lets a stall dump say which event a stuck worker is holding.
+// lets a dump say which event a stuck writer is holding.
 func (f *FlightRecorder) Begin(writer int, d SpanData) {
 	if f == nil {
 		return
@@ -181,7 +195,6 @@ type FlightSpan struct {
 	Seq     uint64 `json:"seq"`
 	Stage   string `json:"stage"`
 	Kind    string `json:"kind,omitempty"`
-	Shard   int    `json:"shard"`
 	User    int    `json:"user"`
 	StartNS int64  `json:"start_ns"`
 	DurNS   int64  `json:"dur_ns"`
@@ -201,7 +214,6 @@ type FlightDump struct {
 func (f *FlightRecorder) resolve(d SpanData) FlightSpan {
 	s := FlightSpan{
 		Seq:     d.Seq,
-		Shard:   int(d.Shard),
 		User:    int(d.User),
 		StartNS: d.StartNS,
 		DurNS:   d.DurNS,
@@ -219,7 +231,7 @@ func (f *FlightRecorder) resolve(d SpanData) FlightSpan {
 // Snapshot copies the recorder without blocking writers: completed
 // spans oldest-first (torn or recycled slots are dropped), then the
 // stable open span of each writer. Safe to call from any goroutine,
-// including a watchdog racing the workers it is inspecting.
+// including one racing the writers it is inspecting.
 func (f *FlightRecorder) Snapshot() FlightDump {
 	if f == nil {
 		return FlightDump{}

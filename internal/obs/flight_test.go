@@ -7,8 +7,8 @@ import (
 
 func TestFlightRecorderBasic(t *testing.T) {
 	f := NewFlightRecorder(4, 2, []string{"apply", "reduce"}, []string{"", "join", "leave"})
-	f.Record(SpanData{Stage: 0, Kind: 1, Shard: 3, User: 7, Seq: 1, StartNS: 100, DurNS: 50, WaitNS: 5})
-	f.Record(SpanData{Stage: 1, Seq: 2, StartNS: 200, DurNS: 10})
+	f.Record(SpanData{Stage: 0, Kind: 1, User: 7, Seq: 1, StartNS: 100, DurNS: 50, WaitNS: 5})
+	f.Record(SpanData{Stage: 1, User: -1, Seq: 2, StartNS: 200, DurNS: 10})
 	d := f.Snapshot()
 	if d.Total != 2 || d.Capacity != 4 {
 		t.Fatalf("Total=%d Capacity=%d, want 2, 4", d.Total, d.Capacity)
@@ -17,11 +17,11 @@ func TestFlightRecorderBasic(t *testing.T) {
 		t.Fatalf("got %d spans, want 2", len(d.Spans))
 	}
 	s := d.Spans[0]
-	if s.Stage != "apply" || s.Kind != "join" || s.Shard != 3 || s.User != 7 ||
+	if s.Stage != "apply" || s.Kind != "join" || s.User != 7 ||
 		s.Seq != 1 || s.StartNS != 100 || s.DurNS != 50 || s.WaitNS != 5 || s.Open {
 		t.Fatalf("span 0 mangled: %+v", s)
 	}
-	if d.Spans[1].Stage != "reduce" || d.Spans[1].Kind != "" {
+	if d.Spans[1].Stage != "reduce" || d.Spans[1].Kind != "" || d.Spans[1].User != -1 {
 		t.Fatalf("span 1 mangled: %+v", d.Spans[1])
 	}
 	if len(d.Open) != 0 {
@@ -50,7 +50,7 @@ func TestFlightRecorderEviction(t *testing.T) {
 
 func TestFlightRecorderOpenSpans(t *testing.T) {
 	f := NewFlightRecorder(8, 3, []string{"apply"}, []string{"", "move"})
-	f.Begin(1, SpanData{Kind: 1, Shard: 1, Seq: 42, StartNS: 10})
+	f.Begin(1, SpanData{Kind: 1, User: 1, Seq: 42, StartNS: 10})
 	d := f.Snapshot()
 	if len(d.Open) != 1 || !d.Open[0].Open || d.Open[0].Writer != 1 || d.Open[0].Seq != 42 {
 		t.Fatalf("open span not visible: %+v", d.Open)
@@ -58,7 +58,7 @@ func TestFlightRecorderOpenSpans(t *testing.T) {
 	if len(d.Spans) != 0 {
 		t.Fatalf("no completed spans expected, got %+v", d.Spans)
 	}
-	f.End(1, SpanData{Kind: 1, Shard: 1, Seq: 42, StartNS: 10, DurNS: 30})
+	f.End(1, SpanData{Kind: 1, User: 1, Seq: 42, StartNS: 10, DurNS: 30})
 	d = f.Snapshot()
 	if len(d.Open) != 0 {
 		t.Fatalf("End left an open span: %+v", d.Open)
@@ -101,8 +101,8 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				seq := uint64(w*perWriter + i + 1)
-				f.Begin(w, SpanData{Shard: int32(w), Seq: seq, StartNS: int64(seq)})
-				f.End(w, SpanData{Shard: int32(w), Seq: seq, StartNS: int64(seq), DurNS: int64(seq)})
+				f.Begin(w, SpanData{User: int32(w), Seq: seq, StartNS: int64(seq)})
+				f.End(w, SpanData{User: int32(w), Seq: seq, StartNS: int64(seq), DurNS: int64(seq)})
 			}
 		}(w)
 	}
@@ -130,14 +130,14 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 
 func TestSpanRecordsTrace(t *testing.T) {
 	ring := NewRing(8)
-	sp := StartSpan(ring, Event{Algo: "engine", Kind: "validate", Shard: 2, N: 10}, 1_000)
+	sp := StartSpan(ring, Event{Algo: "engine", Kind: "validate", AP: 2, N: 10}, 1_000)
 	sp.End(3_500)
 	evs := ring.Snapshot()
 	if len(evs) != 1 {
 		t.Fatalf("got %d events, want 1", len(evs))
 	}
 	ev := evs[0]
-	if ev.Type != EvSpan || ev.Kind != "validate" || ev.Shard != 2 || ev.N != 10 {
+	if ev.Type != EvSpan || ev.Kind != "validate" || ev.AP != 2 || ev.N != 10 {
 		t.Fatalf("span event mangled: %+v", ev)
 	}
 	if want := 2.5e-6; ev.Value != want {

@@ -27,9 +27,6 @@ type Event struct {
 	// applicable (see the Ev* docs).
 	User int `json:"user"`
 	AP   int `json:"ap"`
-	// Shard identifies the engine shard an event ran on (EvSpan);
-	// omitted when sharding is not in play.
-	Shard int `json:"shard,omitempty"`
 	// Round is the convergence round or iteration index.
 	Round int `json:"round"`
 	// Point and Seed locate a runner task on the sweep grid.
@@ -74,7 +71,7 @@ const (
 	EvRunnerTask = "runner_task"
 	// EvSpan: one completed pipeline stage span. Algo = subsystem
 	// ("engine"); Kind = stage name ("validate", "reduce", ...);
-	// Shard; N = events the stage covered; Value = elapsed seconds.
+	// N = events the stage covered; Value = elapsed seconds.
 	// Per-event apply spans do NOT ride the trace (EvChurn already
 	// carries kind/user/elapsed per event; the flight recorder keeps
 	// the span-level detail) — trace spans are batch-granular.

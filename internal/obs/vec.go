@@ -16,7 +16,7 @@ import (
 // With panics on a value outside the registered set: label
 // cardinality is a registration-time decision, not a runtime one.
 // At(i) is the hot-path accessor — callers that know the dense index
-// (a shard id, a stage enum) skip the map lookup entirely.
+// (a stage enum) skip the map lookup entirely.
 
 // vecIndex is the shared value->index plumbing of the Vec types.
 type vecIndex struct {
@@ -131,8 +131,8 @@ func (v *HistogramVec) With(value string) *Histogram { return v.dense[v.index(va
 func (v *HistogramVec) At(i int) *Histogram { return v.dense[i] }
 
 // FloatCounter is a monotonically increasing float64 counter (CAS
-// add), for totals that accumulate fractional units — busy-seconds of
-// a shard worker, channel seconds of airtime. Exposed as TYPE counter.
+// add), for totals that accumulate fractional units — busy-seconds,
+// channel seconds of airtime. Exposed as TYPE counter.
 type FloatCounter struct{ bits atomic.Uint64 }
 
 // Add adds d, which must be non-negative to keep the counter monotone.
@@ -162,10 +162,10 @@ func (r *Registry) FloatCounter(name, help string, labels ...Label) *FloatCounte
 // LocalHistogram is a single-goroutine staging buffer in front of a
 // shared Histogram: Observe is a binary search plus three plain (non
 // atomic) writes, and Flush folds the staged observations into the
-// shared histogram in one pass of atomic adds. Shard workers observe
-// per-event stage latencies locally and flush once per batch, so the
-// per-event span cost stays out of the atomic-contention regime.
-// Not safe for concurrent use — each worker owns its own.
+// shared histogram in one pass of atomic adds. The engine observes
+// per-event stage latencies locally and flushes once per batch, so the
+// per-event span cost stays off the shared atomics.
+// Not safe for concurrent use — each writer owns its own.
 type LocalHistogram struct {
 	h      *Histogram
 	counts []uint64

@@ -31,9 +31,6 @@ import (
 // find the candidate APs at the new position. It is only available for
 // geometric networks (NewGeometric or a geometric scenario Spec).
 func (n *Network) MoveUser(u int, pos geom.Point) error {
-	if n.sh != nil {
-		return fmt.Errorf("wlan: MoveUser on a sharded network (use a ShardView)")
-	}
 	if !n.geometric {
 		return fmt.Errorf("wlan: MoveUser on a non-geometric network")
 	}
@@ -53,7 +50,7 @@ func (n *Network) MoveUser(u int, pos geom.Point) error {
 		}
 	}
 	n.Users[u].Pos = pos
-	n.setUserLinks(u, aps, rates, -1)
+	n.setUserLinks(u, aps, rates)
 	// aps is a prefix of cand, so cand carries the grown capacity.
 	n.mvAPs, n.mvRates = cand[:0], rates[:0]
 	return nil
@@ -63,13 +60,10 @@ func (n *Network) MoveUser(u int, pos geom.Point) error {
 // every AP. The engine uses it to model users that left the network:
 // a detached user has no neighbors, so every algorithm ignores it.
 func (n *Network) DetachUser(u int) error {
-	if n.sh != nil {
-		return fmt.Errorf("wlan: DetachUser on a sharded network (use a ShardView)")
-	}
 	if u < 0 || u >= len(n.Users) {
 		return fmt.Errorf("wlan: DetachUser: unknown user %d", u)
 	}
-	n.setUserLinks(u, nil, nil, -1)
+	n.setUserLinks(u, nil, nil)
 	return nil
 }
 
@@ -91,23 +85,13 @@ func (n *Network) SetUserSession(u, s int) error {
 // Links of down APs take the physical update (their adjacency row)
 // only: the live indices and the rate multiset exclude them until
 // EnableAP restores the row wholesale.
-//
-// sh routes the rate-multiset updates: -1 means unsharded (the global
-// multiset), otherwise the calling shard's private delta account, so
-// concurrent shard workers never touch a shared map. In sharded mode
-// u's links — old and new — are all owned by shard sh, so every
-// adjacency row touched here is shard-local too.
-func (n *Network) setUserLinks(u int, aps []int, rates []radio.Mbps, sh int) {
+func (n *Network) setUserLinks(u int, aps []int, rates []radio.Mbps) {
 	oldAPs, oldRates := n.neighborAPs[u], n.nbrRates[u]
-	if (sh < 0 && n.numDown > 0) || (sh >= 0 && len(n.sh.accts[sh].downAPs) > 0) {
+	if n.numDown > 0 {
 		// The live list omits down APs, but the diff below must see the
 		// full physical set or it would re-add a link that already
 		// exists in a dark AP's row.
-		oldAPs, oldRates = n.physLinks(u, sh)
-	}
-	var delta map[radio.Mbps]int
-	if sh >= 0 {
-		delta = n.sh.accts[sh].rateDelta
+		oldAPs, oldRates = n.physLinks(u)
 	}
 	rateSetDirty := false
 	i, j := 0, 0
@@ -118,11 +102,7 @@ func (n *Network) setUserLinks(u int, aps []int, rates []radio.Mbps, sh int) {
 			a := oldAPs[i]
 			n.adjUsers[a], n.adjRates[a] = removePair(n.adjUsers[a], n.adjRates[a], u)
 			if !n.APDown(a) {
-				if delta != nil {
-					delta[oldRates[i]]--
-				} else {
-					rateSetDirty = n.decRate(oldRates[i]) || rateSetDirty
-				}
+				rateSetDirty = n.decRate(oldRates[i]) || rateSetDirty
 			}
 			i++
 		case i == len(oldAPs) || aps[j] < oldAPs[i]:
@@ -130,11 +110,7 @@ func (n *Network) setUserLinks(u int, aps []int, rates []radio.Mbps, sh int) {
 			a := aps[j]
 			n.adjUsers[a], n.adjRates[a] = insertPair(n.adjUsers[a], n.adjRates[a], u, rates[j])
 			if !n.APDown(a) {
-				if delta != nil {
-					delta[rates[j]]++
-				} else {
-					rateSetDirty = n.incRate(rates[j]) || rateSetDirty
-				}
+				rateSetDirty = n.incRate(rates[j]) || rateSetDirty
 			}
 			j++
 		default:
@@ -143,13 +119,8 @@ func (n *Network) setUserLinks(u int, aps []int, rates []radio.Mbps, sh int) {
 			if oldRates[i] != rates[j] {
 				setPairRate(n.adjUsers[a], n.adjRates[a], u, rates[j])
 				if !n.APDown(a) {
-					if delta != nil {
-						delta[oldRates[i]]--
-						delta[rates[j]]++
-					} else {
-						rateSetDirty = n.decRate(oldRates[i]) || rateSetDirty
-						rateSetDirty = n.incRate(rates[j]) || rateSetDirty
-					}
+					rateSetDirty = n.decRate(oldRates[i]) || rateSetDirty
+					rateSetDirty = n.incRate(rates[j]) || rateSetDirty
 				}
 			}
 			i++
@@ -174,31 +145,16 @@ func (n *Network) setUserLinks(u int, aps []int, rates []radio.Mbps, sh int) {
 // physLinks returns user u's full physical link set — the live list
 // merged with any links sitting in down APs' adjacency rows — as
 // freshly allocated sorted slices. O(down APs x log coverage).
-// sh >= 0 restricts the dark-AP scan to that shard's down list (a
-// sharded user's links never leave its shard); -1 scans all down APs.
-func (n *Network) physLinks(u int, sh int) ([]int, []radio.Mbps) {
+func (n *Network) physLinks(u int) ([]int, []radio.Mbps) {
 	var darkAPs []int
 	var darkRates []radio.Mbps
-	scanDark := func(a int) {
+	for a, d := range n.down {
+		if !d {
+			continue
+		}
 		if i := sort.SearchInts(n.adjUsers[a], u); i < len(n.adjUsers[a]) && n.adjUsers[a][i] == u {
 			darkAPs = append(darkAPs, a)
 			darkRates = append(darkRates, n.adjRates[a][i])
-		}
-	}
-	if sh >= 0 {
-		// A sharded user's links never leave its shard, so only the
-		// shard's own down list can hold dark links — and scanning it
-		// keeps concurrent workers off other shards' flags.
-		for _, a := range n.sh.accts[sh].downAPs {
-			scanDark(a)
-		}
-	} else {
-		// The down flags stay accurate in sharded mode too, so serial
-		// merged reads (sh == -1) can scan them directly.
-		for a, d := range n.down {
-			if d {
-				scanDark(a)
-			}
 		}
 	}
 	live, liveRates := n.neighborAPs[u], n.nbrRates[u]

@@ -1,11 +1,6 @@
 package wlan
 
-import (
-	"fmt"
-	"sort"
-
-	"wlanmcast/internal/radio"
-)
+import "fmt"
 
 // AP availability API.
 //
@@ -27,36 +22,12 @@ import (
 // disassociate first (while TxRate still resolves), then disable.
 // EnableAP has no such constraint. Both are O(covered users x log)
 // incremental updates, never a full rebuild.
-//
-// On a sharded network (shard.go) the bare DisableAP/EnableAP refuse
-// to run; shard workers use their ShardView, which routes the
-// down-count and rate-multiset updates into per-shard accounts.
 
 // DisableAP takes AP a down: its links disappear from the neighbor
 // and rate-set indices and its Coverage reads empty, while the
 // physical adjacency row stays put for EnableAP. Disabling a down AP
 // is an error.
 func (n *Network) DisableAP(a int) error {
-	if n.sh != nil {
-		return fmt.Errorf("wlan: DisableAP on a sharded network (use a ShardView)")
-	}
-	return n.disableAP(a, -1)
-}
-
-// EnableAP brings AP a back up, restoring its current physical links
-// (which MoveUser kept maintaining while the AP was down) into all
-// derived indices. Enabling an up AP is an error.
-func (n *Network) EnableAP(a int) error {
-	if n.sh != nil {
-		return fmt.Errorf("wlan: EnableAP on a sharded network (use a ShardView)")
-	}
-	return n.enableAP(a, -1)
-}
-
-// disableAP implements DisableAP for the unsharded (sh == -1) and
-// shard-scoped (sh >= 0) paths. In sharded mode AP a and every user
-// it covers belong to shard sh, so all index updates are shard-local.
-func (n *Network) disableAP(a, sh int) error {
 	if a < 0 || a >= len(n.APs) {
 		return fmt.Errorf("wlan: DisableAP: unknown AP %d", a)
 	}
@@ -67,37 +38,22 @@ func (n *Network) disableAP(a, sh int) error {
 		n.down = make([]bool, len(n.APs))
 	}
 	rateSetDirty := false
-	var delta map[radio.Mbps]int
-	if sh >= 0 {
-		delta = n.sh.accts[sh].rateDelta
-	}
 	for i, u := range n.adjUsers[a] {
-		if delta != nil {
-			delta[n.adjRates[a][i]]--
-		} else {
-			rateSetDirty = n.decRate(n.adjRates[a][i]) || rateSetDirty
-		}
+		rateSetDirty = n.decRate(n.adjRates[a][i]) || rateSetDirty
 		n.neighborAPs[u], n.nbrRates[u] = removePair(n.neighborAPs[u], n.nbrRates[u], a)
 	}
 	n.down[a] = true
-	if sh >= 0 {
-		acct := &n.sh.accts[sh]
-		i := sort.SearchInts(acct.downAPs, a)
-		acct.downAPs = append(acct.downAPs, 0)
-		copy(acct.downAPs[i+1:], acct.downAPs[i:])
-		acct.downAPs[i] = a
-	} else {
-		n.numDown++
-	}
+	n.numDown++
 	if rateSetDirty {
 		n.rebuildRateSet()
 	}
 	return nil
 }
 
-// enableAP implements EnableAP for the unsharded (sh == -1) and
-// shard-scoped (sh >= 0) paths.
-func (n *Network) enableAP(a, sh int) error {
+// EnableAP brings AP a back up, restoring its current physical links
+// (which MoveUser kept maintaining while the AP was down) into all
+// derived indices. Enabling an up AP is an error.
+func (n *Network) EnableAP(a int) error {
 	if a < 0 || a >= len(n.APs) {
 		return fmt.Errorf("wlan: EnableAP: unknown AP %d", a)
 	}
@@ -105,23 +61,11 @@ func (n *Network) enableAP(a, sh int) error {
 		return fmt.Errorf("wlan: EnableAP: AP %d is not down", a)
 	}
 	n.down[a] = false
-	var delta map[radio.Mbps]int
-	if sh >= 0 {
-		acct := &n.sh.accts[sh]
-		i := sort.SearchInts(acct.downAPs, a)
-		acct.downAPs = append(acct.downAPs[:i], acct.downAPs[i+1:]...)
-		delta = acct.rateDelta
-	} else {
-		n.numDown--
-	}
+	n.numDown--
 	rateSetDirty := false
 	for i, u := range n.adjUsers[a] {
 		r := n.adjRates[a][i]
-		if delta != nil {
-			delta[r]++
-		} else {
-			rateSetDirty = n.incRate(r) || rateSetDirty
-		}
+		rateSetDirty = n.incRate(r) || rateSetDirty
 		n.neighborAPs[u], n.nbrRates[u] = insertPair(n.neighborAPs[u], n.nbrRates[u], a, r)
 	}
 	if rateSetDirty {
@@ -130,38 +74,14 @@ func (n *Network) enableAP(a, sh int) error {
 	return nil
 }
 
-// APDown reports whether AP a is currently down. The check reads only
-// a's own flag, so concurrent shard workers can call it for their own
-// APs (the down array is preallocated when the network shards).
+// APDown reports whether AP a is currently down.
 func (n *Network) APDown(a int) bool { return n.down != nil && n.down[a] }
 
-// NumAPsDown returns how many APs are currently down. Serial-only on
-// a sharded network.
-func (n *Network) NumAPsDown() int {
-	if n.sh != nil {
-		total := 0
-		for s := range n.sh.accts {
-			total += len(n.sh.accts[s].downAPs)
-		}
-		return total
-	}
-	return n.numDown
-}
+// NumAPsDown returns how many APs are currently down.
+func (n *Network) NumAPsDown() int { return n.numDown }
 
 // DownAPs returns the IDs of the currently down APs, ascending.
-// Serial-only on a sharded network.
 func (n *Network) DownAPs() []int {
-	if n.sh != nil {
-		var out []int
-		for s := range n.sh.accts {
-			out = append(out, n.sh.accts[s].downAPs...)
-		}
-		sort.Ints(out)
-		if len(out) == 0 {
-			return nil
-		}
-		return out
-	}
 	if n.numDown == 0 {
 		return nil
 	}

@@ -280,10 +280,6 @@ func (t *Tracker) APLoad(ap int) float64 { return t.cube.load[ap].Load() }
 // TotalLoad returns the current total multicast load.
 func (t *Tracker) TotalLoad() float64 { return t.cube.total.Load() }
 
-// TotalQuanta returns the current total multicast load in quanta, for
-// callers that add up several trackers exactly.
-func (t *Tracker) TotalQuanta() Quanta { return t.cube.total }
-
 // Satisfied returns how many users are currently associated (served).
 func (t *Tracker) Satisfied() int { return t.satisfied }
 

@@ -136,23 +136,16 @@ type Network struct {
 	// the list is immutable after finish. Tracker indexes its dense
 	// per-(AP, session) occupancy counts by position in it.
 	rateLevels []radio.Mbps
-	// mvAPs/mvRates are MoveUser's reusable candidate scratch (serial
-	// mode only; sharded moves use the per-shard scratch in shardAcct),
-	// keeping the per-event hot path allocation-free.
+	// mvAPs/mvRates are MoveUser's reusable candidate scratch, keeping
+	// the per-event hot path allocation-free.
 	mvAPs   []int
 	mvRates []radio.Mbps
 	// down[a] marks AP a as failed (fault.go); nil until the first
-	// DisableAP (preallocated when the network shards). Down APs keep
+	// DisableAP. Down APs keep
 	// their physical adjacency rows but are excluded from every
 	// derived index and accessor.
 	down    []bool
 	numDown int
-
-	// sh is non-nil while the network is in sharded mode (shard.go):
-	// per-shard workers mutate through ShardViews, and the global
-	// accumulators (rate multiset, down count) split into per-shard
-	// accounts that serial readers merge.
-	sh *shardState
 }
 
 // parallelChunk is the per-task user count for parallel construction:
@@ -490,8 +483,7 @@ func (n *Network) TxRate(a, u int) (radio.Mbps, bool) {
 
 // RateSet returns the distinct usable rates in ascending order. In
 // basic-rate-only mode that is just the basic rate. The slice is a
-// copy. Serial-only on a sharded network (it merges the per-shard
-// rate accounts).
+// copy.
 func (n *Network) RateSet() []radio.Mbps {
 	if n.BasicRateOnly {
 		if n.basicRate == 0 {
@@ -499,32 +491,12 @@ func (n *Network) RateSet() []radio.Mbps {
 		}
 		return []radio.Mbps{n.basicRate}
 	}
-	if n.sh != nil {
-		merged := n.mergedRateCounts()
-		out := make([]radio.Mbps, 0, len(merged))
-		for r := range merged {
-			out = append(out, r)
-		}
-		sortRates(out)
-		return out
-	}
 	return append([]radio.Mbps(nil), n.rateSet...)
 }
 
 // BasicRate returns the lowest usable rate (0 if no link exists at
-// all). Serial-only on a sharded network.
-func (n *Network) BasicRate() radio.Mbps {
-	if n.sh != nil {
-		var min radio.Mbps
-		for r, c := range n.mergedRateCounts() {
-			if c > 0 && (min == 0 || r < min) {
-				min = r
-			}
-		}
-		return min
-	}
-	return n.basicRate
-}
+// all).
+func (n *Network) BasicRate() radio.Mbps { return n.basicRate }
 
 // NeighborAPs returns the APs within range of user u, ascending by ID.
 // The slice is shared; callers must not modify it.
@@ -552,17 +524,6 @@ func (n *Network) Coverable(u int) bool { return len(n.neighborAPs[u]) > 0 }
 // Geometric reports whether node positions are meaningful (the network
 // was built from geometry rather than an explicit rate matrix).
 func (n *Network) Geometric() bool { return n.geometric }
-
-// RadioRange returns the maximum radio range in meters of the rate
-// table the network was built from (0 for explicit-rate networks).
-// Any AP-user pair farther apart than this has no link; the sharded
-// engine derives its spatial partition from it.
-func (n *Network) RadioRange() float64 {
-	if n.table == nil {
-		return 0
-	}
-	return n.table.Range()
-}
 
 // Distance returns the AP-user distance in meters for geometric
 // networks (0 otherwise).

@@ -5,23 +5,30 @@
 #
 # Runs, in order:
 #   1. go vet over every package
-#   2. the full test suite
-#   3. the race detector over the concurrency-sensitive packages
+#   2. the test-name guard: every Test…/Fuzz… name given to a -run or
+#      -fuzz flag in this script or in .github/workflows/ci.yml must
+#      match a func in the tree (as -run does: the name or a prefix
+#      of it) — `go test -run 'A|B'` passes silently when a name no
+#      longer exists, so a renamed or deleted test would otherwise
+#      drop out of its gate unnoticed
+#   3. the full test suite
+#   4. the race detector over the concurrency-sensitive packages
 #      (internal/runner and internal/experiments, which fan seed
 #      evaluations over a goroutine pool, internal/obs, whose
 #      lock-free instruments are written and exposed concurrently,
 #      internal/fault, whose schedules feed the parallel sweeps,
-#      internal/engine, whose sharded ApplyBatch fans event batches
-#      over shard workers with channel handoffs (the 26-seed
-#      differential suite runs under -race here), internal/wal,
-#      whose fsync-interval flusher runs beside appenders, and
-#      cmd/assocd, whose HTTP daemon serves one sharded engine to
-#      many connections (the SIGKILL crash-recovery differential
-#      suite runs under -race here)
-#   4. the promtext lint gate: the byte-format golden test for the
+#      internal/engine, whose registry instruments and flight
+#      recorder are read from other goroutines while a batch runs
+#      (the 26-seed differential suite runs under -race here),
+#      internal/wal, whose fsync-interval flusher runs beside
+#      appenders, and cmd/assocd, whose HTTP daemon serves one engine
+#      to many connections behind one mutex and reads /metrics and
+#      the flight recorder outside it (the SIGKILL crash-recovery
+#      differential suite runs under -race here)
+#   5. the promtext lint gate: the byte-format golden test for the
 #      exposition writer plus the linter over the daemon's live
 #      /metrics output
-#   5. the coverage gate: internal/wlan and internal/geom must not
+#   6. the coverage gate: internal/wlan and internal/geom must not
 #      drop below their pre-sparse-core floors (the sparse spatial
 #      core rewrote both packages; the gate keeps later PRs from
 #      eroding the equivalence suite that pins it), internal/wal
@@ -30,30 +37,30 @@
 #      internal/core must hold the floor set when multi-homing
 #      landed (AugmentHomes' grandfather/fill passes are the
 #      degradation semantics; untested means unspecified)
-#   6. the allocation gate: the engine's steady-state incremental
+#   7. the allocation gate: the engine's steady-state incremental
 #      event path must stay <= 2 allocs/event, both in ApplyStream
 #      windows and in one-event Apply calls (both measure ~0; the
 #      streaming ingest subsystem depends on this not rotting), and
 #      one-event Apply calls with MaxHomes=2 over a trace with AP
 #      failures <= 4 allocs/event (the incremental secondary-home
 #      derivation runs after each)
-#   7. the metrics-doc drift gate: registers the daemon's full metric
+#   8. the metrics-doc drift gate: registers the daemon's full metric
 #      surface (base + engine + lazily-registered algo_* families) and
 #      fails if METRICS.md is missing a family, documents a removed
 #      one, or the exposition violates the prom lint (incl. label
 #      rules); regenerate with
 #      UPDATE_METRICS_MD=1 go test ./cmd/assocd -run TestMetricsDocCurrent
-#   8. a fuzz smoke pass: ~10s per fuzz target (events decoder,
+#   9. a fuzz smoke pass: ~10s per fuzz target (events decoder,
 #      multi-association decoder, NDJSON stream handler, journal
 #      record decoder, scenario loader, LP solver) so corpus
 #      regressions surface in CI, not just in long local fuzz runs
-#   9. the benchmark module (bench/, a nested module outside
+#  10. the benchmark module (bench/, a nested module outside
 #      `go test ./...`): vet plus its tests, where TestQuickRuns runs
 #      all five workloads at -quick with verified outputs and
 #      TestSpecShape is the metric-name drift gate against
 #      BENCHMARK.json — bench/ imports internal packages, so a
 #      refactor that breaks it fails here
-#  10. a leftover-process check: fails (after killing them) if any
+#  11. a leftover-process check: fails (after killing them) if any
 #      assocd, loadgen or *.test process this run started is still
 #      alive — every process started below inherits CHECK_RUN_ID, so
 #      even one orphaned by a killed parent is found by its environment
@@ -66,6 +73,17 @@ export CHECK_RUN_ID
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== test-name guard (-run/-fuzz names in check.sh and ci.yml exist)"
+missing=""
+for name in $(grep -ohE -- "-(run|fuzz)[ =]+('[^']*'|\"[^\"]*\"|[^ '\"]+)" scripts/check.sh .github/workflows/ci.yml |
+    grep -oE '(Test|Fuzz)[A-Za-z0-9_]+' | sort -u); do
+    grep -rqE --include='*.go' "^func $name[A-Za-z0-9_]*\(" . || missing="$missing $name"
+done
+if [ -n "$missing" ]; then
+    echo "check.sh: -run/-fuzz names with no matching func:$missing" >&2
+    exit 1
+fi
 
 echo "== go test ./..."
 go test ./...
