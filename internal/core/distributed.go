@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"wlanmcast/internal/obs"
 	"wlanmcast/internal/wlan"
@@ -275,37 +275,50 @@ func (d *Distributed) moveEps() float64 {
 	return loadEps
 }
 
+// blaStack is the neighbourhood size chooseBLA keeps its vectors on
+// the stack for; larger neighbourhoods fall back to the heap. Users at
+// the paper's density have about 20 neighbours, 41 at most.
+const blaStack = 64
+
 // chooseBLA implements the §5.2 rule: the user computes, for each
 // candidate AP, the vector of its neighboring APs' loads after the
 // hypothetical move, sorted in non-increasing order, and joins the AP
 // whose vector is lexicographically smallest (footnote 5).
+//
+// The current loads are sorted once per decision. A candidate's vector
+// differs from that base in at most two entries (the target's join
+// load and the current AP's leave load), so it is built by one O(k)
+// merge into a reused buffer: the same multiset in the same order, so
+// element for element the vector a fresh sort would give.
 func (d *Distributed) chooseBLA(n *wlan.Network, tr *wlan.Tracker, u int) (int, bool) {
 	cur := tr.APOf(u)
 	neighbors := n.NeighborAPs(u)
 	leaveLoad, _ := tr.LoadIfLeave(u)
 
-	// vectorIf builds the sorted neighborhood load vector if u were
-	// associated with target (target == cur means "stay").
-	vectorIf := func(target int) []float64 {
-		v := make([]float64, 0, len(neighbors))
-		for _, b := range neighbors {
-			load := tr.APLoad(b)
-			if b == cur && target != cur {
-				load = leaveLoad
-			}
-			if b == target && target != cur {
-				load, _ = tr.LoadIfJoin(u, b)
-			}
-			v = append(v, load)
-		}
-		sort.Sort(sort.Reverse(sort.Float64Slice(v)))
-		return v
+	var baseBuf, bestBuf, candBuf [blaStack]float64
+	base, bestVec, cand := baseBuf[:0], bestBuf[:0], candBuf[:0]
+	if k := len(neighbors); k > blaStack {
+		base, bestVec, cand = make([]float64, 0, k), make([]float64, 0, k), make([]float64, 0, k)
+	}
+	// A user whose AP is down may not list it among its neighbours;
+	// then staying and moving both leave cur out of the vector.
+	curNear := false
+	for _, b := range neighbors {
+		base = append(base, tr.APLoad(b))
+		curNear = curNear || b == cur
+	}
+	slices.Sort(base)
+	slices.Reverse(base)
+	var curLoad float64
+	if curNear {
+		curLoad = tr.APLoad(cur)
 	}
 
 	best := wlan.Unassociated
-	var bestVec []float64
 	for _, a := range neighbors {
-		if a != cur {
+		if a == cur {
+			cand = append(cand[:0], base...)
+		} else {
 			joinLoad, ok := tr.LoadIfJoin(u, a)
 			if !ok {
 				continue
@@ -313,20 +326,20 @@ func (d *Distributed) chooseBLA(n *wlan.Network, tr *wlan.Tracker, u int) (int, 
 			if d.EnforceBudget && joinLoad > n.APs[a].Budget+loadEps {
 				continue
 			}
+			cand = substituteLoads(cand[:0], base, tr.APLoad(a), joinLoad, curNear, curLoad, leaveLoad)
 		}
-		v := vectorIf(a)
-		switch {
-		case best == wlan.Unassociated:
-			best, bestVec = a, v
-		default:
-			switch wlan.CompareLoadVectors(v, bestVec) {
+		better := best == wlan.Unassociated
+		if !better {
+			switch wlan.CompareLoadVectors(cand, bestVec) {
 			case -1:
-				best, bestVec = a, v
+				better = true
 			case 0:
-				if betterTie(n, u, a, best) {
-					best, bestVec = a, v
-				}
+				better = betterTie(n, u, a, best)
 			}
+		}
+		if better {
+			best = a
+			bestVec, cand = cand, bestVec
 		}
 	}
 	if best == wlan.Unassociated {
@@ -339,8 +352,41 @@ func (d *Distributed) chooseBLA(n *wlan.Network, tr *wlan.Tracker, u int) (int, 
 		return best, false
 	}
 	// Moving must strictly reduce the sorted vector (Lemma 2), beyond
-	// the hysteresis threshold when one is configured.
-	return best, wlan.CompareLoadVectorsEps(bestVec, vectorIf(cur), d.moveEps()) < 0
+	// the hysteresis threshold when one is configured. Staying's vector
+	// is the base.
+	return best, wlan.CompareLoadVectorsEps(bestVec, base, d.moveEps()) < 0
+}
+
+// substituteLoads appends to dst the non-increasing vector base with
+// one occurrence of out1 replaced by in1 and, when two is set, one
+// occurrence of out2 replaced by in2, in non-increasing order.
+func substituteLoads(dst, base []float64, out1, in1 float64, two bool, out2, in2 float64) []float64 {
+	ins := [2]float64{in1, in2}
+	nIns := 1
+	if two {
+		nIns = 2
+		if in2 > in1 {
+			ins[0], ins[1] = in2, in1
+		}
+	}
+	skip1, skip2 := true, two
+	next := 0
+	for _, v := range base {
+		switch {
+		case skip1 && v == out1:
+			skip1 = false
+			continue
+		case skip2 && v == out2:
+			skip2 = false
+			continue
+		}
+		for next < nIns && ins[next] >= v {
+			dst = append(dst, ins[next])
+			next++
+		}
+		dst = append(dst, v)
+	}
+	return append(dst, ins[next:nIns]...)
 }
 
 // betterTie breaks ties toward the stronger signal, then the current

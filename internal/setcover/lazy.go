@@ -10,6 +10,7 @@ import "container/heap"
 // fresh value still beats the next cached one. Selection order is
 // identical to the naive scan up to ties, which the heap breaks
 // deterministically (effectiveness, then gain, then lower set index).
+// A fresh value is the cover's live gain counter, an O(1) read.
 
 // lazyEntry is one heap node.
 type lazyEntry struct {
@@ -47,30 +48,29 @@ func (h *lazyHeap) Pop() any {
 	return e
 }
 
-// lazySelector yields greedy picks over an instance.
+// lazySelector yields greedy picks against its cover's live gains. A
+// cover owns one selector and reseeds it for every pass, reusing the
+// heap's storage.
 type lazySelector struct {
-	in    *Instance
-	ms    []bitset
-	uncov bitset
-	h     lazyHeap
+	c *cover
+	h lazyHeap
 }
 
-// newLazySelector seeds the heap with every set's initial gain.
-func newLazySelector(in *Instance, ms []bitset, uncov bitset, usable func(set int) bool) *lazySelector {
-	s := &lazySelector{in: in, ms: ms, uncov: uncov}
-	s.h = make(lazyHeap, 0, len(in.Sets))
+// seed refills the heap with every usable set's current gain.
+func (s *lazySelector) seed(usable func(set int) bool) {
+	in := s.c.in
+	s.h = s.h[:0]
 	for i := range in.Sets {
 		if usable != nil && !usable(i) {
 			continue
 		}
-		gain := ms[i].andCount(uncov)
+		gain := s.c.gain[i]
 		if gain == 0 {
 			continue
 		}
 		s.h = append(s.h, lazyEntry{set: i, gain: gain, eff: effectiveness(gain, in.Sets[i].Cost)})
 	}
 	heap.Init(&s.h)
-	return s
 }
 
 // next returns the next greedy pick among sets for which eligible
@@ -84,7 +84,7 @@ func (s *lazySelector) next(eligible func(set int) bool) (int, int) {
 			heap.Pop(&s.h)
 			continue
 		}
-		gain := s.ms[top.set].andCount(s.uncov)
+		gain := s.c.gain[top.set]
 		if gain == 0 {
 			heap.Pop(&s.h)
 			continue
@@ -96,13 +96,8 @@ func (s *lazySelector) next(eligible func(set int) bool) (int, int) {
 		}
 		// Stale: refresh in place and let the heap re-order.
 		s.h[0].gain = gain
-		s.h[0].eff = effectiveness(gain, s.in.Sets[top.set].Cost)
+		s.h[0].eff = effectiveness(gain, s.c.in.Sets[top.set].Cost)
 		heap.Fix(&s.h, 0)
 	}
 	return -1, 0
-}
-
-// take marks the pick's elements covered.
-func (s *lazySelector) take(set int) {
-	s.uncov.subtract(s.ms[set])
 }

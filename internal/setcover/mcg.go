@@ -40,16 +40,41 @@ func GreedyMCG(in *Instance) (*MCGResult, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkGroups(in); err != nil {
+		return nil, err
+	}
+	c := newCover(in)
+	res := c.mcg(in.Budgets)
+	res.GroupCost = make([]float64, in.NumGroups)
+	for _, i := range res.Picked {
+		res.GroupCost[in.Sets[i].Group] += in.Sets[i].Cost
+		c.take(i)
+	}
+	res.Covered = c.covered
+	return res, nil
+}
+
+// checkGroups rejects instances MCG cannot run on: no groups, or a
+// set outside every group.
+func checkGroups(in *Instance) error {
 	if in.NumGroups <= 0 {
-		return nil, fmt.Errorf("setcover: MCG needs groups, got %d", in.NumGroups)
+		return fmt.Errorf("setcover: MCG needs groups, got %d", in.NumGroups)
 	}
 	for i, s := range in.Sets {
 		if s.Group == NoGroup {
-			return nil, fmt.Errorf("setcover: MCG set %d has no group", i)
+			return fmt.Errorf("setcover: MCG set %d has no group", i)
 		}
 	}
-	ms := in.masks()
-	uncov := in.coverable(ms)
+	return nil
+}
+
+// mcg runs one Fig 3 greedy pass under budgets against c's current
+// coverage and fills H, H1, H2, Picked and NumCovered, counting only
+// elements not covered when the pass began. The pass covers
+// tentatively while it picks H and rolls back before it returns, so c
+// is left as it was found.
+func (c *cover) mcg(budgets []float64) *MCGResult {
+	in := c.in
 	spent := make([]float64, in.NumGroups)
 	var h []int
 
@@ -61,22 +86,24 @@ func GreedyMCG(in *Instance) (*MCGResult, error) {
 	// regained, which is what the lazy selector requires. Sets whose
 	// own cost exceeds their group budget are unusable (the paper
 	// assumes none exist).
-	sel := newLazySelector(in, ms, uncov, func(i int) bool {
-		return in.Sets[i].Cost <= in.Budgets[in.Sets[i].Group]+costEps
+	c.sel.seed(func(i int) bool {
+		return in.Sets[i].Cost <= budgets[in.Sets[i].Group]+costEps
 	})
-	for !uncov.empty() {
-		best, gain := sel.next(func(i int) bool {
+	m := c.mark()
+	for c.left > 0 {
+		best, _ := c.sel.next(func(i int) bool {
 			g := in.Sets[i].Group
-			return spent[g] < in.Budgets[g]-costEps
+			return spent[g] < budgets[g]-costEps
 		})
-		if best == -1 || gain == 0 {
+		if best == -1 {
 			// Line 11: no group can contribute anything new.
 			break
 		}
 		h = append(h, best)
 		spent[in.Sets[best].Group] += in.Sets[best].Cost
-		sel.take(best)
+		c.take(best)
 	}
+	c.undo(m)
 
 	// H1/H2 split (paper §4.1): walk H in selection order, tracking
 	// each group's running cost; the set that first pushes a group
@@ -86,14 +113,14 @@ func GreedyMCG(in *Instance) (*MCGResult, error) {
 	for _, i := range h {
 		g := in.Sets[i].Group
 		run[g] += in.Sets[i].Cost
-		if run[g] > in.Budgets[g]+costEps {
+		if run[g] > budgets[g]+costEps {
 			res.H2 = append(res.H2, i)
 		} else {
 			res.H1 = append(res.H1, i)
 		}
 	}
-	c1 := coverageCount(in, ms, res.H1)
-	c2 := coverageCount(in, ms, res.H2)
+	c1 := c.coverage(res.H1)
+	c2 := c.coverage(res.H2)
 	if c1 >= c2 {
 		res.Picked = res.H1
 		res.NumCovered = c1
@@ -101,23 +128,7 @@ func GreedyMCG(in *Instance) (*MCGResult, error) {
 		res.Picked = res.H2
 		res.NumCovered = c2
 	}
-	res.Covered = make([]bool, in.NumElements)
-	res.GroupCost = make([]float64, in.NumGroups)
-	for _, i := range res.Picked {
-		res.GroupCost[in.Sets[i].Group] += in.Sets[i].Cost
-		for _, e := range in.Sets[i].Elems {
-			res.Covered[e] = true
-		}
-	}
-	return res, nil
-}
-
-func coverageCount(in *Instance, ms []bitset, picked []int) int {
-	u := newBitset(in.NumElements)
-	for _, i := range picked {
-		u.or(ms[i])
-	}
-	return u.count()
+	return res
 }
 
 // SCGResult is the outcome of the iterated-MCG algorithm for Set Cover
@@ -164,64 +175,52 @@ func GreedySCG(in *Instance, bStar float64, maxIters int) (*SCGResult, error) {
 		maxIters = DefaultSCGIters(in.NumElements)
 	}
 
-	res := &SCGResult{
-		Covered:   make([]bool, in.NumElements),
-		GroupCost: make([]float64, in.NumGroups),
+	if err := checkGroups(in); err != nil {
+		return nil, err
 	}
-	remaining := make([]Set, len(in.Sets))
-	copy(remaining, in.Sets)
-	covered := newBitset(in.NumElements)
 
+	// One coverage state serves every pass: a pass leaves it as it
+	// found it, and only the pass's Picked is committed. A set still
+	// covers something exactly when its gain is positive.
+	c := newCover(in)
+	res := &SCGResult{GroupCost: make([]float64, in.NumGroups)}
+	budgets := make([]float64, in.NumGroups)
 	for it := 0; it < maxIters; it++ {
-		budgets := make([]float64, in.NumGroups)
 		for g := range budgets {
 			budgets[g] = bStar*float64(it+1) - res.GroupCost[g]
 			if budgets[g] < 0 {
 				budgets[g] = 0
 			}
 		}
-		sub := &Instance{
-			NumElements: in.NumElements,
-			Sets:        pruneCovered(remaining, covered),
-			NumGroups:   in.NumGroups,
-			Budgets:     budgets,
-		}
-		mcg, err := GreedyMCG(sub)
-		if err != nil {
-			return nil, err
-		}
+		mcg := c.mcg(budgets)
 		res.Iterations = it + 1
 		if mcg.NumCovered == 0 {
 			// Nothing covered this round. Under cumulative budgets a
 			// later round hands out more, so only give up when no
 			// useful set is merely cost-blocked — otherwise the
 			// remaining elements are plain uncoverable.
-			if !anyCostBlocked(sub) {
+			if !c.anyCostBlocked(budgets) {
 				break
 			}
 			continue
 		}
 		for _, i := range mcg.Picked {
 			res.Picked = append(res.Picked, i)
-			res.GroupCost[sub.Sets[i].Group] += sub.Sets[i].Cost
-			for _, e := range sub.Sets[i].Elems {
-				if !res.Covered[e] {
-					res.Covered[e] = true
-					res.NumCovered++
-				}
-				covered.set(e)
-			}
+			res.GroupCost[in.Sets[i].Group] += in.Sets[i].Cost
+			c.take(i)
 		}
-		if allCoverableCovered(in, covered) {
+		if c.left == 0 {
 			break
 		}
 	}
-	for _, c := range res.GroupCost {
-		if c > res.MaxGroupCost {
-			res.MaxGroupCost = c
+	for _, cost := range res.GroupCost {
+		if cost > res.MaxGroupCost {
+			res.MaxGroupCost = cost
 		}
 	}
-	res.Complete = allCoverableCovered(in, covered)
+	res.Covered = c.covered
+	res.NumCovered = len(c.log) // every covered element is logged once
+	res.Complete = c.left == 0
 	return res, nil
 }
 
@@ -234,40 +233,13 @@ func DefaultSCGIters(n int) int {
 }
 
 // anyCostBlocked reports whether some set still covering elements is
-// unaffordable under its group's current budget — the only situation
-// a later cumulative-budget iteration can unblock.
-func anyCostBlocked(in *Instance) bool {
-	for _, s := range in.Sets {
-		if len(s.Elems) > 0 && s.Cost > in.Budgets[s.Group]+costEps {
+// unaffordable under its group's budget — the only situation a later
+// cumulative-budget iteration can unblock.
+func (c *cover) anyCostBlocked(budgets []float64) bool {
+	for i, s := range c.in.Sets {
+		if c.gain[i] > 0 && s.Cost > budgets[s.Group]+costEps {
 			return true
 		}
 	}
 	return false
-}
-
-// pruneCovered removes already-covered elements from every set. Set
-// indices are preserved so callers can map picks back.
-func pruneCovered(sets []Set, covered bitset) []Set {
-	out := make([]Set, len(sets))
-	for i, s := range sets {
-		ns := Set{Group: s.Group, Cost: s.Cost}
-		for _, e := range s.Elems {
-			if !covered.get(e) {
-				ns.Elems = append(ns.Elems, e)
-			}
-		}
-		out[i] = ns
-	}
-	return out
-}
-
-func allCoverableCovered(in *Instance, covered bitset) bool {
-	for _, s := range in.Sets {
-		for _, e := range s.Elems {
-			if !covered.get(e) {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -6,9 +6,9 @@
 // with Group Budgets (SCG; used by Centralized BLA, paper Fig 6) via
 // iterated MCG.
 //
-// Exact exponential-time solvers for all three problems are provided
-// for small instances; they anchor the approximation-factor property
-// tests and the paper's Figure 12 "optimal" curves.
+// Every greedy call works on one sparse coverage state (see cover):
+// an element → sets index with live per-set gains, so a pick costs
+// time proportional to the elements it covers, not to the ground set.
 package setcover
 
 import (
@@ -67,28 +67,6 @@ func (in *Instance) Validate() error {
 	return nil
 }
 
-// masks precomputes each set's element bitset.
-func (in *Instance) masks() []bitset {
-	ms := make([]bitset, len(in.Sets))
-	for i, s := range in.Sets {
-		m := newBitset(in.NumElements)
-		for _, e := range s.Elems {
-			m.set(e)
-		}
-		ms[i] = m
-	}
-	return ms
-}
-
-// coverable returns the bitset of elements covered by at least one set.
-func (in *Instance) coverable(ms []bitset) bitset {
-	c := newBitset(in.NumElements)
-	for _, m := range ms {
-		c.or(m)
-	}
-	return c
-}
-
 // costEps absorbs floating-point noise in budget comparisons.
 const costEps = 1e-9
 
@@ -113,21 +91,20 @@ func GreedyCover(in *Instance) (*CoverResult, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	ms := in.masks()
-	uncov := in.coverable(ms)
-	res := &CoverResult{Covered: make([]bool, in.NumElements)}
-	sel := newLazySelector(in, ms, uncov, nil)
-	for !uncov.empty() {
-		best, gain := sel.next(nil)
+	c := newCover(in)
+	res := &CoverResult{}
+	c.sel.seed(nil)
+	for c.left > 0 {
+		best, gain := c.sel.next(nil)
 		if best == -1 {
 			break
 		}
 		res.Picked = append(res.Picked, best)
 		res.TotalCost += in.Sets[best].Cost
 		res.NumCovered += gain
-		sel.take(best)
+		c.take(best)
 	}
-	markCovered(in, res)
+	res.Covered = c.covered
 	return res, nil
 }
 
@@ -138,12 +115,4 @@ func effectiveness(gain int, cost float64) float64 {
 		return math.Inf(1)
 	}
 	return float64(gain) / cost
-}
-
-func markCovered(in *Instance, res *CoverResult) {
-	for _, i := range res.Picked {
-		for _, e := range in.Sets[i].Elems {
-			res.Covered[e] = true
-		}
-	}
 }

@@ -43,7 +43,9 @@
 #      streaming ingest subsystem depends on this not rotting), and
 #      one-event Apply calls with MaxHomes=2 over a trace with AP
 #      failures <= 4 allocs/event (the incremental secondary-home
-#      derivation runs after each)
+#      derivation runs after each), and the distributed BLA decision
+#      (Distributed{Objective: ObjBLA}.Choose) at 0 allocs per call at
+#      the paper's density (it sorts one stack-held vector per decision)
 #   8. the metrics-doc drift gate: registers the daemon's full metric
 #      surface (base + engine + lazily-registered algo_* families) and
 #      fails if METRICS.md is missing a family, documents a removed
@@ -52,8 +54,9 @@
 #      UPDATE_METRICS_MD=1 go test ./cmd/assocd -run TestMetricsDocCurrent
 #   9. a fuzz smoke pass: ~10s per fuzz target (events decoder,
 #      multi-association decoder, NDJSON stream handler, journal
-#      record decoder, scenario loader, LP solver) so corpus
-#      regressions surface in CI, not just in long local fuzz runs
+#      record decoder, scenario loader, LP solver, sparse greedy set
+#      cover against the dense reference) so corpus regressions
+#      surface in CI, not just in long local fuzz runs
 #  10. the benchmark module (bench/, a nested module outside
 #      `go test ./...`): vet plus its tests, where TestQuickRuns runs
 #      all five workloads at -quick with verified outputs and
@@ -125,8 +128,9 @@ END {
     }
 }'
 
-echo "== allocation gate (engine event path <= 2 allocs/event, multi-homed Apply <= 4)"
+echo "== allocation gate (engine event path <= 2 allocs/event, multi-homed Apply <= 4, BLA decision 0)"
 go test -run 'TestEngineEventAllocGate|TestEngineMultihomeAllocGate' -count 1 ./internal/engine
+go test -run 'TestChooseBLAAllocGate' -count 1 ./internal/core
 
 echo "== metrics-doc drift gate (METRICS.md vs registered families)"
 go test -run 'TestMetricsDocCurrent|TestMetricsDocLint' -count 1 ./cmd/assocd
@@ -138,6 +142,7 @@ go test -run '^$' -fuzz 'FuzzStreamEvents' -fuzztime 10s ./cmd/assocd
 go test -run '^$' -fuzz 'FuzzWALDecode' -fuzztime 10s ./internal/wal
 go test -run '^$' -fuzz 'FuzzLoad' -fuzztime 10s ./internal/scenario
 go test -run '^$' -fuzz 'FuzzSolve' -fuzztime 10s ./internal/lp
+go test -run '^$' -fuzz 'FuzzGreedySparse' -fuzztime 10s ./internal/setcover
 
 echo "== benchmark module (cd bench && go vet + go test)"
 (cd bench && go vet ./... && go test -count 1 ./...)
