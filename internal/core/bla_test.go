@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -256,6 +257,49 @@ func BenchmarkCentralizedBLACampus(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := (&CentralizedBLA{}).Run(n); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// paperNetwork is a uniform random scenario with aps access points at
+// the paper's density (200 APs on 1200 m × 1000 m, area scaled with
+// the same aspect ratio) and users users.
+func paperNetwork(tb testing.TB, seed int64, aps, users int) *wlan.Network {
+	tb.Helper()
+	def := scenario.PaperDefaults()
+	k := math.Sqrt(float64(aps) / float64(def.NumAPs))
+	n, err := scenario.GenerateNetwork(scenario.Params{
+		Area:   geom.Rect{Width: def.Area.Width * k, Height: def.Area.Height * k},
+		NumAPs: aps, NumUsers: users, Seed: seed,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return n
+}
+
+// BenchmarkSolve4kRound times one round of the solve-4k batch job: all
+// seven algorithms on 2 000 APs × 4 000 users at the paper's density.
+// Profile it with
+//
+//	go test ./internal/core -run '^$' -bench Solve4kRound -cpuprofile cpu.out
+func BenchmarkSolve4kRound(b *testing.B) {
+	n := paperNetwork(b, 1, 2000, 4000)
+	algs := []Algorithm{
+		&SSA{},
+		&CentralizedMNU{},
+		&CentralizedBLA{},
+		&CentralizedMLA{},
+		&Distributed{Objective: ObjMNU, EnforceBudget: true},
+		&Distributed{Objective: ObjBLA},
+		&Distributed{Objective: ObjMLA},
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, a := range algs {
+			if _, err := a.Run(n); err != nil {
+				b.Fatalf("%s: %v", a.Name(), err)
+			}
 		}
 	}
 }

@@ -169,6 +169,12 @@ func (b *CentralizedBLA) Run(n *wlan.Network) (*wlan.Assoc, error) {
 	lo := math.Max(cMin, 1e-6)
 	hi := math.Max(1, cMax)
 
+	// One solver serves every guess: the coverage index is built once
+	// and each SCG call rewinds it.
+	solver, err := setcover.NewSolver(in)
+	if err != nil {
+		return nil, err
+	}
 	var (
 		best *setcover.SCGResult
 		// bracket for the bisection refinement: the largest failing
@@ -177,7 +183,7 @@ func (b *CentralizedBLA) Run(n *wlan.Network) (*wlan.Assoc, error) {
 		okAbove   = math.Inf(1)
 	)
 	try := func(bStar float64) error {
-		res, err := setcover.GreedySCG(in, bStar, 0)
+		res, err := solver.SCG(bStar, 0)
 		if err != nil {
 			return err
 		}

@@ -101,6 +101,10 @@ type DistributedResult struct {
 	Moves int
 	// Converged reports whether the last round made no changes.
 	Converged bool
+	// Decisions is the number of decisions evaluated. A user none of
+	// whose APs changed since it last stayed is skipped, so this is at
+	// most Rounds × users and usually well below.
+	Decisions int
 }
 
 // RunDetailed runs the sequential distributed process and reports
@@ -120,17 +124,42 @@ func (d *Distributed) RunDetailed(n *wlan.Network) (*DistributedResult, error) {
 	}
 	ri := newRoundInstruments(d.Obs, d.Trace, d.Name(), d.Objective.String())
 	res := &DistributedResult{}
+	// A decision reads only the tracker state of u's neighbour APs and
+	// of its current AP (which a down AP can leave outside that list),
+	// plus static network data. A user that stayed and none of whose
+	// APs changed since would stay again, so it is skipped. clock
+	// counts moves, apAt[a] is the clock at a's last change, and
+	// seenAt[u] is the clock at u's last stay, -1 while u must decide.
+	clock := 0
+	apAt := make([]int, n.NumAPs())
+	seenAt := make([]int, n.NumUsers())
+	for u := range seenAt {
+		seenAt[u] = -1
+	}
 	for res.Rounds < maxRounds {
 		res.Rounds++
 		changed := 0
 		for _, u := range order {
+			from := tr.APOf(u)
+			if seenAt[u] >= 0 && !apsChangedSince(n, u, from, apAt, seenAt[u]) {
+				continue
+			}
+			res.Decisions++
 			moved, err := d.decide(n, tr, u)
 			if err != nil {
 				return nil, err
 			}
-			if moved {
-				changed++
+			if !moved {
+				seenAt[u] = clock
+				continue
 			}
+			changed++
+			clock++
+			if from != wlan.Unassociated {
+				apAt[from] = clock
+			}
+			apAt[tr.APOf(u)] = clock
+			seenAt[u] = -1
 		}
 		res.Moves += changed
 		ri.round(res.Rounds, changed)
@@ -149,6 +178,20 @@ func (d *Distributed) RunDetailed(n *wlan.Network) (*DistributedResult, error) {
 	}
 	res.Assoc = tr.Assoc()
 	return res, nil
+}
+
+// apsChangedSince reports whether user u's current AP cur or one of its
+// neighbour APs changed after clock seen.
+func apsChangedSince(n *wlan.Network, u, cur int, apAt []int, seen int) bool {
+	if cur != wlan.Unassociated && apAt[cur] > seen {
+		return true
+	}
+	for _, a := range n.NeighborAPs(u) {
+		if apAt[a] > seen {
+			return true
+		}
+	}
+	return false
 }
 
 func (d *Distributed) validate(n *wlan.Network) error {

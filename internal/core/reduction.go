@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"wlanmcast/internal/radio"
 	"wlanmcast/internal/setcover"
@@ -28,6 +29,9 @@ type SetInfo struct {
 // Dominated sets are pruned: if lowering the transmission rate does
 // not reach any additional user of the session, the slower (costlier)
 // set is dropped. This keeps the reduction exact while shrinking it.
+//
+// The sets of one (AP, session) pair are nested, so their Elems are
+// prefixes of one shared array: callers must treat Elems as read-only.
 func BuildInstance(n *wlan.Network, grouped bool) (*setcover.Instance, []SetInfo) {
 	in := &setcover.Instance{NumElements: n.NumUsers()}
 	if grouped {
@@ -38,38 +42,49 @@ func BuildInstance(n *wlan.Network, grouped bool) (*setcover.Instance, []SetInfo
 		}
 	}
 	var infos []SetInfo
+	type member struct {
+		user int
+		rate radio.Mbps
+	}
+	// Users reachable from the current AP, bucketed by session, with
+	// the rate the AP would use toward each. The buckets are reused
+	// from AP to AP; touched lists the non-empty ones.
+	bySession := make([][]member, n.NumSessions())
+	var touched []int
 	for a := 0; a < n.NumAPs(); a++ {
-		// Users reachable from a, bucketed by session, with the rate
-		// the AP would use toward each.
-		type member struct {
-			user int
-			rate radio.Mbps
+		for _, s := range touched {
+			bySession[s] = bySession[s][:0]
 		}
-		bySession := make(map[int][]member)
+		touched = touched[:0]
 		for _, u := range n.Coverage(a) {
 			r, ok := n.TxRate(a, u)
 			if !ok {
 				continue
 			}
 			s := n.UserSession(u)
+			if len(bySession[s]) == 0 {
+				touched = append(touched, s)
+			}
 			bySession[s] = append(bySession[s], member{user: u, rate: r})
 		}
-		sessions := make([]int, 0, len(bySession))
-		for s := range bySession {
-			sessions = append(sessions, s)
-		}
-		sort.Ints(sessions) // deterministic set order
-		for _, s := range sessions {
+		slices.Sort(touched) // deterministic set order
+		for _, s := range touched {
 			members := bySession[s]
 			// Sort members by descending rate; walking down the rate
 			// ladder, each new distinct rate yields one set covering
-			// every member at or above it.
-			sort.Slice(members, func(i, j int) bool {
-				if members[i].rate != members[j].rate {
-					return members[i].rate > members[j].rate
+			// every member at or above it. Those sets are nested
+			// prefixes of one users array; each prefix's capacity
+			// ends at its length, so nothing can append into the next.
+			slices.SortFunc(members, func(x, y member) int {
+				if x.rate != y.rate {
+					return cmp.Compare(y.rate, x.rate)
 				}
-				return members[i].user < members[j].user
+				return cmp.Compare(x.user, y.user)
 			})
+			users := make([]int, len(members))
+			for k, m := range members {
+				users[k] = m.user
+			}
 			for i := 0; i < len(members); {
 				r := members[i].rate
 				// Advance past everyone sharing this rate.
@@ -77,14 +92,10 @@ func BuildInstance(n *wlan.Network, grouped bool) (*setcover.Instance, []SetInfo
 				for j < len(members) && members[j].rate == r {
 					j++
 				}
-				elems := make([]int, 0, j)
-				for k := 0; k < j; k++ {
-					elems = append(elems, members[k].user)
-				}
 				set := setcover.Set{
 					Group: setcover.NoGroup,
 					Cost:  n.SessionLoad(s, r),
-					Elems: elems,
+					Elems: users[:j:j],
 				}
 				if grouped {
 					set.Group = a

@@ -1,8 +1,10 @@
 package setcover
 
-// cover is the sparse coverage state one greedy call works on. It is
-// built once per GreedyCover / GreedyMCG / GreedySCG call and shared by
-// every pass of that call:
+import "slices"
+
+// cover is the sparse coverage state the greedy algorithms work on. It
+// is built once per GreedyCover / GreedyMCG call, and once per Solver,
+// whose SCG calls rewind it; every pass of a call shares it:
 //
 //   - an element → sets index in CSR form (rowStart/rowSets), each set
 //     listed once per distinct element it covers;
@@ -12,7 +14,10 @@ package setcover
 //   - covered[e] and left, the number of coverable elements (those some
 //     set covers) still uncovered;
 //   - an undo log of covered elements, so a pass can cover
-//     tentatively and roll back to a mark.
+//     tentatively and roll back to a mark, and an SCG call can rewind
+//     to the empty cover with undo(0);
+//   - a group → sets index in CSR form (groupStart/groupSets, sets
+//     ascending) and the heap of group tops an MCG pass selects from.
 //
 // Covering costs O(Σ row length) over the newly covered elements, so a
 // whole pass is O(Σ|S|) where dense bitsets cost O(sets × n/64).
@@ -24,7 +29,10 @@ type cover struct {
 	covered  []bool
 	left     int
 	log      []int32
-	sel      lazySelector
+
+	groupStart []int32
+	groupSets  []int32
+	tops       lazyHeap
 }
 
 // newCover indexes in with nothing covered. Repeated elements within a
@@ -37,7 +45,6 @@ func newCover(in *Instance) *cover {
 		gain:     make([]int, len(in.Sets)),
 		covered:  make([]bool, n),
 	}
-	c.sel.c = c
 	// next[e] is first a stamp (1 + the last set seen listing e), then
 	// the fill cursor of e's row.
 	next := make([]int32, n)
@@ -67,6 +74,25 @@ func newCover(in *Instance) *cover {
 			}
 			c.rowSets[next[e]] = int32(i)
 			next[e]++
+		}
+	}
+	if in.NumGroups > 0 {
+		c.groupStart = make([]int32, in.NumGroups+1)
+		for _, s := range in.Sets {
+			if s.Group != NoGroup {
+				c.groupStart[s.Group+1]++
+			}
+		}
+		for g := 0; g < in.NumGroups; g++ {
+			c.groupStart[g+1] += c.groupStart[g]
+		}
+		c.groupSets = make([]int32, c.groupStart[in.NumGroups])
+		fill := slices.Clone(c.groupStart[:in.NumGroups])
+		for i, s := range in.Sets {
+			if s.Group != NoGroup {
+				c.groupSets[fill[s.Group]] = int32(i)
+				fill[s.Group]++
+			}
 		}
 	}
 	return c

@@ -1,8 +1,10 @@
 package setcover
 
 import (
+	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // MCGResult is the outcome of the greedy MCG algorithm plus the H1/H2
@@ -80,21 +82,24 @@ func (c *cover) mcg(budgets []float64) *MCGResult {
 
 	// The nested "each eligible group nominates its best set, then the
 	// best nomination wins" loop of Fig 3 selects exactly the globally
-	// most cost-effective set among eligible groups, so a single lazy
-	// selector implements it. Eligibility (line 5: a group accepts
-	// sets only while c(H ∩ G_i) < B_i) can only be lost, never
-	// regained, which is what the lazy selector requires. Sets whose
-	// own cost exceeds their group budget are unusable (the paper
-	// assumes none exist).
-	c.sel.seed(func(i int) bool {
-		return in.Sets[i].Cost <= budgets[in.Sets[i].Group]+costEps
-	})
+	// most cost-effective set among eligible groups. The heap holds
+	// each group's nomination (groupTop) under its cached key; gains
+	// only fall within a pass, so a cached key bounds the group's live
+	// one and the first exact top is the global argmax. Eligibility
+	// (line 5: a group accepts sets only while c(H ∩ G_i) < B_i) can
+	// only be lost, so an ineligible group leaves in one pop. Sets
+	// whose own cost exceeds their group budget are unusable (the
+	// paper assumes none exist).
+	c.tops = c.tops[:0]
+	for g := 0; g < in.NumGroups; g++ {
+		if top, ok := c.groupTop(g, budgets[g]); ok {
+			c.tops = append(c.tops, top)
+		}
+	}
+	heap.Init(&c.tops)
 	m := c.mark()
 	for c.left > 0 {
-		best, _ := c.sel.next(func(i int) bool {
-			g := in.Sets[i].Group
-			return spent[g] < budgets[g]-costEps
-		})
+		best := c.nextTop(budgets, spent)
 		if best == -1 {
 			// Line 11: no group can contribute anything new.
 			break
@@ -131,6 +136,54 @@ func (c *cover) mcg(budgets []float64) *MCGResult {
 	return res
 }
 
+// groupTop returns group g's nomination under budget: the first set
+// in greedy order among its sets that cost at most budget and still
+// cover something. ok is false when there is none.
+func (c *cover) groupTop(g int, budget float64) (top lazyEntry, ok bool) {
+	for _, i := range c.groupSets[c.groupStart[g]:c.groupStart[g+1]] {
+		gain := c.gain[i]
+		if gain == 0 {
+			continue
+		}
+		cost := c.in.Sets[i].Cost
+		if cost > budget+costEps {
+			continue
+		}
+		e := lazyEntry{set: int(i), gain: gain, eff: effectiveness(gain, cost)}
+		if !ok || e.before(top) {
+			top, ok = e, true
+		}
+	}
+	return top, ok
+}
+
+// nextTop returns the pass's next pick, or -1 when no eligible group
+// can cover anything. The picked set's group keeps its now stale entry
+// and is re-nominated on its next visit.
+func (c *cover) nextTop(budgets, spent []float64) int {
+	h := &c.tops
+	for len(*h) > 0 {
+		g := c.in.Sets[(*h)[0].set].Group
+		if !(spent[g] < budgets[g]-costEps) {
+			heap.Pop(h)
+			continue
+		}
+		top, ok := c.groupTop(g, budgets[g])
+		if !ok {
+			heap.Pop(h)
+			continue
+		}
+		// The fresh nomination is exact and every other entry bounds
+		// its group, so it wins when it beats the root's children.
+		(*h)[0] = top
+		if (len(*h) < 2 || top.before((*h)[1])) && (len(*h) < 3 || top.before((*h)[2])) {
+			return top.set
+		}
+		heap.Fix(h, 0)
+	}
+	return -1
+}
+
 // SCGResult is the outcome of the iterated-MCG algorithm for Set Cover
 // with Group Budgets.
 type SCGResult struct {
@@ -150,7 +203,39 @@ type SCGResult struct {
 	Iterations int
 }
 
-// GreedySCG runs the paper's Centralized BLA inner loop (Fig 6): give
+// Solver is one SCG session over a fixed instance. The coverage index
+// is built once, and every SCG call rewinds it to the empty cover, so
+// a B* search pays for the index once rather than once per guess.
+// A Solver is not safe for concurrent use.
+type Solver struct {
+	c *cover
+}
+
+// NewSolver validates in for SCG and indexes it. in must not change
+// while the Solver is in use.
+func NewSolver(in *Instance) (*Solver, error) {
+	if err := in.Validate(); err != nil {
+		return nil, err
+	}
+	if in.NumGroups <= 0 {
+		return nil, fmt.Errorf("setcover: SCG needs groups, got %d", in.NumGroups)
+	}
+	if err := checkGroups(in); err != nil {
+		return nil, err
+	}
+	return &Solver{c: newCover(in)}, nil
+}
+
+// GreedySCG runs one SCG call on a fresh Solver; see (*Solver).SCG.
+func GreedySCG(in *Instance, bStar float64, maxIters int) (*SCGResult, error) {
+	s, err := NewSolver(in)
+	if err != nil {
+		return nil, err
+	}
+	return s.SCG(bStar, maxIters)
+}
+
+// SCG runs the paper's Centralized BLA inner loop (Fig 6): give
 // every group budget bStar, run GreedyMCG, remove covered elements,
 // and repeat up to maxIters times (the paper uses log_{8/7}(n)+1).
 // maxIters <= 0 selects that default.
@@ -161,28 +246,24 @@ type SCGResult struct {
 // — every group still ends at most maxIters*bStar — but the covers
 // come out far more balanced than with per-iteration resets, which
 // let the same few cost-effective groups absorb bStar every round.
-func GreedySCG(in *Instance, bStar float64, maxIters int) (*SCGResult, error) {
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	if in.NumGroups <= 0 {
-		return nil, fmt.Errorf("setcover: SCG needs groups, got %d", in.NumGroups)
-	}
+//
+// Each call starts from the empty cover, so its result does not
+// depend on earlier calls; the result shares no memory with the
+// Solver.
+func (s *Solver) SCG(bStar float64, maxIters int) (*SCGResult, error) {
 	if bStar <= 0 {
 		return nil, fmt.Errorf("setcover: non-positive budget guess %v", bStar)
 	}
+	c := s.c
+	in := c.in
 	if maxIters <= 0 {
 		maxIters = DefaultSCGIters(in.NumElements)
-	}
-
-	if err := checkGroups(in); err != nil {
-		return nil, err
 	}
 
 	// One coverage state serves every pass: a pass leaves it as it
 	// found it, and only the pass's Picked is committed. A set still
 	// covers something exactly when its gain is positive.
-	c := newCover(in)
+	c.undo(0)
 	res := &SCGResult{GroupCost: make([]float64, in.NumGroups)}
 	budgets := make([]float64, in.NumGroups)
 	for it := 0; it < maxIters; it++ {
@@ -218,7 +299,7 @@ func GreedySCG(in *Instance, bStar float64, maxIters int) (*SCGResult, error) {
 			res.MaxGroupCost = cost
 		}
 	}
-	res.Covered = c.covered
+	res.Covered = slices.Clone(c.covered)
 	res.NumCovered = len(c.log) // every covered element is logged once
 	res.Complete = c.left == 0
 	return res, nil

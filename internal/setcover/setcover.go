@@ -9,6 +9,7 @@
 // Every greedy call works on one sparse coverage state (see cover):
 // an element → sets index with live per-set gains, so a pick costs
 // time proportional to the elements it covers, not to the ground set.
+// A Solver keeps that state across SCG calls on one instance.
 package setcover
 
 import (
@@ -93,9 +94,9 @@ func GreedyCover(in *Instance) (*CoverResult, error) {
 	}
 	c := newCover(in)
 	res := &CoverResult{}
-	c.sel.seed(nil)
+	sel := newLazySelector(c)
 	for c.left > 0 {
-		best, gain := c.sel.next(nil)
+		best, gain := sel.next()
 		if best == -1 {
 			break
 		}

@@ -3,6 +3,7 @@ package setcover
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -74,6 +75,56 @@ func requireSameGreedy(t *testing.T, in *Instance, bStars []float64) {
 	}
 }
 
+// requireSolverReuse runs one Solver's SCG at every bStar, in the
+// given order, and requires each result to deep-equal a fresh
+// GreedySCG. Each returned Covered is then overwritten, so a result
+// that aliased the Solver's state would corrupt the next call.
+func requireSolverReuse(t *testing.T, in *Instance, bStars []float64) {
+	t.Helper()
+	s, err := NewSolver(in)
+	if _, ferr := GreedySCG(in, 1, 0); (err == nil) != (ferr == nil) || err != nil && err.Error() != ferr.Error() {
+		t.Fatalf("NewSolver error %v, GreedySCG error %v\ninstance %+v", err, ferr, in)
+	}
+	if err != nil {
+		return
+	}
+	for _, b := range bStars {
+		for _, iters := range []int{0, 1, 3} {
+			got, err := s.SCG(b, iters)
+			want, werr := GreedySCG(in, b, iters)
+			if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+				t.Fatalf("SCG(%v, %d): reused error %v, fresh error %v", b, iters, err, werr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("SCG(%v, %d): reused %+v\nfresh %+v\ninstance %+v", b, iters, got, want, in)
+			}
+			if got != nil {
+				for e := range got.Covered {
+					got.Covered[e] = !got.Covered[e]
+				}
+			}
+		}
+	}
+}
+
+func TestSolverReuseMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	for trial := 0; trial < 300; trial++ {
+		bStars := slices.Clone(diffBStars)
+		rng.Shuffle(len(bStars), func(i, j int) { bStars[i], bStars[j] = bStars[j], bStars[i] })
+		requireSolverReuse(t, randomDiffInstance(rng, trial%5 == 0), append(bStars, bStars[0]))
+	}
+	requireSolverReuse(t, &Instance{NumGroups: 1, Budgets: []float64{1}}, diffBStars)
+	requireSolverReuse(t, figure7(), []float64{4, 0.25, 1, 0.05, 0.5, 4})
+	s, err := NewSolver(figure7())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.SCG(0, 0); err == nil {
+		t.Fatal("SCG accepted a zero budget guess")
+	}
+}
+
 func TestGreedySparseMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	for trial := 0; trial < 600; trial++ {
@@ -124,6 +175,8 @@ func FuzzGreedySparse(f *testing.F) {
 		if len(data) > 0 {
 			bStar = float64(data[len(data)-1]%16+1) / 8
 		}
-		requireSameGreedy(t, instanceFromBytes(data), []float64{bStar})
+		in := instanceFromBytes(data)
+		requireSameGreedy(t, in, []float64{bStar})
+		requireSolverReuse(t, in, []float64{bStar, bStar / 3, 2 * bStar, bStar})
 	})
 }

@@ -46,24 +46,33 @@
 #      derivation runs after each), and the distributed BLA decision
 #      (Distributed{Objective: ObjBLA}.Choose) at 0 allocs per call at
 #      the paper's density (it sorts one stack-held vector per decision)
-#   8. the metrics-doc drift gate: registers the daemon's full metric
+#   8. the behaviour gate: the reduced figure tables (fig9a / 10a /
+#      10b / 11, ext-churn, ext-fault, ext-multihome at -seeds 4
+#      -size 0.1) byte for byte against results/behaviour-figs.csv,
+#      the tie rules of every distributed objective, and the
+#      exactness differentials of the batch solver — distributed
+#      rounds that skip unchanged neighbourhoods against a plain
+#      round robin, one reused SCG Solver against fresh GreedySCG
+#      calls — so a change that moves any association fails here
+#   9. the metrics-doc drift gate: registers the daemon's full metric
 #      surface (base + engine + lazily-registered algo_* families) and
 #      fails if METRICS.md is missing a family, documents a removed
 #      one, or the exposition violates the prom lint (incl. label
 #      rules); regenerate with
 #      UPDATE_METRICS_MD=1 go test ./cmd/assocd -run TestMetricsDocCurrent
-#   9. a fuzz smoke pass: ~10s per fuzz target (events decoder,
+#  10. a fuzz smoke pass: ~10s per fuzz target (events decoder,
 #      multi-association decoder, NDJSON stream handler, journal
 #      record decoder, scenario loader, LP solver, sparse greedy set
-#      cover against the dense reference) so corpus regressions
-#      surface in CI, not just in long local fuzz runs
-#  10. the benchmark module (bench/, a nested module outside
+#      cover against the dense reference and a reused Solver) so
+#      corpus regressions surface in CI, not just in long local fuzz
+#      runs
+#  11. the benchmark module (bench/, a nested module outside
 #      `go test ./...`): vet plus its tests, where TestQuickRuns runs
 #      all five workloads at -quick with verified outputs and
 #      TestSpecShape is the metric-name drift gate against
 #      BENCHMARK.json — bench/ imports internal packages, so a
 #      refactor that breaks it fails here
-#  11. a leftover-process check: fails (after killing them) if any
+#  12. a leftover-process check: fails (after killing them) if any
 #      assocd, loadgen or *.test process this run started is still
 #      alive — every process started below inherits CHECK_RUN_ID, so
 #      even one orphaned by a killed parent is found by its environment
@@ -131,6 +140,11 @@ END {
 echo "== allocation gate (engine event path <= 2 allocs/event, multi-homed Apply <= 4, BLA decision 0)"
 go test -run 'TestEngineEventAllocGate|TestEngineMultihomeAllocGate' -count 1 ./internal/engine
 go test -run 'TestChooseBLAAllocGate' -count 1 ./internal/core
+
+echo "== behaviour gate (golden figure tables, tie rules, skip and solver-reuse differentials)"
+go test -run 'TestBehaviourFigures' -count 1 ./internal/experiments
+go test -run 'TestChooseTieRules|TestDistributedSkipMatchesRoundRobin|TestDistributedDecisions' -count 1 ./internal/core
+go test -run 'TestSolverReuseMatchesFresh|TestGreedySparseMatchesDense' -count 1 ./internal/setcover
 
 echo "== metrics-doc drift gate (METRICS.md vs registered families)"
 go test -run 'TestMetricsDocCurrent|TestMetricsDocLint' -count 1 ./cmd/assocd
