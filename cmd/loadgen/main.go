@@ -6,7 +6,7 @@
 // the p50/p99 per-event re-decision latency taken from the daemon's
 // own assocd_event_latency_seconds histogram (diffed around the run,
 // so a shared daemon reports only this replay's cost), and a
-// per-stage p50/p99 breakdown (queue-wait, apply, reduce, ...)
+// per-stage p50/p99 breakdown (validate, apply, reduce, ...)
 // diffed the same way from the daemon's labeled assocd_stage_seconds
 // family.
 //

@@ -17,9 +17,10 @@ import (
 //     invalid event.
 //   - Apply: runOp applies each event of the valid prefix in order —
 //     applyPrimary, then repair (a full recompute under
-//     ModeFullRecompute), then finish.
-//   - Reduce: reduce folds the worker's tallies and active-user delta,
-//     derives the multi-homes and refreshes the gauges.
+//     ModeFullRecompute), then finishEvent. The first internal error
+//     stops the batch there.
+//   - Reduce: reduce flushes the call's tallies, derives the
+//     multi-homes and refreshes the gauges.
 
 // BatchResult aggregates what ApplyBatch did.
 type BatchResult struct {
@@ -43,89 +44,67 @@ type BatchResult struct {
 // each, then reduces once: one multi-home derivation and one gauge
 // refresh per call. On a validation failure the earlier events stay
 // applied, the batch stops, and the error reports the offending event;
-// Applied tells how far it got.
+// Applied tells how far it got. An internal error stops the batch at
+// the event that raised it the same way.
 func (e *Engine) ApplyBatch(events []Event) (BatchResult, error) {
 	start := e.now()
-	e.batchStartNS = start.UnixNano()
-	n, verr := e.validate(events)
+	n, err := e.validate(events)
 	e.observeStage(stageValidate, start, n)
-	for i := range events[:n] {
-		if e.w.err != nil {
+	for i, ev := range events[:n] {
+		if ierr := e.runOp(ev); ierr != nil {
+			n, err = i, ierr
 			break
 		}
-		e.w.runOp(int32(i), events[i])
 	}
-	return e.reduce(n, verr)
+	return e.reduce(n, err)
 }
 
-// reduce is the batch epilogue: surface the worker's internal error,
-// fold the tallies and active delta, derive the multi-homes, refresh
-// the gauges, and observe the reduce stage. validated is the valid
-// prefix length, verr the validation error.
-func (e *Engine) reduce(validated int, verr error) (BatchResult, error) {
+// reduce is the batch epilogue: flush the tallies, derive the
+// multi-homes, refresh the gauges, and observe the reduce stage.
+// applied is how many events applied, err the batch's error.
+func (e *Engine) reduce(applied int, err error) (BatchResult, error) {
 	start := e.now()
-	e.seqBase += uint64(validated)
-	w := e.w
-	werr, wGidx := w.err, w.errGidx
-	w.err, w.errGidx = nil, 0
 	br := BatchResult{
-		Applied:     validated,
-		Redecisions: int(w.tally.redecisions),
-		Moves:       int(w.tally.handoffs),
-		Orphaned:    int(w.tally.orphaned),
-		Truncated:   int(w.tally.truncated),
+		Applied:     applied,
+		Redecisions: int(e.tally.redecisions),
+		Moves:       int(e.tally.handoffs),
+		Orphaned:    int(e.tally.orphaned),
+		Truncated:   int(e.tally.truncated),
 	}
-	e.metrics.applyTally(&w.tally)
-	e.nActive += w.dActive
-	w.dActive = 0
+	e.metrics.applyTally(&e.tally)
 	e.deriveMulti()
 	e.updateGauges()
-	e.observeStage(stageReduce, start, validated)
-	if werr != nil {
-		br.Applied = int(wGidx)
-		return br, werr
-	}
-	return br, verr
+	e.observeStage(stageReduce, start, applied)
+	return br, err
 }
 
-// runOp applies the batch's event at index gidx; it is the only code
-// that applies an event.
-func (w *worker) runOp(gidx int32, ev Event) {
-	e := w.e
+// runOp applies one event under the next sequence number; it is the
+// only code that applies an event.
+func (e *Engine) runOp(ev Event) error {
 	start := e.now()
-	startNS := start.UnixNano()
-	waitNS := max(startNS-e.batchStartNS, 0)
-	if gidx == 0 && e.spansOn {
-		// queue_wait is one sample per batch (batch start to the first
-		// op), so its sum stays within wall time.
-		w.localWait.Observe(float64(waitNS) / 1e9)
-	}
-	seq := e.seqBase + uint64(gidx) + 1
+	e.seq++
+	// The open span stays visible to flight dumps while the event
+	// applies.
+	sp := obs.SpanData{Stage: stageApply, Kind: kindIndex(ev.Kind), User: int32(ev.User),
+		Seq: e.seq, StartNS: start.UnixNano()}
+	e.flight.Begin(sp)
 	res := ApplyResult{Event: ev}
-	w.beginSpan(ev, seq, startNS, waitNS)
-	if err := w.applyPrimary(ev, &res); err != nil {
-		w.fail(gidx, err)
-	} else if err := w.repair(&res); err != nil {
-		w.fail(gidx, err)
-	} else {
-		w.finish(ev, &res, start)
+	err := e.applyPrimary(ev, &res)
+	if err == nil {
+		err = e.repair(&res)
 	}
-	w.endSpan(ev, seq, startNS, waitNS)
+	if err == nil {
+		e.finishEvent(ev, &res, start)
+	}
+	e.endSpan(sp)
+	return err
 }
 
-// fail records the worker's internal error and the event it happened
-// on; ApplyBatch applies nothing after it.
-func (w *worker) fail(gidx int32, err error) {
-	w.err = err
-	w.errGidx = gidx
-}
-
-// finish accounts one completed event: tally counters, the live
+// finishEvent accounts one completed event: tally counters, the live
 // latency histogram, and the churn trace.
-func (w *worker) finish(ev Event, res *ApplyResult, start time.Time) {
-	e := w.e
+func (e *Engine) finishEvent(ev Event, res *ApplyResult, start time.Time) {
 	res.Elapsed = e.now().Sub(start)
-	w.tally.count(ev.Kind, res)
+	e.tally.count(ev.Kind, res)
 	e.metrics.latency.Observe(res.Elapsed.Seconds())
 	if obs.Active(e.trace) {
 		ap := -1

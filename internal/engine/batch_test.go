@@ -412,3 +412,45 @@ func TestEngineShardHandoffVsAPDown(t *testing.T) {
 		})
 	}
 }
+
+// TestEngineInternalErrorStopsBatch pins the internal-error contract:
+// an event that fails while applying (here a tracker that no longer
+// matches the network, which only a broken engine invariant produces)
+// stops the batch at that event — Applied is its index, the error is
+// the raw internal one rather than a rejection, the events before it
+// stay applied and counted, and the events after it never run.
+func TestEngineInternalErrorStopsBatch(t *testing.T) {
+	e := newEngine(t, twoRegionNetwork(t), Config{})
+	if e.Snapshot().APOf(0) != 0 {
+		t.Fatal("user 0 did not start on AP 0")
+	}
+	// Cut user 0's links behind the tracker's back: its leave passes
+	// validation but the tracker cannot disassociate it.
+	if err := e.n.DetachUser(0); err != nil {
+		t.Fatal(err)
+	}
+	tail := geom.Point{X: 110, Y: 100}
+	batch := []Event{
+		{Kind: UserMove, User: 1, Pos: geom.Point{X: 1090, Y: 100}},
+		{Kind: UserLeave, User: 0},
+		{Kind: UserMove, User: 2, Pos: tail},
+	}
+	br, err := e.ApplyBatch(batch)
+	var inv *InvalidEventError
+	if err == nil || errors.As(err, &inv) {
+		t.Fatalf("error %v, want an internal (non-validation) error", err)
+	}
+	if br.Applied != 1 {
+		t.Fatalf("Applied = %d, want 1 (the failing event's index)", br.Applied)
+	}
+	st := e.Stats()
+	if st.UserMoves != 1 || st.Leaves != 0 || st.Rejected != 0 {
+		t.Fatalf("stats %+v, want 1 move, 0 leaves, 0 rejected", st)
+	}
+	if e.n.Users[1].Pos.X != 1090 {
+		t.Fatalf("event 0 not applied: user 1 at %+v", e.n.Users[1].Pos)
+	}
+	if e.n.Users[2].Pos == tail {
+		t.Fatal("event 2 ran after the internal error")
+	}
+}

@@ -129,7 +129,7 @@ func BenchmarkEngineFaultRepairFullRecompute(b *testing.B) {
 func BenchmarkEngineIncrementalObs(b *testing.B) {
 	reg := obs.NewRegistry()
 	ring := obs.NewRing(obs.DefaultRingCapacity)
-	flight := obs.NewFlightRecorder(obs.DefaultFlightSpans, 2, stageNames, flightKinds)
+	flight := obs.NewFlightRecorder(obs.DefaultFlightSpans, stageNames, flightKinds)
 	benchEngine(b, ModeIncremental, func(cfg *Config) {
 		cfg.Obs, cfg.Trace, cfg.FlightSpans = reg, ring, -1
 	})
@@ -143,7 +143,7 @@ func BenchmarkEngineIncrementalObs(b *testing.B) {
 func BenchmarkEngineIncrementalObsDisabled(b *testing.B) {
 	reg := obs.NewRegistry()
 	ring := obs.NewRing(obs.DefaultRingCapacity)
-	flight := obs.NewFlightRecorder(obs.DefaultFlightSpans, 2, stageNames, flightKinds)
+	flight := obs.NewFlightRecorder(obs.DefaultFlightSpans, stageNames, flightKinds)
 	benchEngine(b, ModeIncremental, func(cfg *Config) {
 		cfg.Obs, cfg.Trace, cfg.FlightSpans = reg, obs.Disabled, -1
 	})

@@ -126,9 +126,19 @@ type Engine struct {
 	active  []bool
 	nActive int
 
-	// w applies the events: it owns the tracker and the repair
-	// worklist.
-	w *worker
+	// tr mirrors the association (invariant 1); worklist is the
+	// pending re-decision min-heap, inList dedups it.
+	tr       *wlan.Tracker
+	worklist intHeap
+	inList   []bool
+
+	// tally buffers the call's counters; reduce flushes them into the
+	// registry once per call.
+	tally batchTally
+
+	// orphans is applyAPDown's reusable victim buffer (zero-alloc hot
+	// path).
+	orphans []int
 
 	// vAct/vDwn are validate's reusable overlay maps (cleared per
 	// batch, buckets retained); one is Apply's reusable batch of one.
@@ -137,10 +147,13 @@ type Engine struct {
 
 	// Multi-homing state (see multihome.go; nil while MaxHomes <= 1):
 	// mh holds every user's home set as of the last call, mhPrim the
-	// primaries it was derived from; mhMark, mhDirty, mhDirtyAPs,
-	// mhPrev and mhKept are deriveMulti's reusable scratch.
+	// primaries it was derived from; mhTouched logs the users this call
+	// changed (see touch), mhUp the APs it brought back up; mhMark,
+	// mhDirty, mhDirtyAPs, mhPrev and mhKept are deriveMulti's reusable
+	// scratch.
 	mh                  *wlan.MultiTracker
 	mhPrim              []int
+	mhTouched, mhUp     []int
 	mhMark              []bool
 	mhDirty, mhDirtyAPs []int
 	mhPrev, mhKept      []int
@@ -150,47 +163,11 @@ type Engine struct {
 	trace   obs.Recorder
 	now     func() time.Time
 
-	// Span/flight state (see span.go). seqBase numbers events across
-	// the engine's lifetime; batchStartNS anchors queue-wait.
-	flight       *obs.FlightRecorder
-	spansOn      bool
-	seqBase      uint64
-	batchStartNS int64
-}
-
-// worker is the engine's application state: the tracker, the repair
-// worklist, and the per-batch tallies. It runs on the caller's
-// goroutine and mutates the engine's network directly.
-type worker struct {
-	e  *Engine
-	tr *wlan.Tracker
-
-	// worklist is the pending re-decision min-heap; inList dedups.
-	worklist intHeap
-	inList   []bool
-
-	// dActive accumulates the batch's join/leave delta to the
-	// active-user count; reduce folds it into e.nActive.
-	dActive int
-	// tally buffers the batch counters; reduce flushes them into the
-	// registry once per call.
-	tally batchTally
-	// err is the worker's first internal error in the current batch,
-	// errGidx the batch index of the event that caused it.
-	err     error
-	errGidx int32
-
-	// orphans is applyAPDown's reusable victim buffer (zero-alloc hot
-	// path).
-	orphans []int
-
-	// mhTouched logs the users this call changed for the multi-home
-	// derivation (see touch), mhUp the APs it brought back up.
-	mhTouched, mhUp []int
-
-	// Stage-histogram staging (see span.go), flushed by
-	// flushStageStats.
-	localWait  *obs.LocalHistogram
+	// Span/flight state (see span.go; flight is nil when disabled).
+	// seq numbers the events run over the engine's lifetime; localApply
+	// stages the apply-stage histogram, flushed by flushStageStats.
+	flight     *obs.FlightRecorder
+	seq        uint64
 	localApply *obs.LocalHistogram
 }
 
@@ -217,20 +194,20 @@ func New(n *wlan.Network, cfg Config) (*Engine, error) {
 		}
 	}
 	e.nActive = nActive
-	assoc, err := e.fullRun()
+	res, err := e.fullRun()
 	if err != nil {
 		return nil, err
 	}
-	if err := e.finish(assoc, nil); err != nil {
+	if err := e.finish(res.Assoc, nil); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
 // newShell validates cfg, normalizes it, and builds an Engine with
-// its rule, registry, and metric families — but no active-user flags,
-// worker, or tracker yet. New seeds those with a full distributed
-// run; RestoreSnapshot seeds them from persisted state instead.
+// its rule, registry, and metric families — but no active-user flags
+// or tracker yet. New seeds those with a full distributed run;
+// RestoreSnapshot seeds them from persisted state instead.
 func newShell(n *wlan.Network, cfg Config) (*Engine, error) {
 	if cfg.Objective == 0 {
 		cfg.Objective = core.ObjMLA
@@ -289,11 +266,11 @@ func newShell(n *wlan.Network, cfg Config) (*Engine, error) {
 }
 
 // finish completes an engine shell around an already-decided
-// association: worker, flight recorder, tracker seeding, the
+// association: worklist, flight recorder, tracker seeding, the
 // multi-home derivation grandfathering prevSec (nil for none), and the
 // first gauge refresh.
 func (e *Engine) finish(assoc *wlan.Assoc, prevSec [][]int) error {
-	e.w = &worker{e: e, inList: make([]bool, e.n.NumUsers())}
+	e.inList = make([]bool, e.n.NumUsers())
 	e.setupFlight()
 	if err := e.seedTracker(assoc); err != nil {
 		return err
@@ -309,7 +286,7 @@ func (e *Engine) seedTracker(assoc *wlan.Assoc) error {
 	if err != nil {
 		return err
 	}
-	e.w.tr = tr
+	e.tr = tr
 	return nil
 }
 
@@ -343,14 +320,10 @@ func (e *Engine) Registry() *obs.Registry { return e.reg }
 
 // fullRun executes the sequential distributed process from scratch
 // over the current network state.
-func (e *Engine) fullRun() (*wlan.Assoc, error) {
+func (e *Engine) fullRun() (*core.DistributedResult, error) {
 	d := *e.rule
 	d.Start = nil
-	res, err := d.RunDetailed(e.n)
-	if err != nil {
-		return nil, err
-	}
-	return res.Assoc, nil
+	return d.RunDetailed(e.n)
 }
 
 // ApplyResult reports what one event cost.
@@ -395,8 +368,7 @@ func (e *Engine) ApplyStream(events []Event) (BatchResult, error) {
 // user and any AP whose load changed for re-decision. The event has
 // already passed validation; every rate or session mutation happens
 // with the subject user disassociated (invariant 1).
-func (w *worker) applyPrimary(ev Event, res *ApplyResult) error {
-	e := w.e
+func (e *Engine) applyPrimary(ev Event, res *ApplyResult) error {
 	u := ev.User
 	switch ev.Kind {
 	case UserJoin:
@@ -407,41 +379,41 @@ func (w *worker) applyPrimary(ev Event, res *ApplyResult) error {
 			return err
 		}
 		e.active[u] = true
-		w.dActive++
-		w.markUser(u)
-		w.touch(u)
+		e.nActive++
+		e.markUser(u)
+		e.touch(u)
 
 	case UserLeave:
-		if ap := w.tr.APOf(u); ap != wlan.Unassociated {
-			before := w.tr.APLoad(ap)
-			if err := w.tr.Disassociate(u); err != nil {
+		if ap := e.tr.APOf(u); ap != wlan.Unassociated {
+			before := e.tr.APLoad(ap)
+			if err := e.tr.Disassociate(u); err != nil {
 				return err
 			}
 			res.Moves++
 			if obs.Active(e.trace) {
 				e.trace.Record(obs.Event{Type: obs.EvHandoff, User: u, AP: wlan.Unassociated})
 			}
-			w.markAPIfChanged(ap, before)
+			e.markAPIfChanged(ap, before)
 		}
 		if err := e.n.DetachUser(u); err != nil {
 			return err
 		}
 		e.active[u] = false
-		w.dActive--
-		w.touch(u)
+		e.nActive--
+		e.touch(u)
 
 	case UserMove, DemandChange:
-		if err := w.rehome(ev, res); err != nil {
+		if err := e.rehome(ev, res); err != nil {
 			return err
 		}
 
 	case APDown:
-		if err := w.applyAPDown(ev, res); err != nil {
+		if err := e.applyAPDown(ev, res); err != nil {
 			return err
 		}
 
 	case APUp:
-		if err := w.applyAPUp(ev, res); err != nil {
+		if err := e.applyAPUp(ev, res); err != nil {
 			return err
 		}
 
@@ -458,14 +430,13 @@ func (w *worker) applyPrimary(ev Event, res *ApplyResult) error {
 // sticky. The mutation dispatch is a switch on the event kind rather
 // than a caller-supplied closure so the per-event path stays
 // allocation-free.
-func (w *worker) rehome(ev Event, res *ApplyResult) error {
-	e := w.e
+func (e *Engine) rehome(ev Event, res *ApplyResult) error {
 	u := ev.User
-	ap := w.tr.APOf(u)
+	ap := e.tr.APOf(u)
 	before := 0.0
 	if ap != wlan.Unassociated {
-		before = w.tr.APLoad(ap)
-		if err := w.tr.Disassociate(u); err != nil {
+		before = e.tr.APLoad(ap)
+		if err := e.tr.Disassociate(u); err != nil {
 			return err
 		}
 	}
@@ -482,14 +453,14 @@ func (w *worker) rehome(ev Event, res *ApplyResult) error {
 		// Mutations validate before touching state, so the tracker
 		// detach is the only thing to undo.
 		if ap != wlan.Unassociated {
-			if aerr := w.tr.Associate(u, ap); aerr != nil {
+			if aerr := e.tr.Associate(u, ap); aerr != nil {
 				return fmt.Errorf("%w (and could not restore association: %v)", err, aerr)
 			}
 		}
 		return err
 	}
-	if ap != wlan.Unassociated && e.n.Reachable(ap, u) && w.fitsBudget(u, ap) {
-		if err := w.tr.Associate(u, ap); err != nil {
+	if ap != wlan.Unassociated && e.n.Reachable(ap, u) && e.fitsBudget(u, ap) {
+		if err := e.tr.Associate(u, ap); err != nil {
 			return err
 		}
 	} else if ap != wlan.Unassociated {
@@ -499,21 +470,21 @@ func (w *worker) rehome(ev Event, res *ApplyResult) error {
 		}
 	}
 	if ap != wlan.Unassociated {
-		w.markAPIfChanged(ap, before)
+		e.markAPIfChanged(ap, before)
 	}
-	w.markUser(u)
-	w.touch(u)
+	e.markUser(u)
+	e.touch(u)
 	return nil
 }
 
 // fitsBudget reports whether u joining ap respects the budget, when
 // budget enforcement is on.
-func (w *worker) fitsBudget(u, ap int) bool {
-	if !w.e.cfg.EnforceBudget {
+func (e *Engine) fitsBudget(u, ap int) bool {
+	if !e.cfg.EnforceBudget {
 		return true
 	}
-	l, ok := w.tr.LoadIfJoin(u, ap)
-	return ok && l <= w.e.n.APs[ap].Budget+budgetEps
+	l, ok := e.tr.LoadIfJoin(u, ap)
+	return ok && l <= e.n.APs[ap].Budget+budgetEps
 }
 
 const budgetEps = 1e-9
@@ -525,25 +496,24 @@ const budgetEps = 1e-9
 // decreases the objective potential by more than the threshold);
 // MaxRedecisions is a safety net. Under ModeFullRecompute it defers to
 // fullRepair instead.
-func (w *worker) repair(res *ApplyResult) error {
-	e := w.e
+func (e *Engine) repair(res *ApplyResult) error {
 	if e.cfg.Mode == ModeFullRecompute {
-		return w.fullRepair(res)
+		return e.fullRepair(res)
 	}
-	for w.worklist.Len() > 0 {
+	for e.worklist.Len() > 0 {
 		if res.Redecisions >= e.cfg.MaxRedecisions {
 			res.Truncated = true
-			w.drainWorklist()
+			e.drainWorklist()
 			break
 		}
-		u := w.worklist.pop()
-		w.inList[u] = false
+		u := e.worklist.pop()
+		e.inList[u] = false
 		if !e.active[u] {
 			continue
 		}
 		res.Redecisions++
-		cur := w.tr.APOf(u)
-		target, improves := e.rule.Choose(e.n, w.tr, u)
+		cur := e.tr.APOf(u)
+		target, improves := e.rule.Choose(e.n, e.tr, u)
 		moving := target != wlan.Unassociated && target != cur &&
 			(cur == wlan.Unassociated || improves)
 		if !moving {
@@ -551,81 +521,77 @@ func (w *worker) repair(res *ApplyResult) error {
 		}
 		var beforeCur float64
 		if cur != wlan.Unassociated {
-			beforeCur = w.tr.APLoad(cur)
+			beforeCur = e.tr.APLoad(cur)
 		}
-		beforeTarget := w.tr.APLoad(target)
-		if err := w.tr.Move(u, target); err != nil {
+		beforeTarget := e.tr.APLoad(target)
+		if err := e.tr.Move(u, target); err != nil {
 			return err
 		}
 		res.Moves++
-		w.touch(u)
+		e.touch(u)
 		if obs.Active(e.trace) {
 			e.trace.Record(obs.Event{Type: obs.EvHandoff, User: u, AP: target})
 		}
 		if cur != wlan.Unassociated {
-			w.markAPIfChanged(cur, beforeCur)
+			e.markAPIfChanged(cur, beforeCur)
 		}
-		w.markAPIfChanged(target, beforeTarget)
+		e.markAPIfChanged(target, beforeTarget)
 	}
 	return nil
 }
 
-// fullRepair is the ModeFullRecompute path: rebuild the association from scratch with the batch sequential
-// process.
-func (w *worker) fullRepair(res *ApplyResult) error {
-	e := w.e
-	w.drainWorklist()
-	d := *e.rule
-	d.Start = nil
-	detail, err := d.RunDetailed(e.n)
+// fullRepair is the ModeFullRecompute path: rebuild the association
+// from scratch with the batch sequential process.
+func (e *Engine) fullRepair(res *ApplyResult) error {
+	e.drainWorklist()
+	detail, err := e.fullRun()
 	if err != nil {
 		return err
 	}
-	w.tr, err = wlan.NewTracker(e.n, detail.Assoc)
+	e.tr, err = wlan.NewTracker(e.n, detail.Assoc)
 	if err != nil {
 		return err
 	}
-	// Active-user deltas fold in reduce, so count this batch's so far.
-	res.Redecisions += detail.Rounds * (e.nActive + w.dActive)
+	res.Redecisions += detail.Rounds * e.nActive
 	res.Moves += detail.Moves
 	return nil
 }
 
 // markUser queues u for re-decision.
-func (w *worker) markUser(u int) {
-	if w.inList[u] || !w.e.active[u] {
+func (e *Engine) markUser(u int) {
+	if e.inList[u] || !e.active[u] {
 		return
 	}
-	w.inList[u] = true
-	w.worklist.push(u)
+	e.inList[u] = true
+	e.worklist.push(u)
 }
 
 // markAPIfChanged queues every user covered by ap when ap's load
 // moved from before — those are exactly the users whose neighborhood
 // view changed. Loads are exact, so an unchanged one compares equal.
-func (w *worker) markAPIfChanged(ap int, before float64) {
-	if w.tr.APLoad(ap) == before {
+func (e *Engine) markAPIfChanged(ap int, before float64) {
+	if e.tr.APLoad(ap) == before {
 		return
 	}
-	for _, v := range w.e.n.Coverage(ap) {
-		w.markUser(v)
+	for _, v := range e.n.Coverage(ap) {
+		e.markUser(v)
 	}
 }
 
-func (w *worker) drainWorklist() {
-	for w.worklist.Len() > 0 {
-		w.inList[w.worklist.pop()] = false
+func (e *Engine) drainWorklist() {
+	for e.worklist.Len() > 0 {
+		e.inList[e.worklist.pop()] = false
 	}
 }
 
 // Satisfied returns the number of currently associated users without
 // materializing the association.
-func (e *Engine) Satisfied() int { return e.w.tr.Satisfied() }
+func (e *Engine) Satisfied() int { return e.tr.Satisfied() }
 
 // Snapshot returns a copy of the current association. Identical
 // (network, config, event sequence) inputs yield byte-identical
 // JSON-marshalled snapshots at every point in the stream.
-func (e *Engine) Snapshot() *wlan.Assoc { return e.w.tr.Assoc() }
+func (e *Engine) Snapshot() *wlan.Assoc { return e.tr.Assoc() }
 
 // Network returns the engine's underlying network. The engine owns
 // it: callers must treat it as strictly read-only — mutating it (or
@@ -653,16 +619,16 @@ func (e *Engine) ActiveUsers() int { return e.nActive }
 func (e *Engine) Active(u int) bool { return e.active[u] }
 
 // TotalLoad returns the current total multicast load.
-func (e *Engine) TotalLoad() float64 { return e.w.tr.TotalLoad() }
+func (e *Engine) TotalLoad() float64 { return e.tr.TotalLoad() }
 
 // MaxLoad returns the current maximum AP load.
-func (e *Engine) MaxLoad() float64 { return e.w.tr.MaxLoad() }
+func (e *Engine) MaxLoad() float64 { return e.tr.MaxLoad() }
 
 // APLoads returns a copy of the per-AP load vector.
 func (e *Engine) APLoads() []float64 {
 	out := make([]float64, e.n.NumAPs())
 	for ap := range out {
-		out[ap] = e.w.tr.APLoad(ap)
+		out[ap] = e.tr.APLoad(ap)
 	}
 	return out
 }

@@ -108,30 +108,29 @@ func (e *Engine) validate(events []Event) (int, error) {
 // AP down, and queues the orphans for re-decision. Orphans no other AP
 // covers simply stay unassociated — degradation, not an error; the
 // fault_unsatisfied_users gauge tracks them.
-func (w *worker) applyAPDown(ev Event, res *ApplyResult) error {
-	e := w.e
+func (e *Engine) applyAPDown(ev Event, res *ApplyResult) error {
 	ap := ev.AP
-	orphans := w.orphans[:0]
+	orphans := e.orphans[:0]
 	for _, u := range e.n.Coverage(ap) {
-		if w.tr.APOf(u) == ap {
+		if e.tr.APOf(u) == ap {
 			orphans = append(orphans, u)
 		}
 	}
-	w.orphans = orphans // keep the grown buffer for the next failure
+	e.orphans = orphans // keep the grown buffer for the next failure
 	if e.multihomeOn() {
 		// Every user with any home here loses it. The multi tracker is
 		// frozen at the last call's state until the derivation step.
 		for _, u := range e.n.Coverage(ap) {
 			if e.mh.HasHome(u, ap) {
-				w.touch(u)
+				e.touch(u)
 			}
 		}
 	}
 	for _, u := range orphans {
-		if err := w.tr.Disassociate(u); err != nil {
+		if err := e.tr.Disassociate(u); err != nil {
 			return err
 		}
-		w.touch(u)
+		e.touch(u)
 		res.Moves++
 		if obs.Active(e.trace) {
 			e.trace.Record(obs.Event{Type: obs.EvHandoff, User: u, AP: wlan.Unassociated})
@@ -144,7 +143,7 @@ func (w *worker) applyAPDown(ev Event, res *ApplyResult) error {
 	// Only the orphans can be improved by the failure: everyone else
 	// merely lost a candidate, which never makes moving attractive.
 	for _, u := range orphans {
-		w.markUser(u)
+		e.markUser(u)
 	}
 	return nil
 }
@@ -152,15 +151,15 @@ func (w *worker) applyAPDown(ev Event, res *ApplyResult) error {
 // applyAPUp restores the AP and queues every user it now covers — the
 // recovered AP is a new candidate for all of them, and unsatisfied
 // users in its coverage re-admit through the normal repair pass.
-func (w *worker) applyAPUp(ev Event, res *ApplyResult) error {
-	if err := w.e.n.EnableAP(ev.AP); err != nil {
+func (e *Engine) applyAPUp(ev Event, res *ApplyResult) error {
+	if err := e.n.EnableAP(ev.AP); err != nil {
 		return err
 	}
-	if w.e.multihomeOn() {
-		w.mhUp = append(w.mhUp, ev.AP)
+	if e.multihomeOn() {
+		e.mhUp = append(e.mhUp, ev.AP)
 	}
-	for _, u := range w.e.n.Coverage(ev.AP) {
-		w.markUser(u)
+	for _, u := range e.n.Coverage(ev.AP) {
+		e.markUser(u)
 	}
 	return nil
 }

@@ -38,16 +38,15 @@ func (s *Stats) EventsTotal() uint64 {
 // Everything here is atomic: the assocd /metrics handler reads these
 // without taking the engine lock, concurrently with Apply.
 type metrics struct {
-	joins, leaves, moves, demands *obs.Counter
-	apDowns, apUps                *obs.Counter
-	rejected                      *obs.Counter
-	redecisions                   *obs.Counter
-	handoffs                      *obs.Counter
-	truncated                     *obs.Counter
-	latency                       *obs.Histogram
-	activeUsers                   *obs.Gauge
-	apLoadTotal                   *obs.Gauge
-	apLoadMax                     *obs.Gauge
+	events      [len(eventKinds)]*obs.Counter // assocd_events_total{kind}, eventKinds order
+	rejected    *obs.Counter
+	redecisions *obs.Counter
+	handoffs    *obs.Counter
+	truncated   *obs.Counter
+	latency     *obs.Histogram
+	activeUsers *obs.Gauge
+	apLoadTotal *obs.Gauge
+	apLoadMax   *obs.Gauge
 	// Fault families (fault_ prefix: availability state, not churn
 	// accounting).
 	apsDown     *obs.Gauge
@@ -68,18 +67,14 @@ type metrics struct {
 // the historical exposition order (the stage family appends after it —
 // wire names, once exposed, never move).
 func (m *metrics) register(reg *obs.Registry) {
-	const evHelp = "Churn events applied, by kind."
-	m.joins = reg.Counter("assocd_events_total", evHelp, obs.L("kind", string(UserJoin)))
-	m.leaves = reg.Counter("assocd_events_total", evHelp, obs.L("kind", string(UserLeave)))
-	m.moves = reg.Counter("assocd_events_total", evHelp, obs.L("kind", string(UserMove)))
-	m.demands = reg.Counter("assocd_events_total", evHelp, obs.L("kind", string(DemandChange)))
-	m.apDowns = reg.Counter("assocd_events_total", evHelp, obs.L("kind", string(APDown)))
-	m.apUps = reg.Counter("assocd_events_total", evHelp, obs.L("kind", string(APUp)))
+	for i, k := range eventKinds {
+		m.events[i] = reg.Counter("assocd_events_total", "Churn events applied, by kind.", obs.L("kind", string(k)))
+	}
 	m.rejected = reg.Counter("assocd_events_rejected_total", "Events that failed validation.")
 	m.redecisions = reg.Counter("assocd_redecisions_total", "User decisions re-evaluated during repair.")
 	m.handoffs = reg.Counter("assocd_handoffs_total", "Association changes.")
 	m.truncated = reg.Counter("assocd_repairs_truncated_total", "Events whose repair hit the re-decision cap.")
-	m.latency = reg.Histogram("assocd_event_latency_seconds", "Wall-clock time to apply one event.", DefaultLatencyBounds())
+	m.latency = reg.Histogram("assocd_event_latency_seconds", "Wall-clock time to apply one event.", obs.DefaultLatencyBounds())
 	m.activeUsers = reg.Gauge("assocd_active_users", "Currently active user slots.")
 	m.apLoadTotal = reg.Gauge("assocd_ap_load_total", "Sum of AP multicast loads.")
 	m.apLoadMax = reg.Gauge("assocd_ap_load_max", "Maximum AP multicast load.")
@@ -87,7 +82,7 @@ func (m *metrics) register(reg *obs.Registry) {
 	m.orphaned = reg.Counter("fault_orphaned_users_total", "Users disassociated by AP failures.")
 	m.unsatisfied = reg.Gauge("fault_unsatisfied_users", "Active users with no association (degraded service).")
 	m.stageLat = reg.HistogramVec("assocd_stage_seconds",
-		"Wall-clock spent per pipeline stage (the two handoff stages are always zero).",
+		"Wall-clock spent per pipeline stage (queue_wait and the two handoff stages are always zero).",
 		StageBounds(), "stage", stageNames)
 	m.mhSatisfied = reg.Gauge("assocd_multihome_satisfied_users",
 		"Users with at least one live home (primary or secondary).")
@@ -97,35 +92,18 @@ func (m *metrics) register(reg *obs.Registry) {
 		"Maximum AP multicast load including secondary-home contributions.")
 }
 
-// batchTally buffers the worker's counter increments for a batch: the
+// batchTally buffers the engine's counter increments for a call: the
 // per-event latency histogram is observed live, but the plain counters
 // accumulate here and reduce flushes them once per call, which also
 // gives ApplyBatch its BatchResult totals.
 type batchTally struct {
-	joins, leaves, moves, demands uint64
-	apDowns, apUps                uint64
-	orphaned                      uint64
-	redecisions                   uint64
-	handoffs                      uint64
-	truncated                     uint64
+	events                                     [len(eventKinds)]uint64
+	orphaned, redecisions, handoffs, truncated uint64
 }
 
 // count accounts one successfully applied event into the tally.
 func (t *batchTally) count(kind EventKind, res *ApplyResult) {
-	switch kind {
-	case UserJoin:
-		t.joins++
-	case UserLeave:
-		t.leaves++
-	case UserMove:
-		t.moves++
-	case DemandChange:
-		t.demands++
-	case APDown:
-		t.apDowns++
-	case APUp:
-		t.apUps++
-	}
+	t.events[kindIndex(kind)-1]++
 	t.redecisions += uint64(res.Redecisions)
 	t.handoffs += uint64(res.Moves)
 	if res.Truncated {
@@ -134,15 +112,12 @@ func (t *batchTally) count(kind EventKind, res *ApplyResult) {
 	t.orphaned += uint64(res.Orphaned)
 }
 
-// applyTally flushes the worker's tally into the live counters and
+// applyTally flushes the call's tally into the live counters and
 // resets it.
 func (m *metrics) applyTally(t *batchTally) {
-	m.joins.Add(t.joins)
-	m.leaves.Add(t.leaves)
-	m.moves.Add(t.moves)
-	m.demands.Add(t.demands)
-	m.apDowns.Add(t.apDowns)
-	m.apUps.Add(t.apUps)
+	for i, c := range t.events {
+		m.events[i].Add(c)
+	}
 	m.redecisions.Add(t.redecisions)
 	m.handoffs.Add(t.handoffs)
 	m.truncated.Add(t.truncated)
@@ -152,24 +127,17 @@ func (m *metrics) applyTally(t *batchTally) {
 
 // snapshot copies the live counters into a Stats.
 func (m *metrics) snapshot() Stats {
-	return Stats{
-		Joins:         m.joins.Value(),
-		Leaves:        m.leaves.Value(),
-		UserMoves:     m.moves.Value(),
-		DemandChanges: m.demands.Value(),
-		APDowns:       m.apDowns.Value(),
-		APUps:         m.apUps.Value(),
-		Orphaned:      m.orphaned.Value(),
-		Rejected:      m.rejected.Value(),
-		Redecisions:   m.redecisions.Value(),
-		Handoffs:      m.handoffs.Value(),
-		Truncated:     m.truncated.Value(),
-		Latency:       m.latency.Snapshot(),
+	s := Stats{
+		Orphaned:    m.orphaned.Value(),
+		Rejected:    m.rejected.Value(),
+		Redecisions: m.redecisions.Value(),
+		Handoffs:    m.handoffs.Value(),
+		Truncated:   m.truncated.Value(),
+		Latency:     m.latency.Snapshot(),
 	}
+	// Stats' per-kind fields, in eventKinds order.
+	for i, p := range [...]*uint64{&s.Joins, &s.Leaves, &s.UserMoves, &s.DemandChanges, &s.APDowns, &s.APUps} {
+		*p = m.events[i].Value()
+	}
+	return s
 }
-
-// DefaultLatencyBounds spans 1µs..4s in powers of four — wide enough
-// for a no-op event and a full recompute on a large network alike.
-// (It is obs.DefaultLatencyBounds, re-exported because the engine API
-// predates the obs package.)
-func DefaultLatencyBounds() []float64 { return obs.DefaultLatencyBounds() }

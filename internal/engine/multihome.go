@@ -18,7 +18,7 @@ import (
 //
 // The derivation is incremental and exact. The engine keeps one
 // wlan.MultiTracker holding every user's home set as of the last call.
-// During a call the worker logs the users whose primary, position,
+// During a call the engine logs the users whose primary, position,
 // session or activity it changed, the users holding a home on an AP it
 // took down, and the APs it brought up. At the end of the call
 // deriveMulti replaces the home sets of the logged (changed) users
@@ -64,9 +64,9 @@ func (e *Engine) MaxHomes() int {
 }
 
 // touch logs user u as changed in this call for the derivation.
-func (w *worker) touch(u int) {
-	if w.e.multihomeOn() {
-		w.mhTouched = append(w.mhTouched, u)
+func (e *Engine) touch(u int) {
+	if e.multihomeOn() {
+		e.mhTouched = append(e.mhTouched, u)
 	}
 }
 
@@ -86,12 +86,11 @@ func (e *Engine) deriveMulti() {
 	// dirtyAPs collects the APs whose coverage is dirty: those brought
 	// up, then those a changed user gave up an occupancy cell on.
 	dirty, dirtyAPs := e.mhDirty[:0], e.mhDirtyAPs[:0]
-	w := e.w
-	for _, u := range w.mhTouched {
+	for _, u := range e.mhTouched {
 		dirty = e.markDirty(dirty, u)
 	}
-	dirtyAPs = append(dirtyAPs, w.mhUp...)
-	w.mhTouched, w.mhUp = w.mhTouched[:0], w.mhUp[:0]
+	dirtyAPs = append(dirtyAPs, e.mhUp...)
+	e.mhTouched, e.mhUp = e.mhTouched[:0], e.mhUp[:0]
 	for _, u := range dirty {
 		prev := e.mhPrev[:0]
 		for _, ap := range e.mh.Homes(u) {
@@ -99,7 +98,7 @@ func (e *Engine) deriveMulti() {
 				prev = append(prev, ap)
 			}
 		}
-		p := w.tr.APOf(u)
+		p := e.tr.APOf(u)
 		e.mhKept = core.KeptHomes(e.n, u, p, prev, e.cfg.MaxHomes, e.mhKept)
 		var err error
 		if dirtyAPs, err = e.mh.ReplaceHomes(u, e.mhKept, dirtyAPs); err != nil {
@@ -154,7 +153,7 @@ func (e *Engine) installMulti(prev [][]int) {
 	for u := range e.mhPrim {
 		e.mhPrim[u] = primary.APOf(u)
 	}
-	e.w.mhTouched, e.w.mhUp = e.w.mhTouched[:0], e.w.mhUp[:0]
+	e.mhTouched, e.mhUp = e.mhTouched[:0], e.mhUp[:0]
 }
 
 // secondaryOf returns a copy of user u's secondary homes (nil for none

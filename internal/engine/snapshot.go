@@ -173,12 +173,10 @@ func RestoreSnapshot(n *wlan.Network, cfg Config, data []byte) (*Engine, error) 
 // (replayed journal records then re-increment on top, which is why
 // the daemon snapshots stats as-of the snapshot seq, not as-of crash).
 func (m *metrics) restore(s snapCounters) {
-	m.joins.Add(s.Joins)
-	m.leaves.Add(s.Leaves)
-	m.moves.Add(s.UserMoves)
-	m.demands.Add(s.DemandChanges)
-	m.apDowns.Add(s.APDowns)
-	m.apUps.Add(s.APUps)
+	// The per-kind counts, in eventKinds order.
+	for i, v := range [...]uint64{s.Joins, s.Leaves, s.UserMoves, s.DemandChanges, s.APDowns, s.APUps} {
+		m.events[i].Add(v)
+	}
 	m.orphaned.Add(s.Orphaned)
 	m.rejected.Add(s.Rejected)
 	m.redecisions.Add(s.Redecisions)

@@ -5,12 +5,12 @@ package engine
 // both sourced from the same per-op timestamps:
 //
 //   - per-stage histograms (assocd_stage_seconds{stage=...}) say
-//     where wall-clock goes in aggregate — queue wait vs validate vs
-//     apply vs reduce;
+//     where wall-clock goes in aggregate — validate vs apply vs
+//     reduce, which partition a call's time;
 //   - the flight recorder keeps the last N spans verbatim, plus the
 //     span of the event being applied right now.
 //
-// Per-event observations stage through worker-local buffers
+// Per-event observations stage through a local buffer
 // (obs.LocalHistogram) and flush at batch epilogue, so the per-event
 // cost stays off the shared atomics and the <= 2 allocs/event gate
 // holds with everything on.
@@ -22,8 +22,10 @@ import (
 )
 
 // Pipeline stages, indexing stageNames and the flight recorder's
-// stage table. The two handoff stages are never observed: they stay
-// registered at zero so the assocd_stage_seconds label set is stable.
+// stage table. queue_wait and the two handoff stages are never
+// observed (the serial engine has no queue and no handoffs between
+// workers): they stay registered at zero so the assocd_stage_seconds
+// label set is stable.
 const (
 	stageValidate = iota
 	stageQueueWait
@@ -31,32 +33,26 @@ const (
 	stageHandoffDepart
 	stageHandoffArrive
 	stageReduce
-	numStages
 )
 
 // stageNames are the assocd_stage_seconds label values, in stage
 // order.
 var stageNames = []string{"validate", "queue_wait", "apply", "handoff_depart", "handoff_arrive", "reduce"}
 
-// flightKinds resolves the SpanData kind enum; index 0 is "no kind"
-// (batch-level spans).
+// eventKinds lists the churn event kinds in exposition order
+// (assocd_events_total{kind}); kindIndex numbers them from 1.
+var eventKinds = [...]EventKind{UserJoin, UserLeave, UserMove, DemandChange, APDown, APUp}
+
+// flightKinds resolves the SpanData kind enum: index 0 is "no kind"
+// (batch-level spans), index i is eventKinds[i-1].
 var flightKinds = []string{"", string(UserJoin), string(UserLeave), string(UserMove), string(DemandChange), string(APDown), string(APUp)}
 
 // kindIndex maps an event kind onto the flight recorder's kind enum.
 func kindIndex(k EventKind) uint8 {
-	switch k {
-	case UserJoin:
-		return 1
-	case UserLeave:
-		return 2
-	case UserMove:
-		return 3
-	case DemandChange:
-		return 4
-	case APDown:
-		return 5
-	case APUp:
-		return 6
+	for i, kind := range eventKinds {
+		if kind == k {
+			return uint8(i + 1)
+		}
 	}
 	return 0
 }
@@ -74,47 +70,24 @@ func StageBounds() []float64 {
 // snapshot from any goroutine, concurrently with a running batch.
 func (e *Engine) Flight() *obs.FlightRecorder { return e.flight }
 
-// setupFlight builds the flight recorder and the worker's staging
-// buffers. Writer 0 belongs to the batch-level stages (validate,
-// reduce); the worker writes its op spans as writer 1.
+// setupFlight builds the flight recorder and the apply stage's
+// staging buffer.
 func (e *Engine) setupFlight() {
 	if e.cfg.FlightSpans >= 0 {
-		e.spansOn = true
-		e.flight = obs.NewFlightRecorder(e.cfg.FlightSpans, 2, stageNames, flightKinds)
+		e.flight = obs.NewFlightRecorder(e.cfg.FlightSpans, stageNames, flightKinds)
 	}
-	e.w.localWait = e.metrics.stageLat.At(stageQueueWait).Local()
-	e.w.localApply = e.metrics.stageLat.At(stageApply).Local()
+	e.localApply = e.metrics.stageLat.At(stageApply).Local()
 }
 
-// flightWriter is the worker's flight-recorder writer index.
-const flightWriter = 1
-
-// beginSpan publishes an open flight span for the event the worker is
-// about to apply.
-func (w *worker) beginSpan(ev Event, seq uint64, startNS, waitNS int64) {
-	if !w.e.spansOn {
+// endSpan closes an event's span: the apply duration stages into the
+// local histogram and the completed span enters the flight ring.
+func (e *Engine) endSpan(sp obs.SpanData) {
+	if e.flight == nil {
 		return
 	}
-	w.e.flight.Begin(flightWriter, obs.SpanData{
-		Stage: stageApply, Kind: kindIndex(ev.Kind), User: int32(ev.User),
-		Seq: seq, StartNS: startNS, WaitNS: waitNS,
-	})
-}
-
-// endSpan closes the event's span: the apply duration stages into the
-// worker's local histogram and the completed span, with its queue
-// wait, enters the flight ring.
-func (w *worker) endSpan(ev Event, seq uint64, startNS, waitNS int64) {
-	e := w.e
-	if !e.spansOn {
-		return
-	}
-	durNS := e.now().UnixNano() - startNS
-	w.localApply.Observe(float64(durNS) / 1e9)
-	e.flight.End(flightWriter, obs.SpanData{
-		Stage: stageApply, Kind: kindIndex(ev.Kind), User: int32(ev.User),
-		Seq: seq, StartNS: startNS, DurNS: durNS, WaitNS: waitNS,
-	})
+	sp.DurNS = e.now().UnixNano() - sp.StartNS
+	e.localApply.Observe(float64(sp.DurNS) / 1e9)
+	e.flight.End(sp)
 }
 
 // observeStage records one batch-level stage (validate, reduce) into
@@ -122,10 +95,10 @@ func (w *worker) endSpan(ev Event, seq uint64, startNS, waitNS int64) {
 // carrying the event count.
 func (e *Engine) observeStage(stage int, start time.Time, events int) {
 	end := e.now()
-	if e.spansOn {
+	if e.flight != nil {
 		e.metrics.stageLat.At(stage).Observe(end.Sub(start).Seconds())
 		e.flight.Record(obs.SpanData{
-			Stage: uint8(stage), Seq: e.seqBase,
+			Stage: uint8(stage), Seq: e.seq,
 			StartNS: start.UnixNano(), DurNS: int64(end.Sub(start)),
 		})
 	}
@@ -133,10 +106,7 @@ func (e *Engine) observeStage(stage int, start time.Time, events int) {
 	sp.End(end.UnixNano())
 }
 
-// flushStageStats folds the worker's staged stage observations into
-// the shared histograms. Runs once per call, from updateGauges, so
-// every public entry point leaves the registry current.
-func (e *Engine) flushStageStats() {
-	e.w.localWait.Flush()
-	e.w.localApply.Flush()
-}
+// flushStageStats folds the staged apply observations into the shared
+// histogram. Runs once per call, from updateGauges, so every public
+// entry point leaves the registry current.
+func (e *Engine) flushStageStats() { e.localApply.Flush() }

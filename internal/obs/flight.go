@@ -5,39 +5,31 @@ import (
 	"sync/atomic"
 )
 
-// FlightRecorder is a lock-free ring of the last N completed spans
-// plus one "open span" slot per writer, built for post-mortem dumps:
-// a snapshot shows both the recent history and the span each writer
-// is inside right now.
+// FlightRecorder is a ring of the last N completed spans plus one
+// "open span" slot, built for post-mortem dumps: a snapshot shows both
+// the recent history and the span being applied right now.
 //
-// The write path is wait-free: a completed span takes a ring ticket
-// with one atomic fetch-add, claims the ticket's slot with a
-// compare-and-swap of the slot's seqlock version (odd while writing,
-// even when stable) and publishes it; a span whose slot another writer
-// lapping the ring holds or has already refilled is dropped, so two
-// writers never interleave their stores in one slot. Begin/End publish
-// the open span the same way into the writer's private slot.
-// Snapshot never blocks writers — it rereads the version around each
-// slot copy and discards torn reads. No allocation happens on the
-// record path, so the engine keeps its <= 2 allocs/event gate with
-// the recorder on.
+// It has one writer (the goroutine running the engine call) and any
+// number of concurrent readers. Each slot is a seqlock: the writer
+// marks the version odd, fills the payload and publishes an even
+// version; Snapshot never blocks the writer — it rereads the version
+// around each slot copy and discards torn reads. No allocation happens
+// on the record path, so the engine keeps its <= 2 allocs/event gate
+// with the recorder on.
 //
 // Stage and kind are recorded as small enums (indexes into the string
 // tables given at construction) so a span fits in a handful of words.
 type FlightRecorder struct {
-	ring    []atomic.Uint64 // capacity * slotWords
-	open    []atomic.Uint64 // writers * slotWords
-	cursor  atomic.Uint64   // next ring ticket
-	cap     int
-	writers int
-	stages  []string
-	kinds   []string
+	ring   []atomic.Uint64          // capacity * slotWords
+	open   [slotWords]atomic.Uint64 // the in-flight span
+	cursor atomic.Uint64            // spans ever recorded
+	cap    int
+	stages []string
+	kinds  []string
 }
 
-// slotWords is the per-slot stride: version + 5 payload words, padded
-// to 8 so adjacent slots written by different writers do not share a
-// cache line.
-const slotWords = 8
+// slotWords is the per-slot stride: version + 4 payload words.
+const slotWords = 5
 
 const (
 	slotVersion = 0 // seqlock: 0 empty, odd writing, even stable
@@ -45,7 +37,6 @@ const (
 	slotSeq     = 2 // event sequence number
 	slotStart   = 3 // start, ns
 	slotDur     = 4 // duration, ns
-	slotWait    = 5 // queue wait, ns
 )
 
 // DefaultFlightSpans is the span capacity engines use when the caller
@@ -62,27 +53,20 @@ type SpanData struct {
 	Seq     uint64
 	StartNS int64
 	DurNS   int64
-	WaitNS  int64
 }
 
 // NewFlightRecorder returns a recorder holding the last spans
-// completed spans (<= 0 selects DefaultFlightSpans) with one open
-// slot per writer (writers < 1 is clamped to 1). The stages and
+// completed spans (<= 0 selects DefaultFlightSpans). The stages and
 // kinds tables resolve SpanData enums in Snapshot; they are copied.
-func NewFlightRecorder(spans, writers int, stages, kinds []string) *FlightRecorder {
+func NewFlightRecorder(spans int, stages, kinds []string) *FlightRecorder {
 	if spans <= 0 {
 		spans = DefaultFlightSpans
 	}
-	if writers < 1 {
-		writers = 1
-	}
 	return &FlightRecorder{
-		ring:    make([]atomic.Uint64, spans*slotWords),
-		open:    make([]atomic.Uint64, writers*slotWords),
-		cap:     spans,
-		writers: writers,
-		stages:  append([]string(nil), stages...),
-		kinds:   append([]string(nil), kinds...),
+		ring:   make([]atomic.Uint64, spans*slotWords),
+		cap:    spans,
+		stages: append([]string(nil), stages...),
+		kinds:  append([]string(nil), kinds...),
 	}
 }
 
@@ -94,21 +78,14 @@ func unpackMeta(m uint64) (stage, kind uint8, user int32) {
 	return uint8(m >> 56), uint8(m >> 48), int32(uint32(m))
 }
 
-// writeSlot publishes d into slot at base under the seqlock version v
-// (which must be even and non-zero).
+// writeSlot publishes d into slot under the seqlock version v (even
+// and non-zero): odd version, fill, even version.
 func writeSlot(slot []atomic.Uint64, v uint64, d SpanData) {
 	slot[slotVersion].Store(v - 1) // odd: writing
-	fillSlot(slot, v, d)
-}
-
-// fillSlot writes d into a slot its caller holds at the odd version
-// v-1, then publishes it as v.
-func fillSlot(slot []atomic.Uint64, v uint64, d SpanData) {
 	slot[slotMeta].Store(packMeta(d))
 	slot[slotSeq].Store(d.Seq)
 	slot[slotStart].Store(uint64(d.StartNS))
 	slot[slotDur].Store(uint64(d.DurNS))
-	slot[slotWait].Store(uint64(d.WaitNS))
 	slot[slotVersion].Store(v) // even: stable
 }
 
@@ -123,7 +100,6 @@ func readSlot(slot []atomic.Uint64) (d SpanData, version uint64, ok bool) {
 	d.Seq = slot[slotSeq].Load()
 	d.StartNS = int64(slot[slotStart].Load())
 	d.DurNS = int64(slot[slotDur].Load())
-	d.WaitNS = int64(slot[slotWait].Load())
 	if slot[slotVersion].Load() != v1 {
 		return SpanData{}, 0, false
 	}
@@ -131,46 +107,36 @@ func readSlot(slot []atomic.Uint64) (d SpanData, version uint64, ok bool) {
 	return d, v1, true
 }
 
-// Record appends a completed span to the ring.
+// Record appends a completed span to the ring. The span's ticket is
+// its position in the recording order; the slot's version encodes it,
+// so Snapshot can order the ring without a separate counter per slot.
 func (f *FlightRecorder) Record(d SpanData) {
 	if f == nil {
 		return
 	}
-	ticket := f.cursor.Add(1) - 1
-	slot := f.ring[int(ticket%uint64(f.cap))*slotWords:][:slotWords]
-	v := 2 * (ticket + 1)
-	for {
-		cur := slot[slotVersion].Load()
-		if cur%2 == 1 || cur >= v {
-			return // another writer holds the slot or has refilled it
-		}
-		if slot[slotVersion].CompareAndSwap(cur, v-1) {
-			break
-		}
-	}
-	fillSlot(slot, v, d)
+	ticket := f.cursor.Load()
+	writeSlot(f.ring[int(ticket%uint64(f.cap))*slotWords:][:slotWords], 2*(ticket+1), d)
+	f.cursor.Store(ticket + 1)
 }
 
-// Begin publishes d as writer's in-flight span. It stays visible to
+// Begin publishes d as the in-flight span. It stays visible to
 // Snapshot until End (or the next Begin) replaces it — this is what
-// lets a dump say which event a stuck writer is holding.
-func (f *FlightRecorder) Begin(writer int, d SpanData) {
+// lets a dump say which event a stuck call is holding.
+func (f *FlightRecorder) Begin(d SpanData) {
 	if f == nil {
 		return
 	}
-	slot := f.open[writer*slotWords:]
-	v := slot[slotVersion].Load()
-	writeSlot(slot[:slotWords], v+2-v%2, d)
+	v := f.open[slotVersion].Load()
+	writeSlot(f.open[:], v+2-v%2, d)
 }
 
-// End clears writer's in-flight span and appends d to the ring.
-func (f *FlightRecorder) End(writer int, d SpanData) {
+// End clears the in-flight span and appends d to the ring.
+func (f *FlightRecorder) End(d SpanData) {
 	if f == nil {
 		return
 	}
-	slot := f.open[writer*slotWords:]
-	v := slot[slotVersion].Load()
-	slot[slotVersion].Store(v + 1 - v%2) // odd: no stable open span
+	v := f.open[slotVersion].Load()
+	f.open[slotVersion].Store(v + 1 - v%2) // odd: no stable open span
 	f.Record(d)
 }
 
@@ -198,8 +164,6 @@ type FlightSpan struct {
 	User    int    `json:"user"`
 	StartNS int64  `json:"start_ns"`
 	DurNS   int64  `json:"dur_ns"`
-	WaitNS  int64  `json:"wait_ns,omitempty"`
-	Writer  int    `json:"writer,omitempty"` // open spans only
 	Open    bool   `json:"open,omitempty"`
 }
 
@@ -217,7 +181,6 @@ func (f *FlightRecorder) resolve(d SpanData) FlightSpan {
 		User:    int(d.User),
 		StartNS: d.StartNS,
 		DurNS:   d.DurNS,
-		WaitNS:  d.WaitNS,
 	}
 	if int(d.Stage) < len(f.stages) {
 		s.Stage = f.stages[d.Stage]
@@ -228,10 +191,10 @@ func (f *FlightRecorder) resolve(d SpanData) FlightSpan {
 	return s
 }
 
-// Snapshot copies the recorder without blocking writers: completed
+// Snapshot copies the recorder without blocking the writer: completed
 // spans oldest-first (torn or recycled slots are dropped), then the
-// stable open span of each writer. Safe to call from any goroutine,
-// including one racing the writers it is inspecting.
+// stable open span, if any. Safe to call from any goroutine,
+// including one racing the writer it is inspecting.
 func (f *FlightRecorder) Snapshot() FlightDump {
 	if f == nil {
 		return FlightDump{}
@@ -254,13 +217,8 @@ func (f *FlightRecorder) Snapshot() FlightDump {
 	for i, s := range spans {
 		dump.Spans[i] = s.span
 	}
-	for w := 0; w < f.writers; w++ {
-		d, _, ok := readSlot(f.open[w*slotWords : w*slotWords+slotWords])
-		if !ok {
-			continue
-		}
+	if d, _, ok := readSlot(f.open[:]); ok {
 		s := f.resolve(d)
-		s.Writer = w
 		s.Open = true
 		dump.Open = append(dump.Open, s)
 	}

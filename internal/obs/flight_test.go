@@ -6,8 +6,8 @@ import (
 )
 
 func TestFlightRecorderBasic(t *testing.T) {
-	f := NewFlightRecorder(4, 2, []string{"apply", "reduce"}, []string{"", "join", "leave"})
-	f.Record(SpanData{Stage: 0, Kind: 1, User: 7, Seq: 1, StartNS: 100, DurNS: 50, WaitNS: 5})
+	f := NewFlightRecorder(4, []string{"apply", "reduce"}, []string{"", "join", "leave"})
+	f.Record(SpanData{Stage: 0, Kind: 1, User: 7, Seq: 1, StartNS: 100, DurNS: 50})
 	f.Record(SpanData{Stage: 1, User: -1, Seq: 2, StartNS: 200, DurNS: 10})
 	d := f.Snapshot()
 	if d.Total != 2 || d.Capacity != 4 {
@@ -18,7 +18,7 @@ func TestFlightRecorderBasic(t *testing.T) {
 	}
 	s := d.Spans[0]
 	if s.Stage != "apply" || s.Kind != "join" || s.User != 7 ||
-		s.Seq != 1 || s.StartNS != 100 || s.DurNS != 50 || s.WaitNS != 5 || s.Open {
+		s.Seq != 1 || s.StartNS != 100 || s.DurNS != 50 || s.Open {
 		t.Fatalf("span 0 mangled: %+v", s)
 	}
 	if d.Spans[1].Stage != "reduce" || d.Spans[1].Kind != "" || d.Spans[1].User != -1 {
@@ -30,7 +30,7 @@ func TestFlightRecorderBasic(t *testing.T) {
 }
 
 func TestFlightRecorderEviction(t *testing.T) {
-	f := NewFlightRecorder(4, 1, []string{"apply"}, nil)
+	f := NewFlightRecorder(4, []string{"apply"}, nil)
 	for i := 1; i <= 10; i++ {
 		f.Record(SpanData{Seq: uint64(i)})
 	}
@@ -49,16 +49,16 @@ func TestFlightRecorderEviction(t *testing.T) {
 }
 
 func TestFlightRecorderOpenSpans(t *testing.T) {
-	f := NewFlightRecorder(8, 3, []string{"apply"}, []string{"", "move"})
-	f.Begin(1, SpanData{Kind: 1, User: 1, Seq: 42, StartNS: 10})
+	f := NewFlightRecorder(8, []string{"apply"}, []string{"", "move"})
+	f.Begin(SpanData{Kind: 1, User: 1, Seq: 42, StartNS: 10})
 	d := f.Snapshot()
-	if len(d.Open) != 1 || !d.Open[0].Open || d.Open[0].Writer != 1 || d.Open[0].Seq != 42 {
+	if len(d.Open) != 1 || !d.Open[0].Open || d.Open[0].Seq != 42 {
 		t.Fatalf("open span not visible: %+v", d.Open)
 	}
 	if len(d.Spans) != 0 {
 		t.Fatalf("no completed spans expected, got %+v", d.Spans)
 	}
-	f.End(1, SpanData{Kind: 1, User: 1, Seq: 42, StartNS: 10, DurNS: 30})
+	f.End(SpanData{Kind: 1, User: 1, Seq: 42, StartNS: 10, DurNS: 30})
 	d = f.Snapshot()
 	if len(d.Open) != 0 {
 		t.Fatalf("End left an open span: %+v", d.Open)
@@ -67,8 +67,8 @@ func TestFlightRecorderOpenSpans(t *testing.T) {
 		t.Fatalf("End did not complete the span: %+v", d.Spans)
 	}
 	// Begin replacing a prior open span keeps only the newest.
-	f.Begin(0, SpanData{Seq: 1})
-	f.Begin(0, SpanData{Seq: 2})
+	f.Begin(SpanData{Seq: 1})
+	f.Begin(SpanData{Seq: 2})
 	d = f.Snapshot()
 	if len(d.Open) != 1 || d.Open[0].Seq != 2 {
 		t.Fatalf("re-Begin should replace: %+v", d.Open)
@@ -78,8 +78,8 @@ func TestFlightRecorderOpenSpans(t *testing.T) {
 func TestFlightRecorderNil(t *testing.T) {
 	var f *FlightRecorder
 	f.Record(SpanData{})
-	f.Begin(0, SpanData{})
-	f.End(0, SpanData{})
+	f.Begin(SpanData{})
+	f.End(SpanData{})
 	if f.Total() != 0 || f.Capacity() != 0 {
 		t.Fatal("nil recorder should report zeros")
 	}
@@ -88,43 +88,52 @@ func TestFlightRecorderNil(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderConcurrent hammers the ring from many writers
-// while snapshots run — torn slots must be dropped, never mangled.
-// Runs under -race via scripts/check.sh.
+// TestFlightRecorderConcurrent runs one writer against several
+// concurrent snapshot readers — torn slots must be dropped, never
+// mangled, and completed spans come back oldest-first. Runs under
+// -race via scripts/check.sh.
 func TestFlightRecorderConcurrent(t *testing.T) {
-	const writers, perWriter = 4, 2000
-	f := NewFlightRecorder(64, writers, []string{"apply"}, nil)
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
+	const spans, readers = 8000, 4
+	f := NewFlightRecorder(64, []string{"apply"}, nil)
+	stop := make(chan struct{})
+	var wg, ready sync.WaitGroup
+	for r := 0; r < readers; r++ {
 		wg.Add(1)
-		go func(w int) {
+		ready.Add(1)
+		go func() {
 			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				seq := uint64(w*perWriter + i + 1)
-				f.Begin(w, SpanData{User: int32(w), Seq: seq, StartNS: int64(seq)})
-				f.End(w, SpanData{User: int32(w), Seq: seq, StartNS: int64(seq), DurNS: int64(seq)})
-			}
-		}(w)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 200; i++ {
-			d := f.Snapshot()
-			for _, s := range d.Spans {
+			ready.Done()
+			for {
+				d := f.Snapshot()
 				// Every published span is internally consistent:
-				// StartNS == Seq == DurNS by construction above.
-				if s.StartNS != int64(s.Seq) || s.DurNS != int64(s.Seq) {
-					t.Errorf("torn span leaked: %+v", s)
+				// StartNS == Seq == DurNS by construction below.
+				for i, s := range append(d.Spans, d.Open...) {
+					if s.StartNS != int64(s.Seq) || (!s.Open && s.DurNS != int64(s.Seq)) {
+						t.Errorf("torn span leaked: %+v", s)
+						return
+					}
+					if i > 0 && i < len(d.Spans) && s.Seq <= d.Spans[i-1].Seq {
+						t.Errorf("spans out of order: %d after %d", s.Seq, d.Spans[i-1].Seq)
+						return
+					}
+				}
+				select {
+				case <-stop:
 					return
+				default:
 				}
 			}
-		}
-	}()
+		}()
+	}
+	ready.Wait()
+	for seq := uint64(1); seq <= spans; seq++ {
+		f.Begin(SpanData{Seq: seq, StartNS: int64(seq)})
+		f.End(SpanData{Seq: seq, StartNS: int64(seq), DurNS: int64(seq)})
+	}
+	close(stop)
 	wg.Wait()
-	<-done
-	if got := f.Total(); got != writers*perWriter {
-		t.Fatalf("Total=%d, want %d", got, writers*perWriter)
+	if got := f.Total(); got != spans {
+		t.Fatalf("Total=%d, want %d", got, spans)
 	}
 }
 

@@ -203,8 +203,6 @@ func (r *Registry) Value(name string, labels ...Label) (float64, bool) {
 		return inst(), true
 	case *Histogram:
 		return float64(inst.Count()), true
-	case *FloatCounter:
-		return inst.Value(), true
 	}
 	return 0, false
 }

@@ -5,45 +5,8 @@ import (
 	"testing"
 )
 
-func TestCounterVec(t *testing.T) {
-	r := NewRegistry()
-	v := r.CounterVec("vec_events_total", "Events by kind.", "kind", []string{"join", "leave", "other"})
-	v.With("join").Add(3)
-	v.At(1).Inc()
-	if got, _ := r.Value("vec_events_total", L("kind", "join")); got != 3 {
-		t.Fatalf("join=%g, want 3", got)
-	}
-	if got, _ := r.Value("vec_events_total", L("kind", "leave")); got != 1 {
-		t.Fatalf("leave=%g, want 1", got)
-	}
-	// Every series exists from registration, even untouched ones.
-	if got, ok := r.Value("vec_events_total", L("kind", "other")); !ok || got != 0 {
-		t.Fatalf("other=%g ok=%v, want 0 true", got, ok)
-	}
-	if v.Key() != "kind" || strings.Join(v.Values(), ",") != "join,leave,other" {
-		t.Fatalf("key/values mangled: %q %v", v.Key(), v.Values())
-	}
-	// Idempotent re-registration returns the same series.
-	v2 := r.CounterVec("vec_events_total", "Events by kind.", "kind", []string{"join", "leave", "other"})
-	if v2.With("join") != v.With("join") {
-		t.Fatal("re-registration created a new series")
-	}
-	// Out-of-set values panic: the label set is bounded.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("With on unknown value did not panic")
-		}
-	}()
-	v.With("move")
-}
-
 func TestGaugeVecAndHistogramVec(t *testing.T) {
 	r := NewRegistry()
-	g := r.GaugeVec("vec_depth", "Depth by shard.", "shard", []string{"0", "1"})
-	g.With("1").Set(7)
-	if got, _ := r.Value("vec_depth", L("shard", "1")); got != 7 {
-		t.Fatalf("depth=%g, want 7", got)
-	}
 	h := r.HistogramVec("vec_stage_seconds", "Stage latency.", []float64{0.1, 1}, "stage", []string{"apply", "reduce"})
 	h.With("apply").Observe(0.05)
 	h.At(1).Observe(0.5)
@@ -65,29 +28,18 @@ func TestGaugeVecAndHistogramVec(t *testing.T) {
 	if err := LintProm(strings.NewReader(out)); err != nil {
 		t.Fatalf("vec exposition fails lint: %v", err)
 	}
-}
-
-func TestFloatCounter(t *testing.T) {
-	r := NewRegistry()
-	c := r.FloatCounter("busy_seconds_total", "Busy seconds.", L("shard", "0"))
-	c.Add(0.25)
-	c.Add(0.5)
-	if got := c.Value(); got != 0.75 {
-		t.Fatalf("Value=%g, want 0.75", got)
+	// Idempotent re-registration returns the same series.
+	h2 := r.HistogramVec("vec_stage_seconds", "Stage latency.", []float64{0.1, 1}, "stage", []string{"apply", "reduce"})
+	if h2.With("apply") != h.With("apply") {
+		t.Fatal("re-registration created a new series")
 	}
-	if got, ok := r.Value("busy_seconds_total", L("shard", "0")); !ok || got != 0.75 {
-		t.Fatalf("registry value=%g ok=%v", got, ok)
-	}
-	var b strings.Builder
-	if err := r.WriteProm(&b); err != nil {
-		t.Fatal(err)
-	}
-	if want := `busy_seconds_total{shard="0"} 0.75`; !strings.Contains(b.String(), want) {
-		t.Fatalf("exposition missing %q:\n%s", want, b.String())
-	}
-	if err := LintProm(strings.NewReader(b.String())); err != nil {
-		t.Fatalf("float counter exposition fails lint: %v", err)
-	}
+	// Out-of-set values panic: the label set is bounded.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("With on unknown value did not panic")
+		}
+	}()
+	h.With("queue")
 }
 
 func TestLocalHistogramFlush(t *testing.T) {
@@ -122,7 +74,8 @@ func TestLocalHistogramFlush(t *testing.T) {
 func TestRegistryFamilies(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("plain_total", "Plain.")
-	r.CounterVec("labeled_total", "Labeled.", "kind", []string{"a", "b"})
+	r.Counter("labeled_total", "Labeled.", L("kind", "a"))
+	r.Counter("labeled_total", "Labeled.", L("kind", "b"))
 	r.HistogramVec("h_seconds", "H.", nil, "stage", []string{"x"})
 	fams := r.Families()
 	if len(fams) != 3 {
