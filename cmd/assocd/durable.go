@@ -1,31 +1,42 @@
 package main
 
-// Crash safety for assocd -serve. With -data-dir set, every state
-// change the daemon acknowledges is journaled to a write-ahead log
-// (internal/wal) before the response goes out, and the full daemon
-// state — scenario request, engine snapshot, stream-session offsets —
-// is periodically checkpointed as an atomic snapshot. On boot the
-// daemon restores the newest snapshot and replays the journal tail
-// through the same engine.ApplyBatch call the live handlers make, so a
-// SIGKILL at any instant recovers to the exact state (same
-// association bytes, same load floats, same counters) an
-// uninterrupted run would have reached.
+// The command log and crash safety for assocd -serve. Every mutation
+// the daemon makes is a command: a scenario, an event batch (from
+// /v1/events or /v1/trace), a stream window, an assoc install or a
+// multiassoc install. A command is one journal record's header plus
+// its payload, decoded once, and exec is the only code that applies
+// one. A live handler decodes its request into a command, execs it,
+// journals the record (with -data-dir) and only then acks. The full
+// daemon state (scenario request, engine snapshot, stream-session
+// offsets) is periodically checkpointed as an atomic snapshot. Boot
+// restores the newest snapshot and runs each journal record after it
+// through decodeRecord, decodeCommand and the same exec, then checks
+// the outcome the record holds (applied count and error presence). Any
+// divergence fails boot loudly rather than serving silently wrong
+// state, so a SIGKILL at any instant recovers to the exact state (same
+// association bytes, same load floats, same counters) an uninterrupted
+// run would have reached.
+//
+// The daemon fail-stops. The first storage error (append, sync or
+// snapshot) or internal engine error is latched; from then on every
+// mutating route answers 503, while the read routes keep serving the
+// in-memory state. Recovery is a restart, which boots the acked prefix
+// from the journal.
 //
 // Journal record layout: one JSON header line (recHeader) terminated
 // by '\n', followed by hdr.N raw NDJSON event lines. Stream windows
 // journal the client's raw bytes — no re-encode on the hot path —
 // while batch endpoints re-marshal their decoded events one per line.
-// Replay re-applies each record and cross-checks the recorded outcome
-// (applied count and error-presence); any divergence fails boot
-// loudly rather than serving silently wrong state.
 
 import (
 	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"time"
 
 	"wlanmcast/internal/core"
@@ -36,8 +47,7 @@ import (
 	"wlanmcast/internal/wlan"
 )
 
-// Record types in the journal. Every mutation the daemon acks is one
-// of these; replay dispatches on the type tag.
+// Record types in the journal, one per kind of command.
 const (
 	recScenario   = "scenario"   // Req = scenarioRequest; rebuilds the engine
 	recBatch      = "batch"      // N events from /v1/events or /v1/trace (post-remap)
@@ -125,168 +135,241 @@ func decodeRecord(payload []byte) (recHeader, []byte, error) {
 	return hdr, payload[i+1:], nil
 }
 
-// decodeRecordEvents parses the N NDJSON event lines of a batch or
-// window record.
-func decodeRecordEvents(hdr recHeader, lines []byte) ([]engine.Event, error) {
-	events := make([]engine.Event, 0, hdr.N)
-	for len(lines) > 0 {
-		i := bytes.IndexByte(lines, '\n')
-		if i < 0 {
-			i = len(lines)
-		}
-		line := lines[:i]
-		if i == len(lines) {
-			lines = nil
-		} else {
-			lines = lines[i+1:]
-		}
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		events = append(events, engine.Event{})
-		if err := json.Unmarshal(line, &events[len(events)-1]); err != nil {
-			return nil, fmt.Errorf("decode journaled event %d: %w", len(events)-1, err)
-		}
-	}
-	if len(events) != hdr.N {
-		return nil, fmt.Errorf("record carries %d events, header says %d", len(events), hdr.N)
-	}
-	return events, nil
+// --- the command log ---
+
+// command is one daemon mutation: a journal record's header plus its
+// payload, decoded once. Live handlers build one from a request and
+// boot replay from a journal record; exec applies both the same way.
+type command struct {
+	hdr recHeader
+	// lines is a window's event lines as the client sent them, which is
+	// what its record journals; a batch record marshals events instead.
+	lines  []byte
+	events []engine.Event   // batch, window
+	from   uint64           // window: the session's offset before it
+	eng    *engine.Engine   // scenario: the engine hdr.Req describes
+	assoc  *wlan.Assoc      // assoc
+	multi  *wlan.MultiAssoc // multiassoc
 }
 
-// marshalEventLines renders a decoded event slice as NDJSON for batch
-// records (stream windows keep the client's raw bytes instead).
-func marshalEventLines(events []engine.Event) ([]byte, error) {
-	var buf bytes.Buffer
-	for i := range events {
-		b, err := json.Marshal(&events[i])
+// batch reports whether c applies events. Those commands are journaled
+// even when rejected, because the engine counted the rejection; a
+// rejected install mutated nothing and leaves no record.
+func (c *command) batch() bool { return c.hdr.T == recBatch || c.hdr.T == recWindow }
+
+// record encodes c as a journal record payload. A batch marshals its
+// events one per line; a window journals the client's lines as sent.
+func (c *command) record() ([]byte, error) {
+	lines := c.lines
+	if c.hdr.T == recBatch {
+		for i := range c.events {
+			b, err := json.Marshal(&c.events[i])
+			if err != nil {
+				return nil, err
+			}
+			lines = append(append(lines, b...), '\n')
+		}
+	}
+	return encodeRecord(c.hdr, lines)
+}
+
+// decodeCommand decodes a record's header and event lines into a
+// command without mutating anything. Installs decode against the
+// current engine's dimensions, so it requires s.mu held (or boot).
+func (s *server) decodeCommand(hdr recHeader, lines []byte) (*command, error) {
+	if s.eng == nil && hdr.T != recScenario {
+		return nil, fmt.Errorf("%q record before any scenario", hdr.T)
+	}
+	c := &command{hdr: hdr, lines: lines}
+	var err error
+	switch hdr.T {
+	case recScenario:
+		var req scenarioRequest
+		if err := json.Unmarshal(hdr.Req, &req); err != nil {
+			return nil, fmt.Errorf("decode scenario: %w", err)
+		}
+		return s.scenarioCommand(req, hdr.Req)
+	case recBatch, recWindow:
+		c.events = make([]engine.Event, 0, hdr.N)
+		for dec := json.NewDecoder(bytes.NewReader(lines)); dec.More(); {
+			c.events = append(c.events, engine.Event{})
+			if err := dec.Decode(&c.events[len(c.events)-1]); err != nil {
+				return nil, fmt.Errorf("decode journaled event %d: %w", len(c.events)-1, err)
+			}
+		}
+		if len(c.events) != hdr.N {
+			return nil, fmt.Errorf("record carries %d events, header says %d", len(c.events), hdr.N)
+		}
+		c.from = hdr.Seq - uint64(hdr.N)
+		if hdr.Err {
+			c.from = hdr.Seq - uint64(hdr.Applied)
+		}
+	case recAssoc:
+		c.assoc, err = wlan.DecodeAssoc(hdr.Req, s.eng.NumAPs(), s.eng.NumUsers())
+	case recMultiAssoc:
+		c.multi, err = wlan.DecodeMultiAssoc(hdr.Req, s.eng.NumAPs(), s.eng.NumUsers(), s.eng.MaxHomes())
+	default:
+		return nil, fmt.Errorf("unknown record type %q", hdr.T)
+	}
+	return c, err
+}
+
+// scenarioCommand builds the engine a scenario request describes, the
+// same way for the live handler and for replay. raw is the request's
+// journal-canonical bytes.
+func (s *server) scenarioCommand(req scenarioRequest, raw json.RawMessage) (*command, error) {
+	n, cfg, err := s.buildFromRequest(req)
+	if err != nil {
+		return nil, err
+	}
+	eng, err := engine.New(n, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("build engine: %w", err)
+	}
+	return &command{hdr: recHeader{T: recScenario, Req: raw}, eng: eng}, nil
+}
+
+// exec applies c: apart from installing the boot snapshot, it is the
+// only code that changes s.eng or s.sessions. It records a batch or
+// window outcome in c.hdr (applied count, error presence, the window's
+// new session offset) and returns the engine's result and c's error.
+// An ApplyBatch error that is not a rejection (*engine.InvalidEventError)
+// means an event failed halfway, so the engine can no longer be
+// trusted: exec latches it. Requires s.mu held (or boot).
+func (s *server) exec(c *command) (engine.BatchResult, error) {
+	switch c.hdr.T {
+	case recScenario:
+		s.eng = c.eng
+		// A new scenario invalidates every stream session's offsets.
+		clear(s.sessions)
+		if s.dur != nil {
+			s.dur.scenarioRaw = c.hdr.Req
+		}
+		s.scenarios.Inc()
+		return engine.BatchResult{}, nil
+	case recAssoc:
+		return engine.BatchResult{}, s.eng.SetAssoc(c.assoc)
+	case recMultiAssoc:
+		return engine.BatchResult{}, s.eng.SetMultiAssoc(c.multi)
+	}
+	br, err := s.eng.ApplyBatch(c.events)
+	c.hdr.Applied, c.hdr.Err = br.Applied, err != nil
+	if err != nil {
+		var rejected *engine.InvalidEventError
+		if !errors.As(err, &rejected) {
+			s.latch(fmt.Errorf("internal engine error at event %d of a %s: %w", br.Applied, c.hdr.T, err))
+		}
+	}
+	if c.hdr.T == recWindow {
+		// A rejected window advances the session only past its applied
+		// prefix, so a reconnect resumes at the offending event. The
+		// offset moves before the record is journaled: journaling can
+		// cut a snapshot, and one whose engine holds this window but
+		// whose sessions map does not would make a recovered daemon
+		// re-accept (or reject) events it already applied.
+		c.hdr.Seq = c.from + uint64(len(c.events))
 		if err != nil {
-			return nil, err
+			c.hdr.Seq = c.from + uint64(br.Applied)
 		}
-		buf.Write(b)
-		buf.WriteByte('\n')
+		if c.hdr.Sess != "" {
+			s.rememberSession(c.hdr.Sess, c.hdr.Seq)
+		}
 	}
-	return buf.Bytes(), nil
+	return br, err
 }
 
-// --- journaling (all methods require s.mu held) ---
-
-// journalScenario records a scenario load. Scenario records are rare
-// and rebuild everything downstream, so they fsync unconditionally
-// regardless of policy — a daemon must never ack a scenario it could
-// forget.
-func (s *server) journalScenario(raw json.RawMessage) error {
-	if s.dur == nil {
-		return nil
+// commit is the live half of the command log: exec c, journal it, and
+// return the HTTP status the call answers with. That is 200 once the
+// record is journaled, 400 for a rejection, 500 when this call latched
+// a failure, and 503 for every call after one. Requires s.mu held.
+func (s *server) commit(c *command) (engine.BatchResult, int, error) {
+	if err := s.failed(); err != nil {
+		return engine.BatchResult{}, http.StatusServiceUnavailable, refusal(err)
 	}
-	payload, err := encodeRecord(recHeader{T: recScenario, Req: raw}, nil)
+	br, err := s.exec(c)
+	if ferr := s.failed(); ferr != nil {
+		// An internal error is never acked, so it is not journaled.
+		return br, http.StatusInternalServerError, ferr
+	}
+	if err != nil && !c.batch() {
+		return br, http.StatusBadRequest, err
+	}
+	if jerr := s.journal(c); jerr != nil {
+		return br, http.StatusInternalServerError, jerr
+	}
 	if err != nil {
-		return err
+		return br, http.StatusBadRequest, err
 	}
-	if _, err := s.dur.log.Append(payload); err != nil {
-		return err
-	}
-	if err := s.dur.log.Sync(); err != nil {
-		return err
-	}
-	s.dur.scenarioRaw = raw
-	s.dur.eventsSince = 0
-	return nil
+	return br, http.StatusOK, nil
 }
 
-// journalBatch records an event batch (from /v1/events or the
-// remapped /v1/trace) together with its outcome. Rejected batches are
-// journaled too: the engine counts rejections, and replay must
-// reproduce the counters exactly.
-func (s *server) journalBatch(events []engine.Event, applied int, applyErr error) error {
-	if s.dur == nil {
-		return nil
-	}
-	lines, err := marshalEventLines(events)
-	if err != nil {
-		return err
-	}
-	hdr := recHeader{T: recBatch, N: len(events), Applied: applied, Err: applyErr != nil}
-	payload, err := encodeRecord(hdr, lines)
-	if err != nil {
-		return err
-	}
-	if _, err := s.dur.log.Append(payload); err != nil {
-		return err
-	}
-	s.dur.eventsSince += len(events)
-	return s.maybeSnapshotLocked()
-}
-
-// journalAssoc records a successful PUT /v1/assoc (a failed one
-// mutates nothing, so it has no replay footprint).
-func (s *server) journalAssoc(body []byte) error {
-	if s.dur == nil {
-		return nil
-	}
-	payload, err := encodeRecord(recHeader{T: recAssoc, Req: body}, nil)
-	if err != nil {
-		return err
-	}
-	if _, err := s.dur.log.Append(payload); err != nil {
-		return err
-	}
-	s.dur.eventsSince++
-	return s.maybeSnapshotLocked()
-}
-
-// journalMultiAssoc records a successful PUT /v1/multiassoc (a failed
-// one mutates nothing, so it has no replay footprint).
-func (s *server) journalMultiAssoc(body []byte) error {
-	if s.dur == nil {
-		return nil
-	}
-	payload, err := encodeRecord(recHeader{T: recMultiAssoc, Req: body}, nil)
-	if err != nil {
-		return err
-	}
-	if _, err := s.dur.log.Append(payload); err != nil {
-		return err
-	}
-	s.dur.eventsSince++
-	return s.maybeSnapshotLocked()
-}
-
-// journalWindow records one stream window: the client's raw NDJSON
-// lines plus the session's new durable offset.
-func (s *server) journalWindow(raw []byte, n, applied int, applyErr error, sess string, seq uint64) error {
-	if s.dur == nil {
-		return nil
-	}
-	hdr := recHeader{T: recWindow, N: n, Applied: applied, Err: applyErr != nil, Sess: sess, Seq: seq}
-	payload, err := encodeRecord(hdr, raw)
-	if err != nil {
-		return err
-	}
-	if _, err := s.dur.log.Append(payload); err != nil {
-		return err
-	}
-	s.dur.eventsSince += n
-	return s.maybeSnapshotLocked()
-}
-
-// --- snapshots ---
-
-// maybeSnapshotLocked cuts a checkpoint when either trigger fires.
-// Requires s.mu held.
-func (s *server) maybeSnapshotLocked() error {
+// journal appends c's record (with -data-dir). Scenario records fsync
+// whatever the policy: a daemon must never ack a scenario it could
+// forget. A failed append or sync latches the daemon and is returned,
+// so the call is not acked. A failed snapshot after a good append
+// latches too, but the record is in the journal, so the call is still
+// acked. Requires s.mu held.
+func (s *server) journal(c *command) error {
 	d := s.dur
-	if d == nil || s.eng == nil {
+	if d == nil {
 		return nil
 	}
+	payload, err := c.record()
+	if err == nil {
+		_, err = d.log.Append(payload)
+	}
+	if err == nil && c.hdr.T == recScenario {
+		err = d.log.Sync()
+	}
+	if err != nil {
+		err = fmt.Errorf("journal: %w", err)
+		s.latch(err)
+		return err
+	}
+	switch c.hdr.T {
+	case recScenario:
+		d.eventsSince = 0
+		return nil
+	case recAssoc, recMultiAssoc:
+		d.eventsSince++
+	default:
+		d.eventsSince += c.hdr.N
+	}
+	// Cut a checkpoint when either trigger fires.
 	if d.eventsSince < d.snapEvents && time.Since(d.lastSnapTime) < d.snapInterval {
 		return nil
 	}
-	if d.log.LastSeq() <= d.lastSnapSeq {
-		return nil
+	if err := s.writeSnapshotLocked(); err != nil {
+		s.latch(fmt.Errorf("snapshot: %w", err))
 	}
-	return s.writeSnapshotLocked()
+	return nil
 }
+
+// latch records the daemon's first failure: a storage error or an
+// internal engine error. From then on every mutating route answers
+// 503, /healthz fails and assocd_failed reads 1; a restart recovers
+// the acked prefix from the journal.
+func (s *server) latch(err error) {
+	if s.failure.CompareAndSwap(nil, &err) {
+		fmt.Fprintf(s.errlog, "assocd: failed, refusing mutations until restart: %v\n", err)
+	}
+}
+
+// failed returns the latched failure, or nil while the daemon is
+// healthy.
+func (s *server) failed() error {
+	if p := s.failure.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// refusal is the error a mutating call gets after a latched failure.
+func refusal(err error) error {
+	return fmt.Errorf("daemon failed earlier, restart to recover: %w", err)
+}
+
+// --- snapshots ---
 
 // writeSnapshotLocked unconditionally snapshots the full daemon state
 // at the journal's current tail, then prunes segments and older
@@ -367,9 +450,7 @@ func (s *server) enableDurability(opt serveOptions, stderr io.Writer) error {
 }
 
 // buildFromRequest constructs the network and engine config a
-// scenario request describes — shared by the live handler and boot
-// recovery so a recovered engine is built by the exact same code
-// path.
+// scenario request describes (see scenarioCommand).
 func (s *server) buildFromRequest(req scenarioRequest) (*wlan.Network, engine.Config, error) {
 	var (
 		n   *wlan.Network
@@ -420,10 +501,10 @@ func (s *server) buildFromRequest(req scenarioRequest) (*wlan.Network, engine.Co
 }
 
 // recoverState restores the daemon from its data dir: newest snapshot
-// first, then the journal tail replayed through the live apply paths.
-// Any mismatch between a record's journaled outcome and its replayed
-// outcome is a fatal boot error — a daemon that cannot prove its
-// recovered state is exact must not serve.
+// first, then each journal record after it decoded and exec'd like a
+// live call. Any mismatch between a record's journaled outcome and its
+// replayed outcome is a fatal boot error — a daemon that cannot prove
+// its recovered state is exact must not serve.
 func (s *server) recoverState(stderr io.Writer) error {
 	d := s.dur
 	start := time.Now()
@@ -463,70 +544,26 @@ func (s *server) recoverState(stderr io.Writer) error {
 	records, events := 0, 0
 	err = d.log.Replay(snapSeq, func(seq uint64, payload []byte) error {
 		hdr, lines, err := decodeRecord(payload)
+		var c *command
+		if err == nil {
+			c, err = s.decodeCommand(hdr, lines)
+		}
 		if err != nil {
 			return fmt.Errorf("journal seq %d: %w", seq, err)
 		}
 		records++
-		switch hdr.T {
-		case recScenario:
-			var req scenarioRequest
-			if err := json.Unmarshal(hdr.Req, &req); err != nil {
-				return fmt.Errorf("journal seq %d: decode scenario: %w", seq, err)
-			}
-			n, cfg, err := s.buildFromRequest(req)
-			if err != nil {
-				return fmt.Errorf("journal seq %d: %w", seq, err)
-			}
-			eng, err := engine.New(n, cfg)
-			if err != nil {
-				return fmt.Errorf("journal seq %d: build engine: %w", seq, err)
-			}
-			s.eng = eng
-			d.scenarioRaw = hdr.Req
-			clear(s.sessions)
-			s.scenarios.Inc()
-		case recBatch, recWindow:
-			if s.eng == nil {
-				return fmt.Errorf("journal seq %d: %s record before any scenario", seq, hdr.T)
-			}
-			evs, err := decodeRecordEvents(hdr, lines)
-			if err != nil {
-				return fmt.Errorf("journal seq %d: %w", seq, err)
-			}
-			br, applyErr := s.eng.ApplyBatch(evs)
-			if br.Applied != hdr.Applied || (applyErr != nil) != hdr.Err {
-				return fmt.Errorf("journal seq %d: replay diverged: applied %d/%d err=%v, journal says %d err=%v",
-					seq, br.Applied, len(evs), applyErr != nil, hdr.Applied, hdr.Err)
-			}
-			events += br.Applied
-			if hdr.T == recWindow && hdr.Sess != "" {
-				s.sessions[hdr.Sess] = hdr.Seq
-			}
-		case recAssoc:
-			if s.eng == nil {
-				return fmt.Errorf("journal seq %d: assoc record before any scenario", seq)
-			}
-			a, err := wlan.DecodeAssoc(hdr.Req, s.eng.NumAPs(), s.eng.NumUsers())
-			if err != nil {
-				return fmt.Errorf("journal seq %d: decode assoc: %w", seq, err)
-			}
-			if err := s.eng.SetAssoc(a); err != nil {
-				return fmt.Errorf("journal seq %d: replay assoc: %w", seq, err)
-			}
-		case recMultiAssoc:
-			if s.eng == nil {
-				return fmt.Errorf("journal seq %d: multiassoc record before any scenario", seq)
-			}
-			ma, err := wlan.DecodeMultiAssoc(hdr.Req, s.eng.NumAPs(), s.eng.NumUsers(), s.eng.MaxHomes())
-			if err != nil {
-				return fmt.Errorf("journal seq %d: decode multiassoc: %w", seq, err)
-			}
-			if err := s.eng.SetMultiAssoc(ma); err != nil {
-				return fmt.Errorf("journal seq %d: replay multiassoc: %w", seq, err)
-			}
-		default:
-			return fmt.Errorf("journal seq %d: unknown record type %q", seq, hdr.T)
+		br, err := s.exec(c)
+		if ferr := s.failed(); ferr != nil {
+			return fmt.Errorf("journal seq %d: %w", seq, ferr)
 		}
+		if err != nil && !c.batch() {
+			return fmt.Errorf("journal seq %d: replay %s: %w", seq, hdr.T, err)
+		}
+		if c.hdr.Applied != hdr.Applied || c.hdr.Err != hdr.Err {
+			return fmt.Errorf("journal seq %d: replay diverged: applied %d/%d err=%v, journal says %d err=%v",
+				seq, c.hdr.Applied, len(c.events), c.hdr.Err, hdr.Applied, hdr.Err)
+		}
+		events += br.Applied
 		return nil
 	})
 	if err != nil {
@@ -549,13 +586,15 @@ func (s *server) recoverState(stderr io.Writer) error {
 
 // finalizeLocked is the graceful-shutdown tail: checkpoint whatever
 // the journal holds beyond the last snapshot (so the next boot
-// replays nothing), then sync and close the log. Requires s.mu held.
+// replays nothing), then sync and close the log. A failed daemon
+// writes no checkpoint: its engine may hold a mutation the journal
+// does not. Requires s.mu held.
 func (s *server) finalizeLocked(stderr io.Writer) {
 	d := s.dur
 	if d == nil {
 		return
 	}
-	if s.eng != nil && d.log.LastSeq() > d.lastSnapSeq {
+	if s.eng != nil && s.failed() == nil && d.log.LastSeq() > d.lastSnapSeq {
 		if err := s.writeSnapshotLocked(); err != nil {
 			fmt.Fprintf(stderr, "assocd: final snapshot failed: %v\n", err)
 		}

@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -26,8 +27,12 @@ import (
 
 // server is the assocd -serve HTTP daemon: one online association
 // engine behind a JSON API. All engine access is serialized by mu —
-// the HTTP layer is the concurrency boundary. /v1/events, /v1/trace
-// and /v1/events/stream are three framings of one engine call: each
+// the HTTP layer is the concurrency boundary. Every mutating route
+// decodes its request into a command and runs it through exec, the
+// one mutation site, then the journal, then acks (durable.go). After
+// a storage or internal engine error the daemon is failed: mutating
+// routes answer 503 until a restart. /v1/events, /v1/trace and
+// /v1/events/stream are three framings of one engine call: each
 // request body, generated trace or stream window is one
 // engine.ApplyBatch. Metrics live outside
 // that boundary: the daemon-lifetime series sit in base, each engine
@@ -50,7 +55,7 @@ import (
 //	GET  /v1/debug/flightrecord  flight-recorder span dump (JSON)
 //	GET  /metrics          Prometheus-style text exposition
 //	GET  /debug/pprof/*    runtime profiles
-//	GET  /healthz          liveness
+//	GET  /healthz          liveness (503 once the daemon has failed)
 //
 // SIGQUIT also dumps the flight recorder to the error log, the
 // classic "what is the daemon doing right now" lever when the HTTP
@@ -100,6 +105,10 @@ type server struct {
 	// their current window, send a drain frame, and terminate so the
 	// journal can be finalized.
 	draining atomic.Bool
+	// failure is the latched first storage or internal engine error
+	// (see latch); nil while the daemon is healthy. Written under mu,
+	// read anywhere.
+	failure atomic.Pointer[error]
 
 	walMetrics       *wal.Metrics
 	walReplayRecords *obs.Counter
@@ -156,6 +165,13 @@ func newServer() *server {
 	s.walReplaySeconds = s.base.Gauge("assocd_wal_replay_seconds", "Wall-clock seconds the last boot recovery spent restoring and replaying.")
 	s.walResumes = s.base.Counter("assocd_wal_resumes_total", "Stream connections that resumed an existing session.")
 	s.walResumeSkipped = s.base.Counter("assocd_wal_resume_skipped_events_total", "Client-resent stream events skipped because they were already durably applied.")
+	s.base.GaugeFunc("assocd_failed", "1 once a storage or internal engine error has failed the daemon (mutations answer 503 until a restart), else 0.",
+		func() float64 {
+			if s.failure.Load() != nil {
+				return 1
+			}
+			return 0
+		})
 	s.mux.HandleFunc("/v1/scenario", s.handleScenario)
 	s.mux.HandleFunc("/v1/events", s.handleEvents)
 	s.mux.HandleFunc("/v1/events/stream", s.handleEventsStream)
@@ -168,6 +184,10 @@ func newServer() *server {
 	s.mux.HandleFunc("/v1/debug/flightrecord", s.handleFlightRecord)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		if err := s.failed(); err != nil {
+			httpError(w, http.StatusServiceUnavailable, "failed: %v", err)
+			return
+		}
 		fmt.Fprintln(w, "ok")
 	})
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -204,6 +224,12 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.base.Counter("assocd_http_requests_total", "HTTP requests served, by path.", obs.L("path", path)).Inc()
 		s.httpLatency.Observe(time.Since(start).Seconds())
 	}()
+	// A failed daemon refuses every mutation, before any work: each is
+	// a POST or PUT under /v1/.
+	if err := s.failed(); err != nil && r.Method != http.MethodGet && strings.HasPrefix(r.URL.Path, "/v1/") {
+		httpError(w, http.StatusServiceUnavailable, "%v", refusal(err))
+		return
+	}
 	s.mux.ServeHTTP(w, r)
 }
 
@@ -370,16 +396,6 @@ func (s *server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		bodyError(w, "decode request", err)
 		return
 	}
-	n, cfg, err := s.buildFromRequest(req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	eng, err := engine.New(n, cfg)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "build engine: %v", err)
-		return
-	}
 	// The journal-canonical form is the decoded request re-marshaled:
 	// recovery rebuilds the engine from exactly these bytes.
 	raw, err := json.Marshal(req)
@@ -387,20 +403,22 @@ func (s *server) handleScenario(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "encode scenario: %v", err)
 		return
 	}
-	s.mu.Lock()
-	// Journal before installing: a scenario the journal could forget
-	// must not be acked (scenario records fsync unconditionally).
-	if err := s.journalScenario(raw); err != nil {
-		s.mu.Unlock()
-		httpError(w, http.StatusInternalServerError, "journal scenario: %v", err)
+	// Built outside mu: a large scenario must not stall the routes that
+	// serve the current one.
+	c, err := s.scenarioCommand(req, raw)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.eng = eng
-	// A new scenario invalidates every stream session's offsets.
-	clear(s.sessions)
+	s.mu.Lock()
+	_, code, err := s.commit(c)
+	st := s.status(c.eng)
 	s.mu.Unlock()
-	s.scenarios.Inc()
-	writeJSON(w, s.status(eng))
+	if code != http.StatusOK {
+		httpError(w, code, "%v", err)
+		return
+	}
+	writeJSON(w, st)
 }
 
 func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
@@ -418,38 +436,30 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.eng == nil {
-		httpError(w, http.StatusConflict, "no scenario loaded; POST /v1/scenario first")
-		return
-	}
-	s.applyBatch(w, events, "event")
+	s.withEngine(w, func(*engine.Engine) { s.applyBatch(w, events, "event") })
 }
 
-// applyBatch is the tail /v1/events and /v1/trace share: one
-// engine.ApplyBatch call, the journal record, then the response. On
-// error the valid prefix is applied and br.Applied is the index of the
-// offending event, reported as "<what> %d: ... (%d applied)". Rejected
-// batches are journaled too (with their outcome) so replay reproduces
-// the rejection counters exactly. Requires s.mu held.
+// applyBatch is the tail /v1/events and /v1/trace share: one batch
+// command through commit, then the response. A rejection applies the
+// valid prefix and answers 400 "<what> %d: ... (%d applied)", where
+// br.Applied is the index of the offending event; the engine counted
+// it, so the batch is journaled with its outcome. Requires s.mu held.
 func (s *server) applyBatch(w http.ResponseWriter, events []engine.Event, what string) {
-	br, err := s.eng.ApplyBatch(events)
-	if jerr := s.journalBatch(events, br.Applied, err); jerr != nil {
-		httpError(w, http.StatusInternalServerError, "journal: %v", jerr)
-		return
+	br, code, err := s.commit(&command{hdr: recHeader{T: recBatch, N: len(events)}, events: events})
+	switch code {
+	case http.StatusOK:
+		writeJSON(w, eventsResponse{
+			Applied:     br.Applied,
+			Redecisions: br.Redecisions,
+			Moves:       br.Moves,
+			TotalLoad:   s.eng.TotalLoad(),
+			MaxLoad:     s.eng.MaxLoad(),
+		})
+	case http.StatusBadRequest:
+		httpError(w, code, "%s %d: %v (%d applied)", what, br.Applied, err, br.Applied)
+	default:
+		httpError(w, code, "%v", err)
 	}
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%s %d: %v (%d applied)", what, br.Applied, err, br.Applied)
-		return
-	}
-	writeJSON(w, eventsResponse{
-		Applied:     br.Applied,
-		Redecisions: br.Redecisions,
-		Moves:       br.Moves,
-		TotalLoad:   s.eng.TotalLoad(),
-		MaxLoad:     s.eng.MaxLoad(),
-	})
 }
 
 func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -462,38 +472,34 @@ func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		bodyError(w, "decode request", err)
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.eng == nil {
-		httpError(w, http.StatusConflict, "no scenario loaded; POST /v1/scenario first")
-		return
-	}
-	trace, err := engine.GenTrace(engine.TraceParams{
-		Seed:          req.Seed,
-		Events:        req.Events,
-		Area:          s.eng.Network().Area, // read-only: geometry is immutable
-		Users:         s.eng.NumUsers(),
-		InitialActive: s.eng.ActiveUsers(),
-		Sessions:      s.eng.NumSessions(),
-		JoinRate:      req.JoinRate,
-		LeaveRate:     req.LeaveRate,
-		MoveRate:      req.MoveRate,
-		DemandRate:    req.DemandRate,
+	s.withEngine(w, func(eng *engine.Engine) {
+		trace, err := engine.GenTrace(engine.TraceParams{
+			Seed:          req.Seed,
+			Events:        req.Events,
+			Area:          eng.Network().Area, // read-only: geometry is immutable
+			Users:         eng.NumUsers(),
+			InitialActive: eng.ActiveUsers(),
+			Sessions:      eng.NumSessions(),
+			JoinRate:      req.JoinRate,
+			LeaveRate:     req.LeaveRate,
+			MoveRate:      req.MoveRate,
+			DemandRate:    req.DemandRate,
+		})
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "generate trace: %v", err)
+			return
+		}
+		// GenTrace models the active set as slots [0, InitialActive), but
+		// after earlier churn the engine's active slots are arbitrary ids.
+		// Remap: trace slot k → the k-th currently-active (or free) slot.
+		if err := s.remapTrace(trace); err != nil {
+			httpError(w, http.StatusBadRequest, "remap trace: %v", err)
+			return
+		}
+		// The REMAPPED events are what the engine saw, so they — not the
+		// trace request — are what recovery must re-apply.
+		s.applyBatch(w, trace, "trace event")
 	})
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "generate trace: %v", err)
-		return
-	}
-	// GenTrace models the active set as slots [0, InitialActive), but
-	// after earlier churn the engine's active slots are arbitrary ids.
-	// Remap: trace slot k → the k-th currently-active (or free) slot.
-	if err := s.remapTrace(trace); err != nil {
-		httpError(w, http.StatusBadRequest, "remap trace: %v", err)
-		return
-	}
-	// The REMAPPED events are what the engine saw, so they — not the
-	// trace request — are what recovery must re-apply.
-	s.applyBatch(w, trace, "trace event")
 }
 
 // remapTrace rewrites trace user ids (which index GenTrace's
@@ -542,13 +548,7 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.eng == nil {
-		httpError(w, http.StatusConflict, "no scenario loaded; POST /v1/scenario first")
-		return
-	}
-	writeJSON(w, s.status(s.eng))
+	s.withEngine(w, func(eng *engine.Engine) { writeJSON(w, s.status(eng)) })
 }
 
 // handleFlightRecord dumps the engine's flight recorder: the last N
@@ -591,45 +591,15 @@ func (s *server) dumpFlight(why string) {
 func (s *server) handleAssoc(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.eng == nil {
-			httpError(w, http.StatusConflict, "no scenario loaded; POST /v1/scenario first")
-			return
-		}
-		writeJSON(w, struct {
-			Assoc       *wlan.Assoc `json:"assoc"`
-			ActiveUsers int         `json:"active_users"`
-			Satisfied   int         `json:"satisfied"`
-		}{s.eng.Snapshot(), s.eng.ActiveUsers(), s.eng.Satisfied()})
+		s.withEngine(w, func(eng *engine.Engine) {
+			writeJSON(w, struct {
+				Assoc       *wlan.Assoc `json:"assoc"`
+				ActiveUsers int         `json:"active_users"`
+				Satisfied   int         `json:"satisfied"`
+			}{eng.Snapshot(), eng.ActiveUsers(), eng.Satisfied()})
+		})
 	case http.MethodPut:
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-		if err != nil {
-			bodyError(w, "read body", err)
-			return
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.eng == nil {
-			httpError(w, http.StatusConflict, "no scenario loaded; POST /v1/scenario first")
-			return
-		}
-		a, err := wlan.DecodeAssoc(body, s.eng.NumAPs(), s.eng.NumUsers())
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if err := s.eng.SetAssoc(a); err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		// A rejected PUT mutates nothing, so only the accepted body is
-		// journaled.
-		if err := s.journalAssoc(body); err != nil {
-			httpError(w, http.StatusInternalServerError, "journal: %v", err)
-			return
-		}
-		writeJSON(w, s.status(s.eng))
+		s.install(w, r, recAssoc)
 	default:
 		httpError(w, http.StatusMethodNotAllowed, "GET or PUT required")
 	}
@@ -647,51 +617,45 @@ func (s *server) handleAssoc(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleMultiAssoc(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.eng == nil {
-			httpError(w, http.StatusConflict, "no scenario loaded; POST /v1/scenario first")
-			return
-		}
-		ma := s.eng.MultiSnapshot()
-		writeJSON(w, struct {
-			MultiAssoc     *wlan.MultiAssoc `json:"multi_assoc"`
-			MaxHomes       int              `json:"max_homes"`
-			ActiveUsers    int              `json:"active_users"`
-			Satisfied      int              `json:"satisfied"`
-			SecondaryHomes int              `json:"secondary_homes"`
-		}{ma, s.eng.MaxHomes(), s.eng.ActiveUsers(), ma.SatisfiedCount(), ma.SecondaryCount()})
+		s.withEngine(w, func(eng *engine.Engine) {
+			ma := eng.MultiSnapshot()
+			writeJSON(w, struct {
+				MultiAssoc     *wlan.MultiAssoc `json:"multi_assoc"`
+				MaxHomes       int              `json:"max_homes"`
+				ActiveUsers    int              `json:"active_users"`
+				Satisfied      int              `json:"satisfied"`
+				SecondaryHomes int              `json:"secondary_homes"`
+			}{ma, eng.MaxHomes(), eng.ActiveUsers(), ma.SatisfiedCount(), ma.SecondaryCount()})
+		})
 	case http.MethodPut:
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
-		if err != nil {
-			bodyError(w, "read body", err)
-			return
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if s.eng == nil {
-			httpError(w, http.StatusConflict, "no scenario loaded; POST /v1/scenario first")
-			return
-		}
-		ma, err := wlan.DecodeMultiAssoc(body, s.eng.NumAPs(), s.eng.NumUsers(), s.eng.MaxHomes())
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if err := s.eng.SetMultiAssoc(ma); err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		// A rejected PUT mutates nothing, so only the accepted body is
-		// journaled.
-		if err := s.journalMultiAssoc(body); err != nil {
-			httpError(w, http.StatusInternalServerError, "journal: %v", err)
-			return
-		}
-		writeJSON(w, s.status(s.eng))
+		s.install(w, r, recMultiAssoc)
 	default:
 		httpError(w, http.StatusMethodNotAllowed, "GET or PUT required")
 	}
+}
+
+// install is the PUT half of /v1/assoc and /v1/multiassoc: the body
+// is decoded against the engine's dimensions into an install command
+// of kind t. A rejected install mutates nothing, so only an accepted
+// body is journaled.
+func (s *server) install(w http.ResponseWriter, r *http.Request, t string) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
+	if err != nil {
+		bodyError(w, "read body", err)
+		return
+	}
+	s.withEngine(w, func(eng *engine.Engine) {
+		c, err := s.decodeCommand(recHeader{T: t, Req: body}, nil)
+		code := http.StatusBadRequest
+		if err == nil {
+			_, code, err = s.commit(c)
+		}
+		if err != nil {
+			httpError(w, code, "%v", err)
+			return
+		}
+		writeJSON(w, s.status(eng))
+	})
 }
 
 func (s *server) handleLoads(w http.ResponseWriter, r *http.Request) {
@@ -699,17 +663,13 @@ func (s *server) handleLoads(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.eng == nil {
-		httpError(w, http.StatusConflict, "no scenario loaded; POST /v1/scenario first")
-		return
-	}
-	writeJSON(w, struct {
-		Loads []float64 `json:"loads"`
-		Total float64   `json:"total"`
-		Max   float64   `json:"max"`
-	}{s.eng.APLoads(), s.eng.TotalLoad(), s.eng.MaxLoad()})
+	s.withEngine(w, func(eng *engine.Engine) {
+		writeJSON(w, struct {
+			Loads []float64 `json:"loads"`
+			Total float64   `json:"total"`
+			Max   float64   `json:"max"`
+		}{eng.APLoads(), eng.TotalLoad(), eng.MaxLoad()})
+	})
 }
 
 // handleMetrics renders the daemon registry followed by the current
@@ -738,6 +698,18 @@ func (s *server) handleTraceExport(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	s.ring.WriteJSONL(w)
+}
+
+// withEngine runs f on the current engine with s.mu held, or answers
+// 409 when no scenario is loaded yet.
+func (s *server) withEngine(w http.ResponseWriter, f func(eng *engine.Engine)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.eng == nil {
+		httpError(w, http.StatusConflict, "no scenario loaded; POST /v1/scenario first")
+		return
+	}
+	f(s.eng)
 }
 
 // status must be called with mu held (or on a fresh engine).

@@ -348,35 +348,23 @@ func (s *server) handleEventsStream(w http.ResponseWriter, r *http.Request) {
 	s.writeFrame(enc, rc, streamFrame{Done: &done})
 }
 
-// applyStreamWindow applies one window, journals it, and advances the
-// session offset — all under one engine-lock hold, so a crash can
-// never separate "applied" from "journaled" in a way a client could
-// observe: an unacked window dies with the process and the client
-// re-sends it. It also defends against a concurrent scenario swap:
-// applying to a replaced engine would silently stream into an object
-// no reader can see. Returns the session's new durable offset (on a
-// rejection, the offset advances only past the applied prefix, so a
-// reconnect resumes exactly at the offending event).
+// applyStreamWindow runs one window through commit and returns the
+// session's new offset: past the window, or only past its applied
+// prefix on a rejection, so a reconnect resumes exactly at the
+// offending event. Exec and journal share one engine-lock hold, so an
+// unacked window dies with the process and the client re-sends it. It
+// also defends against a concurrent scenario swap: applying to a
+// replaced engine would silently stream into an object no reader can
+// see.
 func (s *server) applyStreamWindow(eng *engine.Engine, events []engine.Event, raw []byte, sess string, seq uint64) (engine.BatchResult, uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.eng != eng {
 		return engine.BatchResult{}, seq, fmt.Errorf("scenario replaced mid-stream")
 	}
-	br, err := eng.ApplyBatch(events)
-	newSeq := seq + uint64(len(events))
-	if err != nil {
-		newSeq = seq + uint64(br.Applied)
-	}
-	// The session offset must advance before journalWindow: journaling
-	// can cut a snapshot, and a snapshot whose engine state includes
-	// this window but whose sessions map does not would make a
-	// recovered daemon re-accept (or reject) events it already applied.
-	s.rememberSession(sess, newSeq)
-	if jerr := s.journalWindow(raw, len(events), br.Applied, err, sess, newSeq); jerr != nil {
-		return br, seq, fmt.Errorf("journal: %v", jerr)
-	}
-	return br, newSeq, err
+	c := &command{hdr: recHeader{T: recWindow, N: len(events), Sess: sess}, lines: raw, events: events, from: seq}
+	br, _, err := s.commit(c)
+	return br, c.hdr.Seq, err
 }
 
 // streamError emits an in-band error frame; the caller terminates the

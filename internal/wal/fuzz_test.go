@@ -21,9 +21,9 @@ func FuzzWALDecode(f *testing.F) {
 		clean = EncodeFrame(clean, bytes.Repeat([]byte{byte('a' + i)}, 3+11*i))
 	}
 	f.Add(clean, 0)
-	f.Add(clean[:len(clean)-3], 0)           // torn payload
-	f.Add(clean[:5], 0)                      // torn header
-	f.Add(append(clean[:0:0], clean...), 17) // mutate later
+	f.Add(clean[:len(clean)-3], 0)                                    // torn payload
+	f.Add(clean[:5], 0)                                               // torn header
+	f.Add(append(clean[:0:0], clean...), 17)                          // mutate later
 	f.Add(append(append([]byte{}, clean...), make([]byte, 64)...), 0) // preallocated zeros
 	f.Add([]byte{}, 0)
 	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0}, 0) // oversized length

@@ -4,7 +4,8 @@
 #   ./scripts/check.sh
 #
 # Runs, in order:
-#   1. go vet over every package
+#   1. go vet over every package, then gofmt: any file `gofmt -l`
+#      lists fails the run
 #   2. the test-name guard: every Test…/Fuzz… name given to a -run or
 #      -fuzz flag in this script or in .github/workflows/ci.yml must
 #      match a func in the tree (as -run does: the name or a prefix
@@ -20,8 +21,9 @@
 #      internal/engine, whose registry instruments and flight
 #      recorder are read from other goroutines while a batch runs
 #      (the 26-seed differential suite runs under -race here),
-#      internal/wal, whose fsync-interval flusher runs beside
-#      appenders, and cmd/assocd, whose HTTP daemon serves one engine
+#      internal/wal, the journal under every daemon mutation (it
+#      has no background flusher: interval fsyncs ride on the next
+#      append), and cmd/assocd, whose HTTP daemon serves one engine
 #      to many connections behind one mutex and reads /metrics and
 #      the flight recorder outside it (the SIGKILL crash-recovery
 #      differential suite runs under -race here)
@@ -85,6 +87,13 @@ export CHECK_RUN_ID
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+    echo "check.sh: gofmt would reformat:" $unformatted >&2
+    exit 1
+fi
 
 echo "== test-name guard (-run/-fuzz names in check.sh and ci.yml exist)"
 missing=""
