@@ -31,12 +31,14 @@ package main
 import (
 	"bytes"
 	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"sort"
 	"time"
 
 	"wlanmcast/internal/core"
@@ -75,12 +77,114 @@ type recHeader struct {
 }
 
 // daemonSnap is the snapshot payload: everything needed to boot
-// without replaying the whole journal. json.Marshal sorts the
-// sessions map keys, so identical states snapshot to identical bytes.
+// without replaying the whole journal. encodeSnapshot writes it in
+// the binary envelope; the JSON tags read envelopes written before it.
 type daemonSnap struct {
 	Scenario json.RawMessage   `json:"scenario"`
 	Engine   json.RawMessage   `json:"engine"`
 	Sessions map[string]uint64 `json:"sessions,omitempty"`
+}
+
+// snapEnvelopeMagic opens a binary snapshot envelope:
+//
+//	"ASNP" 0x01                   magic, version
+//	len, scenario                 the journal-canonical scenario request, verbatim
+//	len, engine                   engine.EncodeSnapshot's blob
+//	count, then per session:      ascending by token
+//	  len, token, offset
+//
+// All integers are unsigned varints, and nothing follows the last
+// session. An envelope whose first byte is '{' is the JSON one
+// (daemonSnap's tags), still read but no longer written.
+const snapEnvelopeMagic = "ASNP\x01"
+
+// encodeSnapshot assembles a binary snapshot envelope. Sessions are
+// written sorted by token, so identical states give identical bytes.
+func encodeSnapshot(snap daemonSnap) []byte {
+	toks := make([]string, 0, len(snap.Sessions))
+	size := len(snapEnvelopeMagic) + 3*binary.MaxVarintLen64 + len(snap.Scenario) + len(snap.Engine)
+	for tok := range snap.Sessions {
+		toks = append(toks, tok)
+		size += 2*binary.MaxVarintLen64 + len(tok)
+	}
+	sort.Strings(toks)
+	buf := make([]byte, 0, size)
+	buf = append(buf, snapEnvelopeMagic...)
+	buf = appendSection(buf, snap.Scenario)
+	buf = appendSection(buf, snap.Engine)
+	buf = binary.AppendUvarint(buf, uint64(len(toks)))
+	for _, tok := range toks {
+		buf = appendSection(buf, []byte(tok))
+		buf = binary.AppendUvarint(buf, snap.Sessions[tok])
+	}
+	return buf
+}
+
+// decodeSnapshot reads a snapshot envelope, binary or JSON. The
+// binary sections are sliced out of blob, not copied or scanned.
+func decodeSnapshot(blob []byte) (daemonSnap, error) {
+	var snap daemonSnap
+	if len(blob) > 0 && blob[0] == '{' {
+		err := json.Unmarshal(blob, &snap)
+		return snap, err
+	}
+	rest, ok := bytes.CutPrefix(blob, []byte(snapEnvelopeMagic))
+	if !ok {
+		return snap, fmt.Errorf("not a snapshot envelope")
+	}
+	var err error
+	if snap.Scenario, rest, err = cutSection(rest); err != nil {
+		return snap, err
+	}
+	if snap.Engine, rest, err = cutSection(rest); err != nil {
+		return snap, err
+	}
+	count, rest, err := cutUvarint(rest)
+	if err != nil {
+		return snap, err
+	}
+	if count > 0 {
+		snap.Sessions = make(map[string]uint64, min(count, maxSessions))
+	}
+	for ; count > 0; count-- {
+		var tok []byte
+		if tok, rest, err = cutSection(rest); err != nil {
+			return snap, err
+		}
+		if snap.Sessions[string(tok)], rest, err = cutUvarint(rest); err != nil {
+			return snap, err
+		}
+	}
+	if len(rest) > 0 {
+		return snap, fmt.Errorf("%d trailing bytes after the snapshot envelope", len(rest))
+	}
+	return snap, nil
+}
+
+// appendSection appends b to buf behind its varint length.
+func appendSection(buf, b []byte) []byte {
+	return append(binary.AppendUvarint(buf, uint64(len(b))), b...)
+}
+
+// cutSection splits a length-prefixed section off the front of b.
+func cutSection(b []byte) (section, rest []byte, err error) {
+	n, rest, err := cutUvarint(b)
+	if err != nil {
+		return nil, nil, err
+	}
+	if n > uint64(len(rest)) {
+		return nil, nil, fmt.Errorf("snapshot section of %d bytes overruns the %d left", n, len(rest))
+	}
+	return rest[:n], rest[n:], nil
+}
+
+// cutUvarint splits a varint off the front of b.
+func cutUvarint(b []byte) (v uint64, rest []byte, err error) {
+	v, n := binary.Uvarint(b)
+	if n <= 0 {
+		return 0, nil, fmt.Errorf("truncated snapshot envelope")
+	}
+	return v, b[n:], nil
 }
 
 // durability is the daemon's journaling state. All fields are guarded
@@ -380,14 +484,7 @@ func (s *server) writeSnapshotLocked() error {
 	if err != nil {
 		return fmt.Errorf("encode engine snapshot: %w", err)
 	}
-	snap := daemonSnap{Scenario: d.scenarioRaw, Engine: engBlob}
-	if len(s.sessions) > 0 {
-		snap.Sessions = s.sessions
-	}
-	blob, err := json.Marshal(snap)
-	if err != nil {
-		return err
-	}
+	blob := encodeSnapshot(daemonSnap{Scenario: d.scenarioRaw, Engine: engBlob, Sessions: s.sessions})
 	seq := d.log.LastSeq()
 	// The snapshot only covers what is durably on disk: flush and sync
 	// the journal first so a crash right after the rename cannot leave
@@ -513,8 +610,8 @@ func (s *server) recoverState(stderr io.Writer) error {
 		return fmt.Errorf("read snapshot: %w", err)
 	}
 	if snapBlob != nil {
-		var snap daemonSnap
-		if err := json.Unmarshal(snapBlob, &snap); err != nil {
+		snap, err := decodeSnapshot(snapBlob)
+		if err != nil {
 			return fmt.Errorf("decode snapshot %d: %w", snapSeq, err)
 		}
 		var req scenarioRequest
@@ -530,7 +627,8 @@ func (s *server) recoverState(stderr io.Writer) error {
 			return fmt.Errorf("restore engine snapshot: %w", err)
 		}
 		s.eng = eng
-		d.scenarioRaw = snap.Scenario
+		// A copy, so the envelope's engine bytes are not kept alive.
+		d.scenarioRaw = bytes.Clone(snap.Scenario)
 		for tok, seq := range snap.Sessions {
 			s.sessions[tok] = seq
 		}

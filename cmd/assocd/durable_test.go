@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -582,5 +583,81 @@ func TestSessionEviction(t *testing.T) {
 	s.rememberSession("overflow", 1000)
 	if len(s.sessions) != maxSessions {
 		t.Fatal("update changed table size")
+	}
+}
+
+// TestDurableSnapshotEnvelope pins the binary snapshot envelope: a
+// checkpoint holding several stream sessions restores their offsets
+// on boot, and two daemons given the same history write byte-identical
+// snapshot files.
+func TestDurableSnapshotEnvelope(t *testing.T) {
+	sessions := map[string]uint64{"tok-c": 30, "tok-a": 10, "tok-b": 20}
+	history := func(dir string) []byte {
+		s := durableServer(t, dir, 0)
+		mustPost(t, s, "/v1/scenario", durableScenario)
+		driveChurn(t, s, 3)
+		s.mu.Lock()
+		for _, tok := range []string{"tok-c", "tok-a", "tok-b"} {
+			s.rememberSession(tok, sessions[tok])
+		}
+		err := s.writeSnapshotLocked()
+		s.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		closeLog(t, s)
+		_, payload, err := s.dur.log.LatestSnapshot()
+		if err != nil || !bytes.HasPrefix(payload, []byte(snapEnvelopeMagic)) {
+			t.Fatalf("snapshot payload starts %q (err %v), want the binary envelope", payload[:min(8, len(payload))], err)
+		}
+		snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+		if err != nil || len(snaps) != 1 {
+			t.Fatalf("snapshot files %v (err %v), want one", snaps, err)
+		}
+		file, err := os.ReadFile(snaps[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return file
+	}
+	dirA := t.TempDir()
+	if !bytes.Equal(history(dirA), history(t.TempDir())) {
+		t.Fatal("identical histories wrote different snapshot files")
+	}
+
+	r := durableServer(t, dirA, 0)
+	defer closeLog(t, r)
+	r.mu.Lock()
+	got := maps.Clone(r.sessions)
+	r.mu.Unlock()
+	if !maps.Equal(got, sessions) {
+		t.Fatalf("recovered sessions %v, want %v", got, sessions)
+	}
+	if n := metricValue(t, recordGet(r, "/metrics"), "assocd_wal_replay_records_total"); n != 0 {
+		t.Fatalf("replayed %v records past the snapshot, want 0", n)
+	}
+}
+
+// TestDecodeSnapshotEnvelopeRejectsDamage feeds every truncation of a
+// binary envelope, and one with a byte appended, to decodeSnapshot:
+// each must fail rather than yield a partial state.
+func TestDecodeSnapshotEnvelopeRejectsDamage(t *testing.T) {
+	blob := encodeSnapshot(daemonSnap{
+		Scenario: json.RawMessage(durableScenario),
+		Engine:   []byte("engine-bytes"),
+		Sessions: map[string]uint64{"b": 2, "a": 1},
+	})
+	snap, err := decodeSnapshot(blob)
+	if err != nil || string(snap.Scenario) != durableScenario || string(snap.Engine) != "engine-bytes" ||
+		!maps.Equal(snap.Sessions, map[string]uint64{"a": 1, "b": 2}) {
+		t.Fatalf("round trip = %+v, %v", snap, err)
+	}
+	for cut := 0; cut < len(blob); cut++ {
+		if _, err := decodeSnapshot(blob[:cut]); err == nil {
+			t.Fatalf("accepted the envelope cut at %d of %d bytes", cut, len(blob))
+		}
+	}
+	if _, err := decodeSnapshot(append(blob, 0)); err == nil {
+		t.Fatal("accepted an envelope with a trailing byte")
 	}
 }

@@ -66,7 +66,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	shards := fs.Int("shards", 1, "accepted for compatibility and ignored: the engine is serial (>= 1)")
 	dataDir := fs.String("data-dir", "", "with -serve, directory for the write-ahead journal and snapshots (empty = no durability)")
 	fsyncPolicy := fs.String("fsync", "interval", "with -data-dir, journal fsync policy: always, interval, off")
-	fsyncInterval := fs.Duration("fsync-interval", 100*time.Millisecond, "with -fsync interval, maximum time appended records stay unsynced")
+	fsyncInterval := fs.Duration("fsync-interval", 100*time.Millisecond, "with -fsync interval, least time between fsyncs: an append syncs once this has passed since the last sync (no background flusher; a snapshot or shutdown also syncs)")
 	snapEvents := fs.Int("snapshot-events", 4096, "with -data-dir, checkpoint after this many journaled events")
 	snapInterval := fs.Duration("snapshot-interval", time.Minute, "with -data-dir, checkpoint at least this often (checked on journal writes)")
 	multihome := fs.Int("multihome", 0, "with -serve, default per-user AP-set cap for scenarios that do not ask for one (<= 1 keeps single-AP association)")

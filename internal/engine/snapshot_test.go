@@ -16,7 +16,7 @@ import (
 // buildSnapNet regenerates the identical network a scenario seed
 // produces — the recovery contract: layout comes from the scenario,
 // mutable state from the snapshot.
-func buildSnapNet(t *testing.T, seed int64, aps, users, sessions int) *wlan.Network {
+func buildSnapNet(t testing.TB, seed int64, aps, users, sessions int) *wlan.Network {
 	t.Helper()
 	p := scenario.PaperDefaults()
 	p.NumAPs = aps
@@ -32,13 +32,27 @@ func buildSnapNet(t *testing.T, seed int64, aps, users, sessions int) *wlan.Netw
 
 // statsSansLatency strips the wall-clock histogram so deterministic
 // fields compare exactly (snapCounters is comparable; Stats is not).
-func statsSansLatency(s Stats) snapCounters {
-	return snapCounters{
-		Joins: s.Joins, Leaves: s.Leaves, UserMoves: s.UserMoves,
-		DemandChanges: s.DemandChanges, APDowns: s.APDowns, APUps: s.APUps,
-		Orphaned: s.Orphaned, Rejected: s.Rejected,
-		Redecisions: s.Redecisions, Handoffs: s.Handoffs, Truncated: s.Truncated,
+func statsSansLatency(s Stats) snapCounters { return s.counters() }
+
+// encodeSnapshotJSON writes e's state as a version-2 JSON snapshot,
+// the encoding EncodeSnapshot wrote before version 3. RestoreSnapshot
+// still reads it; the tests use it to pin that compatibility.
+func encodeSnapshotJSON(e *Engine) ([]byte, error) {
+	st := snapState{Version: 2}
+	geometric := e.n.Geometric()
+	for u := 0; u < e.n.NumUsers(); u++ {
+		if !e.active[u] {
+			continue
+		}
+		su := snapUser{U: u, Session: e.n.Users[u].Session, AP: e.tr.APOf(u), Sec: e.secondaryOf(u)}
+		if geometric {
+			su.X, su.Y = e.n.Users[u].Pos.X, e.n.Users[u].Pos.Y
+		}
+		st.Users = append(st.Users, su)
 	}
+	st.DownAPs = e.n.DownAPs()
+	st.Stats = statsSansLatency(e.Stats())
+	return json.Marshal(st)
 }
 
 // TestSnapshotRestoreEquivalence is the determinism proof behind
@@ -211,7 +225,7 @@ func TestRestoreSnapshotVersion1(t *testing.T) {
 	for _, ev := range trace[:100] {
 		_, _ = e.Apply(ev)
 	}
-	v2, err := e.EncodeSnapshot()
+	v2, err := encodeSnapshotJSON(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,4 +269,164 @@ func TestRestoreSnapshotVersion1(t *testing.T) {
 	if err != nil || !bytes.Equal(r1, r2) {
 		t.Fatalf("re-encoded snapshots differ (err %v)", err)
 	}
+}
+
+// Shape of snapCase's network and trace.
+const snapSeed, snapAPs, snapUsers, snapInitial, snapSessions, snapEvents = 41, 10, 40, 25, 3, 120
+
+// snapNet regenerates snapCase's fresh network, the one a restore
+// rebuilds onto.
+func snapNet(tb testing.TB) *wlan.Network {
+	return buildSnapNet(tb, snapSeed, snapAPs, snapUsers, snapSessions)
+}
+
+// snapCase builds a geometric engine partway through a churn trace
+// with AP failures and then takes one more AP down, so its snapshot
+// carries down APs (and, at maxHomes 2, secondary homes).
+func snapCase(tb testing.TB, maxHomes int) (*Engine, Config) {
+	tb.Helper()
+	cfg := Config{Objective: core.ObjMLA, ActiveUsers: snapInitial, MaxHomes: maxHomes}
+	n := snapNet(tb)
+	trace, err := GenTrace(TraceParams{Seed: snapSeed, Events: snapEvents, Area: scenario.PaperDefaults().Area,
+		Users: snapUsers, InitialActive: snapInitial, Sessions: snapSessions})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sched, err := fault.Gen(fault.Params{Seed: 606, APs: snapAPs, Horizon: trace[len(trace)-1].At, MTBF: 20, MTTR: 8})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	e, err := New(n, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	merged := MergeFaults(trace, sched)
+	for _, ev := range merged[:len(merged)/2] {
+		_, _ = e.Apply(ev)
+	}
+	for a := 0; a < snapAPs; a++ {
+		if !n.APDown(a) {
+			if _, err := e.Apply(Event{Kind: APDown, User: -1, AP: a}); err != nil {
+				tb.Fatal(err)
+			}
+			break
+		}
+	}
+	if len(n.DownAPs()) == 0 {
+		tb.Fatal("no AP down at the snapshot point")
+	}
+	if maxHomes > 1 && e.MultiSnapshot().SecondaryCount() == 0 {
+		tb.Fatal("no secondary homes at the snapshot point")
+	}
+	return e, cfg
+}
+
+// TestSnapshotJSONAndBinaryRestoreAlike pins that the JSON reader and
+// the version-3 reader feed one restore: the version-2 JSON blob and
+// the version-3 blob of the same engine restore to engines with the
+// same version-3 bytes, loads, stats and multi-association.
+func TestSnapshotJSONAndBinaryRestoreAlike(t *testing.T) {
+	for _, maxHomes := range []int{1, 2} {
+		t.Run(fmt.Sprintf("maxhomes%d", maxHomes), func(t *testing.T) {
+			e, cfg := snapCase(t, maxHomes)
+			v3, err := e.EncodeSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			v2, err := encodeSnapshotJSON(e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v3[0] == '{' || v2[0] != '{' {
+				t.Fatalf("encodings start %q and %q", v3[:1], v2[:1])
+			}
+			var restored [2]*Engine
+			for i, blob := range [][]byte{v2, v3} {
+				if restored[i], err = RestoreSnapshot(snapNet(t), cfg, blob); err != nil {
+					t.Fatalf("restore %d: %v", i, err)
+				}
+			}
+			for i, r := range restored {
+				if got := mustEncode(t, r); !bytes.Equal(got, v3) {
+					t.Fatalf("restore %d re-encodes to different version-3 bytes", i)
+				}
+				compareSnapEngines(t, fmt.Sprintf("restore %d", i), e, r)
+				if got, want := mustJSON(t, r.MultiSnapshot()), mustJSON(t, e.MultiSnapshot()); !bytes.Equal(got, want) {
+					t.Fatalf("restore %d: multi-association differs:\n%s\n%s", i, got, want)
+				}
+			}
+		})
+	}
+}
+
+// TestSnapshotEncodingGate is the host-independent regression gate on
+// the snapshot encoder: a geometric engine's version-3 blob stays
+// within 24 bytes per active user, and EncodeSnapshot allocates the
+// same number of times (its result) however many users it encodes.
+func TestSnapshotEncodingGate(t *testing.T) {
+	build := func(users, maxHomes int) *Engine {
+		p := scenario.PaperDefaults()
+		p.NumAPs, p.NumUsers, p.NumSessions, p.Seed = 100, users, 4, 7
+		n, err := scenario.GenerateNetwork(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return newEngine(t, n, Config{Objective: core.ObjMLA, MaxHomes: maxHomes})
+	}
+	for _, maxHomes := range []int{1, 2} {
+		small, large := build(500, maxHomes), build(2000, maxHomes)
+		blob := mustEncode(t, large)
+		per := float64(len(blob)) / float64(large.ActiveUsers())
+		t.Logf("MaxHomes %d: %d bytes, %.2f B per active user", maxHomes, len(blob), per)
+		if per > 24 {
+			t.Errorf("MaxHomes %d: %d-byte snapshot is %.1f B per active user, want <= 24", maxHomes, len(blob), per)
+		}
+		allocs := func(e *Engine) float64 {
+			return testing.AllocsPerRun(20, func() {
+				if _, err := e.EncodeSnapshot(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		a, b := allocs(small), allocs(large)
+		t.Logf("MaxHomes %d: %v allocations per encode", maxHomes, a)
+		if a != b {
+			t.Errorf("MaxHomes %d: EncodeSnapshot allocates %v times at 500 users, %v at 2000", maxHomes, a, b)
+		}
+	}
+}
+
+// FuzzRestoreSnapshot feeds arbitrary bytes to RestoreSnapshot on a
+// small multi-homed network: it must never panic, never accept a blob
+// with a byte appended, and every version-3 blob it accepts must
+// re-encode to exactly its own bytes.
+func FuzzRestoreSnapshot(f *testing.F) {
+	e, cfg := snapCase(f, 2)
+	v3, err := e.EncodeSnapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	v2, err := encodeSnapshotJSON(e)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, blob := range [][]byte{v3, v2} {
+		f.Add(blob)
+		for _, cut := range []int{1, 5, len(blob) / 2, len(blob) - 1} {
+			f.Add(blob[:cut])
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := RestoreSnapshot(snapNet(t), cfg, data)
+		if err != nil {
+			return
+		}
+		if _, err := RestoreSnapshot(snapNet(t), cfg, append(data[:len(data):len(data)], ' ')); err == nil {
+			t.Fatalf("accepted %q with a trailing byte", data)
+		}
+		got := mustEncode(t, r)
+		if data[0] != '{' && !bytes.Equal(got, data) {
+			t.Fatalf("accepted blob re-encodes differently:\n in  %x\n out %x", data, got)
+		}
+	})
 }

@@ -12,16 +12,22 @@ import (
 // damage, and the file appears atomically: write to .tmp, fsync,
 // rename into place, fsync the directory. A crash at any instant
 // leaves either no new snapshot or a complete one — never a partial
-// file under the real name.
+// file under the real name. The header and the payload are written
+// one after the other, so the payload is never copied.
 func (l *Log) WriteSnapshot(seq uint64, payload []byte) error {
 	final := l.snapPath(seq)
 	tmp := final + ".tmp"
-	frame := EncodeFrame(make([]byte, 0, frameHeader+len(payload)), payload)
+	var hdr [frameHeader]byte
+	putFrameHeader(&hdr, payload)
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if _, err := f.Write(frame); err != nil {
+	_, err = f.Write(hdr[:])
+	if err == nil {
+		_, err = f.Write(payload)
+	}
+	if err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return fmt.Errorf("wal: %w", err)

@@ -330,8 +330,7 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 			return 0, err
 		}
 	}
-	binary.LittleEndian.PutUint32(l.hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(l.hdr[4:8], crc32.Checksum(payload, castagnoli))
+	putFrameHeader(&l.hdr, payload)
 	if _, err := l.w.Write(l.hdr[:]); err != nil {
 		return 0, fmt.Errorf("wal: %w", err)
 	}
@@ -594,8 +593,13 @@ func DecodeFrames(buf []byte, maxRecord int) (payloads [][]byte, n int64, err er
 // and fuzzers can build journals without a Log.
 func EncodeFrame(dst, payload []byte) []byte {
 	var hdr [frameHeader]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
+	putFrameHeader(&hdr, payload)
 	dst = append(dst, hdr[:]...)
 	return append(dst, payload...)
+}
+
+// putFrameHeader writes payload's frame header (length, CRC32C).
+func putFrameHeader(hdr *[frameHeader]byte, payload []byte) {
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
 }

@@ -47,7 +47,11 @@
 #      failures <= 4 allocs/event (the incremental secondary-home
 #      derivation runs after each), and the distributed BLA decision
 #      (Distributed{Objective: ObjBLA}.Choose) at 0 allocs per call at
-#      the paper's density (it sorts one stack-held vector per decision)
+#      the paper's density (it sorts one stack-held vector per decision),
+#      and the snapshot encoder: a geometric engine's binary snapshot
+#      at <= 24 bytes per active user, and EncodeSnapshot's allocation
+#      count the same at 500 and 2000 users (bytes and allocations,
+#      unlike wall time, gate the same on every host)
 #   8. the behaviour gate: the reduced figure tables (fig9a / 10a /
 #      10b / 11, ext-churn, ext-fault, ext-multihome at -seeds 4
 #      -size 0.1) byte for byte against results/behaviour-figs.csv,
@@ -64,7 +68,8 @@
 #      UPDATE_METRICS_MD=1 go test ./cmd/assocd -run TestMetricsDocCurrent
 #  10. a fuzz smoke pass: ~10s per fuzz target (events decoder,
 #      multi-association decoder, NDJSON stream handler, journal
-#      record decoder, scenario loader, LP solver, sparse greedy set
+#      record decoder, engine snapshot decoder, scenario loader, LP
+#      solver, sparse greedy set
 #      cover against the dense reference and a reused Solver) so
 #      corpus regressions surface in CI, not just in long local fuzz
 #      runs
@@ -146,8 +151,8 @@ END {
     }
 }'
 
-echo "== allocation gate (engine event path <= 2 allocs/event, multi-homed Apply <= 4, BLA decision 0)"
-go test -run 'TestEngineEventAllocGate|TestEngineMultihomeAllocGate' -count 1 ./internal/engine
+echo "== allocation gate (engine event path <= 2 allocs/event, multi-homed Apply <= 4, BLA decision 0, snapshot encoder)"
+go test -run 'TestEngineEventAllocGate|TestEngineMultihomeAllocGate|TestSnapshotEncodingGate' -count 1 ./internal/engine
 go test -run 'TestChooseBLAAllocGate' -count 1 ./internal/core
 
 echo "== behaviour gate (golden figure tables, tie rules, skip and solver-reuse differentials)"
@@ -163,6 +168,7 @@ go test -run '^$' -fuzz 'FuzzDecodeEvents' -fuzztime 10s ./cmd/assocd
 go test -run '^$' -fuzz 'FuzzDecodeMultiAssoc' -fuzztime 10s ./cmd/assocd
 go test -run '^$' -fuzz 'FuzzStreamEvents' -fuzztime 10s ./cmd/assocd
 go test -run '^$' -fuzz 'FuzzWALDecode' -fuzztime 10s ./internal/wal
+go test -run '^$' -fuzz 'FuzzRestoreSnapshot' -fuzztime 10s ./internal/engine
 go test -run '^$' -fuzz 'FuzzLoad' -fuzztime 10s ./internal/scenario
 go test -run '^$' -fuzz 'FuzzSolve' -fuzztime 10s ./internal/lp
 go test -run '^$' -fuzz 'FuzzGreedySparse' -fuzztime 10s ./internal/setcover
