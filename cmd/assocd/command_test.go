@@ -75,9 +75,9 @@ const fixtureDir = "testdata/journal-v1"
 
 // writeJournalFixture builds testdata/journal-v1: a multi-homed
 // scenario and every record kind (scenario, batch with one rejected,
-// trace, stream windows under a session, assoc and multiassoc
-// installs), one snapshot cut partway, then a tail of every kind but
-// scenario after it. The journal is closed without a final snapshot,
+// a generated trace batch, stream windows under a session, assoc and
+// multiassoc installs), one snapshot cut partway, then a tail of every
+// kind but scenario after it. The journal is closed without a final snapshot,
 // so a boot restores the snapshot and replays the tail.
 func writeJournalFixture(t *testing.T) {
 	if err := os.RemoveAll(fixtureDir); err != nil {
@@ -107,7 +107,7 @@ func writeJournalFixture(t *testing.T) {
 	driveChurn(t, s, 1)
 	// The trace joins and leaves users, so it comes after every call
 	// that assumes users 0..19 are active.
-	mustPost(t, s, "/v1/trace", `{"seed":5,"events":30}`)
+	mustPost(t, s, "/v1/events", traceBody(t, s, 5, 30))
 	mustPost(t, s, "/v1/events", `{"kind":"ap_down","ap":5,"user":-1}`)
 	for name, body := range fixtureState(s) {
 		if err := os.WriteFile(filepath.Join(fixtureDir, name), []byte(body), 0o644); err != nil {
@@ -213,7 +213,6 @@ func assertFailed(t *testing.T, s *server, cause string) {
 	}{
 		{"POST", "/v1/scenario", durableScenario},
 		{"POST", "/v1/events", move},
-		{"POST", "/v1/trace", `{"seed":3,"events":5}`},
 		{"POST", "/v1/events/stream?session=late", move + "\n"},
 		{"PUT", "/v1/assoc", string(assoc)},
 		{"PUT", "/v1/multiassoc", string(multi)},
@@ -403,7 +402,7 @@ func TestReplayEveryPrefix(t *testing.T) {
 		case 0: // some users are inactive, so some batches are rejected
 			code = postJSON(t, s, "/v1/events", "["+strings.Join(moves(1+rng.Intn(4)), ",")+"]").Code
 		case 1:
-			code = postJSON(t, s, "/v1/trace", fmt.Sprintf(`{"seed":%d,"events":%d}`, rng.Intn(1000), 1+rng.Intn(10))).Code
+			code = postJSON(t, s, "/v1/events", traceBody(t, s, int64(rng.Intn(1000)), 1+rng.Intn(10))).Code
 		case 2:
 			tok := fmt.Sprintf("s%d", rng.Intn(3))
 			s.mu.Lock()

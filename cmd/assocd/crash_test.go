@@ -45,7 +45,7 @@ func TestHelperDaemonProcess(t *testing.T) {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	os.Exit(run(ctx, strings.Split(os.Getenv("ASSOCD_CRASH_ARGS"), "\x1f"), os.Stdout, os.Stderr))
+	os.Exit(run(ctx, strings.Split(os.Getenv("ASSOCD_CRASH_ARGS"), "\x1f"), os.Stderr))
 }
 
 // syncBuf collects subprocess stderr lines under a lock so the reader

@@ -1,15 +1,15 @@
 package main
 
 // The command log and crash safety for assocd -serve. Every mutation
-// the daemon makes is a command: a scenario, an event batch (from
-// /v1/events or /v1/trace), a stream window, an assoc install or a
-// multiassoc install. A command is one journal record's header plus
-// its payload, decoded once, and exec is the only code that applies
-// one. A live handler decodes its request into a command, execs it,
-// journals the record (with -data-dir) and only then acks. The full
-// daemon state (scenario request, engine snapshot, stream-session
-// offsets) is periodically checkpointed as an atomic snapshot. Boot
-// restores the newest snapshot and runs each journal record after it
+// the daemon makes is a command: a scenario, an event batch (one
+// /v1/events body), a stream window, an assoc install or a multiassoc
+// install. A command is one journal record's header plus its payload,
+// decoded once, and exec is the only code that applies one. A live
+// handler decodes its request into a command, execs it, journals the
+// record (with -data-dir) and only then acks. The full daemon state
+// (scenario request, engine snapshot, stream-session offsets) is
+// periodically checkpointed as an atomic snapshot. Boot restores the
+// newest snapshot and runs each journal record after it
 // through decodeRecord, decodeCommand and the same exec, then checks
 // the outcome the record holds (applied count and error presence). Any
 // divergence fails boot loudly rather than serving silently wrong
@@ -26,7 +26,7 @@ package main
 // Journal record layout: one JSON header line (recHeader) terminated
 // by '\n', followed by hdr.N raw NDJSON event lines. Stream windows
 // journal the client's raw bytes — no re-encode on the hot path —
-// while batch endpoints re-marshal their decoded events one per line.
+// while /v1/events re-marshals its decoded events one per line.
 
 import (
 	"bytes"
@@ -52,7 +52,7 @@ import (
 // Record types in the journal, one per kind of command.
 const (
 	recScenario   = "scenario"   // Req = scenarioRequest; rebuilds the engine
-	recBatch      = "batch"      // N events from /v1/events or /v1/trace (post-remap)
+	recBatch      = "batch"      // N events from one /v1/events body
 	recAssoc      = "assoc"      // Req = raw PUT /v1/assoc body
 	recMultiAssoc = "multiassoc" // Req = raw PUT /v1/multiassoc body
 	recWindow     = "window"     // N events from one stream window; Sess/Seq track resume
@@ -568,7 +568,7 @@ func (s *server) buildFromRequest(req scenarioRequest) (*wlan.Network, engine.Co
 	}
 	obj := core.ObjMLA
 	if req.Objective != "" {
-		if obj, err = objectiveByName(req.Objective); err != nil {
+		if obj, err = core.ParseObjective(req.Objective); err != nil {
 			return nil, engine.Config{}, err
 		}
 	}

@@ -2,136 +2,21 @@ package main
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"testing"
-	"time"
-
-	"wlanmcast/internal/core"
 )
 
-func TestRunSingle(t *testing.T) {
-	var out, errOut strings.Builder
-	code := run(context.Background(),
-		[]string{"-objective", "bla", "-aps", "10", "-users", "20", "-max-time", "30s"},
-		&out, &errOut)
-	if code != 0 {
-		t.Fatalf("run exited %d: %s", code, errOut.String())
-	}
-	if !strings.Contains(out.String(), "network: 10 APs, 20 users") {
-		t.Errorf("missing network line in:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "signaling:") {
-		t.Errorf("missing signaling line in:\n%s", out.String())
-	}
-}
-
-func TestRunBatch(t *testing.T) {
-	var out, errOut strings.Builder
-	code := run(context.Background(),
-		[]string{"-objective", "bla", "-aps", "10", "-users", "20", "-max-time", "30s",
-			"-runs", "3", "-parallel", "2"},
-		&out, &errOut)
-	if code != 0 {
-		t.Fatalf("run exited %d: %s", code, errOut.String())
-	}
-	for _, want := range []string{"batch: 3 runs, seeds 1..3", "converged", "mean signaling"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("batch output missing %q in:\n%s", want, out.String())
-		}
-	}
-}
-
 func TestRunBadFlags(t *testing.T) {
-	var out, errOut strings.Builder
-	if code := run(context.Background(), []string{"-objective", "nope"}, &out, &errOut); code != 2 {
-		t.Errorf("bad objective exited %d, want 2", code)
-	}
-	if code := run(context.Background(), []string{"-runs", "0"}, &out, &errOut); code != 2 {
-		t.Errorf("-runs 0 exited %d, want 2", code)
-	}
-	if code := run(context.Background(), []string{"-serve", "-shards", "0"}, &out, &errOut); code != 2 {
-		t.Errorf("-shards 0 exited %d, want 2", code)
-	}
-}
-
-func TestRetryBackoff(t *testing.T) {
-	ctx := context.Background()
-
-	// Succeeds on the last allowed attempt.
-	calls := 0
-	err := retryBackoff(ctx, 3, time.Millisecond, 0, func() error {
-		calls++
-		if calls < 3 {
-			return errors.New("transient")
-		}
-		return nil
-	})
-	if err != nil || calls != 3 {
-		t.Errorf("flaky fn: err=%v after %d calls, want success on call 3", err, calls)
-	}
-
-	// Exhausts its attempts and reports the last error.
-	calls = 0
-	last := errors.New("still broken")
-	err = retryBackoff(ctx, 3, time.Millisecond, 0, func() error {
-		calls++
-		return last
-	})
-	if !errors.Is(err, last) || calls != 3 {
-		t.Errorf("persistent fn: err=%v after %d calls, want %v after 3", err, calls, last)
-	}
-
-	// A cancelled context stops the retries between attempts.
-	cctx, cancel := context.WithCancel(ctx)
-	calls = 0
-	err = retryBackoff(cctx, 5, time.Minute, 0, func() error {
-		calls++
-		cancel()
-		return errors.New("nope")
-	})
-	if !errors.Is(err, context.Canceled) || calls != 1 {
-		t.Errorf("cancelled ctx: err=%v after %d calls, want context.Canceled after 1", err, calls)
-	}
-
-	// The total-wait cap bounds exponential backoff: base 20ms with a
-	// 30ms budget sleeps 20ms, then the trimmed 10ms remainder, then
-	// stops — 3 calls, not 10, and well under a second of wall clock.
-	calls = 0
-	start := time.Now()
-	err = retryBackoff(ctx, 10, 20*time.Millisecond, 30*time.Millisecond, func() error {
-		calls++
-		return last
-	})
-	if !errors.Is(err, last) || calls != 3 {
-		t.Errorf("capped retries: err=%v after %d calls, want %v after 3", err, calls, last)
-	}
-	if el := time.Since(start); el > time.Second {
-		t.Errorf("capped retries slept %v, want ~30ms", el)
-	}
-}
-
-func TestObjectiveByName(t *testing.T) {
-	tests := []struct {
-		name    string
-		want    core.Objective
-		wantErr bool
-	}{
-		{name: "mnu", want: core.ObjMNU},
-		{name: "bla", want: core.ObjBLA},
-		{name: "mla", want: core.ObjMLA},
-		{name: "nope", wantErr: true},
-	}
-	for _, tt := range tests {
-		got, err := objectiveByName(tt.name)
-		if tt.wantErr {
-			if err == nil {
-				t.Errorf("objectiveByName(%q): want error", tt.name)
-			}
-			continue
-		}
-		if err != nil || got != tt.want {
-			t.Errorf("objectiveByName(%q) = (%v, %v), want %v", tt.name, got, err, tt.want)
+	for _, args := range [][]string{
+		{"-shards", "0"},
+		{"-serve", "-shards", "0"},
+		// The simulation flags moved to experiments netsim.
+		{"-objective", "bla"},
+		{"-runs", "4"},
+	} {
+		var errOut strings.Builder
+		if code := run(context.Background(), args, &errOut); code != 2 {
+			t.Errorf("run %v exited %d, want 2: %s", args, code, errOut.String())
 		}
 	}
 }

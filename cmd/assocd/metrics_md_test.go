@@ -30,8 +30,8 @@ func docFamilies(t *testing.T) []obs.FamilyInfo {
 
 	loadScenario(t, ts)
 	var ev eventsResponse
-	if code, raw := doJSON(t, "POST", ts.URL+"/v1/trace", traceRequest{Seed: 9, Events: 120}, &ev); code != http.StatusOK {
-		t.Fatalf("POST /v1/trace = %d: %s", code, raw)
+	if code, raw := postTrace(t, ts, 9, 120, &ev); code != http.StatusOK {
+		t.Fatalf("POST trace to /v1/events = %d: %s", code, raw)
 	}
 
 	s.mu.Lock()
@@ -148,8 +148,8 @@ func TestMetricsDocLint(t *testing.T) {
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	loadScenario(t, ts)
-	if code, raw := doJSON(t, "POST", ts.URL+"/v1/trace", traceRequest{Seed: 9, Events: 120}, nil); code != http.StatusOK {
-		t.Fatalf("POST /v1/trace = %d: %s", code, raw)
+	if code, raw := postTrace(t, ts, 9, 120, nil); code != http.StatusOK {
+		t.Fatalf("POST trace to /v1/events = %d: %s", code, raw)
 	}
 	text := getText(t, ts.URL+"/metrics")
 	if err := obs.LintProm(strings.NewReader(text)); err != nil {

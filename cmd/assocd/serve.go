@@ -31,20 +31,19 @@ import (
 // decodes its request into a command and runs it through exec, the
 // one mutation site, then the journal, then acks (durable.go). After
 // a storage or internal engine error the daemon is failed: mutating
-// routes answer 503 until a restart. /v1/events, /v1/trace and
-// /v1/events/stream are three framings of one engine call: each
-// request body, generated trace or stream window is one
-// engine.ApplyBatch. Metrics live outside
-// that boundary: the daemon-lifetime series sit in base, each engine
-// carries its own registry of atomic instruments, and /metrics renders
-// both without ever holding mu across an engine call.
+// routes answer 503 until a restart. /v1/events and /v1/events/stream
+// are two framings of one engine call: each request body or stream
+// window is one engine.ApplyBatch. Clients that want seeded churn
+// build it with engine.GenTrace and send it as events. Metrics live
+// outside that boundary: the daemon-lifetime series sit in base, each
+// engine carries its own registry of atomic instruments, and /metrics
+// renders both without ever holding mu across an engine call.
 //
 // Endpoints:
 //
 //	POST /v1/scenario      load or generate a scenario, build the engine
 //	POST /v1/events        apply churn events (one object or an array)
 //	POST /v1/events/stream apply an NDJSON event stream with windowed acks
-//	POST /v1/trace         generate + apply a seeded Poisson churn trace
 //	GET  /v1/status        engine summary
 //	GET  /v1/assoc         association snapshot
 //	PUT  /v1/assoc         force-install an association (validated)
@@ -123,9 +122,8 @@ type server struct {
 // cardinality.
 var servedPaths = map[string]bool{
 	"/v1/scenario": true, "/v1/events": true, "/v1/events/stream": true,
-	"/v1/trace": true, "/v1/status": true, "/v1/assoc": true,
-	"/v1/multiassoc": true, "/v1/loads": true,
-	"/v1/trace/export": true, "/v1/debug/flightrecord": true,
+	"/v1/status": true, "/v1/assoc": true, "/v1/multiassoc": true,
+	"/v1/loads": true, "/v1/trace/export": true, "/v1/debug/flightrecord": true,
 	"/metrics": true, "/healthz": true,
 }
 
@@ -175,7 +173,6 @@ func newServer() *server {
 	s.mux.HandleFunc("/v1/scenario", s.handleScenario)
 	s.mux.HandleFunc("/v1/events", s.handleEvents)
 	s.mux.HandleFunc("/v1/events/stream", s.handleEventsStream)
-	s.mux.HandleFunc("/v1/trace", s.handleTrace)
 	s.mux.HandleFunc("/v1/trace/export", s.handleTraceExport)
 	s.mux.HandleFunc("/v1/status", s.handleStatus)
 	s.mux.HandleFunc("/v1/assoc", s.handleAssoc)
@@ -319,7 +316,7 @@ func serveOn(ctx context.Context, ln net.Listener, stderr io.Writer, opt serveOp
 // --- request/response types ---
 
 // scenarioRequest configures the engine. Either spec (a full scenario
-// document, as produced by cmd/scenariogen) or the generator fields
+// document, as produced by experiments gen) or the generator fields
 // are given; spec wins when present.
 type scenarioRequest struct {
 	Spec *scenario.Spec `json:"spec,omitempty"`
@@ -364,16 +361,6 @@ type statusResponse struct {
 type flightSummary struct {
 	Spans    uint64 `json:"spans"`    // spans ever recorded
 	Capacity int    `json:"capacity"` // ring size
-}
-
-type traceRequest struct {
-	Seed   int64 `json:"seed"`
-	Events int   `json:"events"`
-
-	JoinRate   float64 `json:"join_rate,omitempty"`
-	LeaveRate  float64 `json:"leave_rate,omitempty"`
-	MoveRate   float64 `json:"move_rate,omitempty"`
-	DemandRate float64 `json:"demand_rate,omitempty"`
 }
 
 type eventsResponse struct {
@@ -436,109 +423,27 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	s.withEngine(w, func(*engine.Engine) { s.applyBatch(w, events, "event") })
-}
-
-// applyBatch is the tail /v1/events and /v1/trace share: one batch
-// command through commit, then the response. A rejection applies the
-// valid prefix and answers 400 "<what> %d: ... (%d applied)", where
-// br.Applied is the index of the offending event; the engine counted
-// it, so the batch is journaled with its outcome. Requires s.mu held.
-func (s *server) applyBatch(w http.ResponseWriter, events []engine.Event, what string) {
-	br, code, err := s.commit(&command{hdr: recHeader{T: recBatch, N: len(events)}, events: events})
-	switch code {
-	case http.StatusOK:
-		writeJSON(w, eventsResponse{
-			Applied:     br.Applied,
-			Redecisions: br.Redecisions,
-			Moves:       br.Moves,
-			TotalLoad:   s.eng.TotalLoad(),
-			MaxLoad:     s.eng.MaxLoad(),
-		})
-	case http.StatusBadRequest:
-		httpError(w, code, "%s %d: %v (%d applied)", what, br.Applied, err, br.Applied)
-	default:
-		httpError(w, code, "%v", err)
-	}
-}
-
-func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req traceRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		bodyError(w, "decode request", err)
-		return
-	}
-	s.withEngine(w, func(eng *engine.Engine) {
-		trace, err := engine.GenTrace(engine.TraceParams{
-			Seed:          req.Seed,
-			Events:        req.Events,
-			Area:          eng.Network().Area, // read-only: geometry is immutable
-			Users:         eng.NumUsers(),
-			InitialActive: eng.ActiveUsers(),
-			Sessions:      eng.NumSessions(),
-			JoinRate:      req.JoinRate,
-			LeaveRate:     req.LeaveRate,
-			MoveRate:      req.MoveRate,
-			DemandRate:    req.DemandRate,
-		})
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "generate trace: %v", err)
-			return
+	// One batch command through commit. A rejection applies the valid
+	// prefix and answers 400 "event %d: ... (%d applied)", where
+	// br.Applied is the index of the offending event; the engine
+	// counted it, so the batch is journaled with its outcome.
+	s.withEngine(w, func(*engine.Engine) {
+		br, code, err := s.commit(&command{hdr: recHeader{T: recBatch, N: len(events)}, events: events})
+		switch code {
+		case http.StatusOK:
+			writeJSON(w, eventsResponse{
+				Applied:     br.Applied,
+				Redecisions: br.Redecisions,
+				Moves:       br.Moves,
+				TotalLoad:   s.eng.TotalLoad(),
+				MaxLoad:     s.eng.MaxLoad(),
+			})
+		case http.StatusBadRequest:
+			httpError(w, code, "event %d: %v (%d applied)", br.Applied, err, br.Applied)
+		default:
+			httpError(w, code, "%v", err)
 		}
-		// GenTrace models the active set as slots [0, InitialActive), but
-		// after earlier churn the engine's active slots are arbitrary ids.
-		// Remap: trace slot k → the k-th currently-active (or free) slot.
-		if err := s.remapTrace(trace); err != nil {
-			httpError(w, http.StatusBadRequest, "remap trace: %v", err)
-			return
-		}
-		// The REMAPPED events are what the engine saw, so they — not the
-		// trace request — are what recovery must re-apply.
-		s.applyBatch(w, trace, "trace event")
 	})
-}
-
-// remapTrace rewrites trace user ids (which index GenTrace's
-// idealized slot layout: active slots first) onto the engine's actual
-// active/free slots, preserving the trace's join/leave structure.
-func (s *server) remapTrace(trace []engine.Event) error {
-	nUsers := s.eng.NumUsers()
-	slot := make([]int, 0, nUsers) // slot[k] = engine user for trace slot k
-	var free []int
-	for u := 0; u < nUsers; u++ {
-		if s.eng.Active(u) {
-			slot = append(slot, u)
-		} else {
-			free = append(free, u)
-		}
-	}
-	for i := range trace {
-		k := trace[i].User
-		if k < 0 || k >= nUsers {
-			return fmt.Errorf("trace user %d out of range", k)
-		}
-		if k < len(slot) {
-			trace[i].User = slot[k]
-			continue
-		}
-		// A join of a never-seen trace slot: take the next free
-		// engine slot and bind the trace slot to it.
-		if len(free) == 0 {
-			return fmt.Errorf("trace joins more users than the engine has free slots")
-		}
-		if k != len(slot) {
-			return fmt.Errorf("trace slot %d appears before slots %d..%d", k, len(slot), k-1)
-		}
-		u := free[len(free)-1]
-		free = free[:len(free)-1]
-		slot = append(slot, u)
-		trace[i].User = u
-	}
-	return nil
 }
 
 // handleStatus reports the engine summary — the operator's first stop

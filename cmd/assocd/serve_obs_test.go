@@ -50,8 +50,8 @@ func TestServeMetricsLint(t *testing.T) {
 	ts := testServer(t)
 	loadScenario(t, ts)
 	var ev eventsResponse
-	if code, raw := doJSON(t, "POST", ts.URL+"/v1/trace", traceRequest{Seed: 5, Events: 40}, &ev); code != http.StatusOK {
-		t.Fatalf("POST /v1/trace = %d: %s", code, raw)
+	if code, raw := postTrace(t, ts, 5, 40, &ev); code != http.StatusOK {
+		t.Fatalf("POST trace to /v1/events = %d: %s", code, raw)
 	}
 	getText(t, ts.URL+"/metrics") // prime the http counters with a /metrics hit
 	text := getText(t, ts.URL+"/metrics")
@@ -67,7 +67,7 @@ func TestServeMetricsLint(t *testing.T) {
 		"fault_orphaned_users_total",
 		"fault_unsatisfied_users",
 		`assocd_http_requests_total{path="/metrics"}`,
-		`assocd_http_requests_total{path="/v1/trace"}`,
+		`assocd_http_requests_total{path="/v1/events"}`,
 		"assocd_http_request_seconds_count",
 		`assocd_http_request_seconds_bucket{le="+Inf"}`,
 		"assocd_trace_events",
@@ -90,8 +90,8 @@ func TestServeTraceExportMatchesMetrics(t *testing.T) {
 	ts := testServer(t)
 	loadScenario(t, ts)
 	var ev eventsResponse
-	if code, raw := doJSON(t, "POST", ts.URL+"/v1/trace", traceRequest{Seed: 9, Events: 80}, &ev); code != http.StatusOK {
-		t.Fatalf("POST /v1/trace = %d: %s", code, raw)
+	if code, raw := postTrace(t, ts, 9, 80, &ev); code != http.StatusOK {
+		t.Fatalf("POST trace to /v1/events = %d: %s", code, raw)
 	}
 
 	resp, err := http.Get(ts.URL + "/v1/trace/export")

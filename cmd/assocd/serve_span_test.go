@@ -35,8 +35,8 @@ func TestServeStatus(t *testing.T) {
 		t.Fatalf("POST /v1/scenario = %d: %s", code, raw)
 	}
 	var ev eventsResponse
-	if code, raw := doJSON(t, "POST", ts.URL+"/v1/trace", traceRequest{Seed: 11, Events: 80}, &ev); code != http.StatusOK {
-		t.Fatalf("POST /v1/trace = %d: %s", code, raw)
+	if code, raw := postTrace(t, ts, 11, 80, &ev); code != http.StatusOK {
+		t.Fatalf("POST trace to /v1/events = %d: %s", code, raw)
 	}
 
 	st = statusResponse{}
@@ -60,8 +60,8 @@ func TestServeFlightRecord(t *testing.T) {
 	}
 	loadScenario(t, ts)
 	var ev eventsResponse
-	if code, raw := doJSON(t, "POST", ts.URL+"/v1/trace", traceRequest{Seed: 5, Events: 60}, &ev); code != http.StatusOK {
-		t.Fatalf("POST /v1/trace = %d: %s", code, raw)
+	if code, raw := postTrace(t, ts, 5, 60, &ev); code != http.StatusOK {
+		t.Fatalf("POST trace to /v1/events = %d: %s", code, raw)
 	}
 	var dump obs.FlightDump
 	if code, raw := doJSON(t, "GET", ts.URL+"/v1/debug/flightrecord", nil, &dump); code != http.StatusOK {
@@ -150,13 +150,20 @@ func TestServeSIGQUITDump(t *testing.T) {
 		return strings.Contains(log.String(), "SIGQUIT flight dump: no scenario loaded")
 	})
 
-	if code, raw := doJSON(t, "POST", base+"/v1/scenario", scenarioRequest{
-		APs: 20, Users: 50, Sessions: 3, Seed: 7, ActiveUsers: 30,
-	}, nil); code != http.StatusOK {
+	req := scenarioRequest{APs: 20, Users: 50, Sessions: 3, Seed: 7, ActiveUsers: 30}
+	if code, raw := doJSON(t, "POST", base+"/v1/scenario", req, nil); code != http.StatusOK {
 		t.Fatalf("POST /v1/scenario = %d: %s", code, raw)
 	}
-	if code, raw := doJSON(t, "POST", base+"/v1/trace", traceRequest{Seed: 5, Events: 40}, nil); code != http.StatusOK {
-		t.Fatalf("POST /v1/trace = %d: %s", code, raw)
+	// The daemon lives inside serveOn, so a replica loaded with the same
+	// scenario generates the trace.
+	replica := newServer()
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPost(t, replica, "/v1/scenario", string(body))
+	if code, raw := doJSON(t, "POST", base+"/v1/events", serverTrace(t, replica, 5, 40), nil); code != http.StatusOK {
+		t.Fatalf("POST trace to /v1/events = %d: %s", code, raw)
 	}
 	if err := syscall.Kill(os.Getpid(), syscall.SIGQUIT); err != nil {
 		t.Fatal(err)

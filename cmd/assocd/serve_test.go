@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"wlanmcast/internal/engine"
 )
 
 func testServer(t *testing.T) *httptest.Server {
@@ -55,6 +57,73 @@ func doJSON(t *testing.T, method, url string, body, out any) (int, string) {
 	return resp.StatusCode, string(raw)
 }
 
+// genTrace generates a seeded churn trace for eng's current state and
+// remaps its users onto eng's. GenTrace models the active set as slots
+// [0, InitialActive), but after earlier churn the engine's active
+// users are arbitrary ids: trace slot k becomes the k-th active user,
+// and a join of a never-seen slot takes the next free one.
+func genTrace(t *testing.T, eng *engine.Engine, seed int64, events int) []engine.Event {
+	t.Helper()
+	trace, err := engine.GenTrace(engine.TraceParams{
+		Seed:          seed,
+		Events:        events,
+		Area:          eng.Network().Area,
+		Users:         eng.NumUsers(),
+		InitialActive: eng.ActiveUsers(),
+		Sessions:      eng.Network().NumSessions(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var slot, free []int // slot[k] = engine user for trace slot k
+	for u := 0; u < eng.NumUsers(); u++ {
+		if eng.Active(u) {
+			slot = append(slot, u)
+		} else {
+			free = append(free, u)
+		}
+	}
+	for i := range trace {
+		switch k := trace[i].User; {
+		case k >= 0 && k < len(slot):
+			trace[i].User = slot[k]
+		case k == len(slot) && len(free) > 0:
+			u := free[len(free)-1]
+			free = free[:len(free)-1]
+			slot = append(slot, u)
+			trace[i].User = u
+		default:
+			t.Fatalf("trace slot %d does not fit %d active and %d free users", k, len(slot), len(free))
+		}
+	}
+	return trace
+}
+
+// serverTrace runs genTrace on s's engine under s.mu.
+func serverTrace(t *testing.T, s *server, seed int64, events int) []engine.Event {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return genTrace(t, s.eng, seed, events)
+}
+
+// postTrace sends a generated trace for the daemon behind ts to
+// /v1/events as one batch.
+func postTrace(t *testing.T, ts *httptest.Server, seed int64, events int, out any) (int, string) {
+	t.Helper()
+	return doJSON(t, "POST", ts.URL+"/v1/events", serverTrace(t, ts.Config.Handler.(*server), seed, events), out)
+}
+
+// traceBody is a generated trace for s as a /v1/events array body.
+func traceBody(t *testing.T, s *server, seed int64, events int) string {
+	t.Helper()
+	b, err := json.Marshal(serverTrace(t, s, seed, events))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
 func loadScenario(t *testing.T, ts *httptest.Server) statusResponse {
 	t.Helper()
 	var st statusResponse
@@ -92,9 +161,9 @@ func TestServeShardedScenario(t *testing.T) {
 	}
 
 	var ev eventsResponse
-	code, raw = doJSON(t, "POST", ts.URL+"/v1/trace", traceRequest{Seed: 11, Events: 80}, &ev)
+	code, raw = postTrace(t, ts, 11, 80, &ev)
 	if code != http.StatusOK {
-		t.Fatalf("POST /v1/trace on shards=3 scenario = %d: %s", code, raw)
+		t.Fatalf("POST trace to /v1/events on shards=3 scenario = %d: %s", code, raw)
 	}
 	if ev.Applied != 80 {
 		t.Errorf("trace applied %d events, want 80", ev.Applied)
@@ -235,9 +304,9 @@ func TestServeTrace(t *testing.T) {
 	ts := testServer(t)
 	loadScenario(t, ts)
 	var ev eventsResponse
-	code, raw := doJSON(t, "POST", ts.URL+"/v1/trace", traceRequest{Seed: 3, Events: 60}, &ev)
+	code, raw := postTrace(t, ts, 3, 60, &ev)
 	if code != http.StatusOK {
-		t.Fatalf("POST /v1/trace = %d: %s", code, raw)
+		t.Fatalf("POST trace to /v1/events = %d: %s", code, raw)
 	}
 	if ev.Applied != 60 {
 		t.Errorf("applied %d trace events, want 60", ev.Applied)
@@ -247,9 +316,9 @@ func TestServeTrace(t *testing.T) {
 	}
 	// A second trace must apply cleanly on the churned active set —
 	// this exercises the slot remapping.
-	code, raw = doJSON(t, "POST", ts.URL+"/v1/trace", traceRequest{Seed: 4, Events: 60}, &ev)
+	code, raw = postTrace(t, ts, 4, 60, &ev)
 	if code != http.StatusOK {
-		t.Fatalf("second POST /v1/trace = %d: %s", code, raw)
+		t.Fatalf("second POST trace to /v1/events = %d: %s", code, raw)
 	}
 	if ev.Applied != 60 {
 		t.Errorf("second trace applied %d events, want 60", ev.Applied)
@@ -424,8 +493,8 @@ func TestServeMetrics(t *testing.T) {
 	ts := testServer(t)
 	loadScenario(t, ts)
 	var ev eventsResponse
-	if code, raw := doJSON(t, "POST", ts.URL+"/v1/trace", traceRequest{Seed: 5, Events: 40}, &ev); code != http.StatusOK {
-		t.Fatalf("POST /v1/trace = %d: %s", code, raw)
+	if code, raw := postTrace(t, ts, 5, 40, &ev); code != http.StatusOK {
+		t.Fatalf("POST trace to /v1/events = %d: %s", code, raw)
 	}
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -457,7 +526,6 @@ func TestServeRequiresScenario(t *testing.T) {
 	ts := testServer(t)
 	for _, c := range []struct{ method, path string }{
 		{"POST", "/v1/events"},
-		{"POST", "/v1/trace"},
 		{"GET", "/v1/assoc"},
 		{"GET", "/v1/loads"},
 	} {
@@ -493,6 +561,12 @@ func TestServeBadRequests(t *testing.T) {
 	}
 	if code, raw := doJSON(t, "DELETE", ts.URL+"/v1/assoc", nil, nil); code != http.StatusMethodNotAllowed {
 		t.Errorf("DELETE /v1/assoc = %d, want 405: %s", code, raw)
+	}
+	// Generated traces are sent as /v1/events batches; there is no
+	// server-side trace route.
+	loadScenario(t, ts)
+	if code, raw := doJSON(t, "POST", ts.URL+"/v1/trace", map[string]any{"seed": 3, "events": 5}, nil); code != http.StatusNotFound {
+		t.Errorf("POST /v1/trace = %d, want 404: %s", code, raw)
 	}
 }
 
@@ -545,7 +619,6 @@ func TestServeOversizedBody(t *testing.T) {
 	for _, c := range []struct{ method, path string }{
 		{"POST", "/v1/scenario"},
 		{"POST", "/v1/events"},
-		{"POST", "/v1/trace"},
 		{"PUT", "/v1/assoc"},
 	} {
 		req, err := http.NewRequest(c.method, ts.URL+c.path, bytes.NewReader(big))
@@ -614,48 +687,52 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestServeFlagIntegration drives the whole binary path: run() with
-// -serve on an ephemeral port, then a signal-style context cancel.
+// TestServeFlagIntegration drives the whole binary path: run() on an
+// ephemeral port, then a signal-style context cancel. It serves with
+// or without -serve.
 func TestServeFlagIntegration(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ln.Close() // run() re-listens on the now-free address
+	for _, serveFlag := range [][]string{{"-serve"}, nil} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr := ln.Addr().String()
+		ln.Close() // run() re-listens on the now-free address
 
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan int, 1)
-	go func() {
-		var errBuf bytes.Buffer
-		code := run(ctx, []string{"-serve", "-addr", addr}, io.Discard, &errBuf)
-		if code != 0 {
-			t.Logf("run stderr: %s", errBuf.String())
-		}
-		done <- code
-	}()
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan int, 1)
+		go func() {
+			var errBuf bytes.Buffer
+			code := run(ctx, append(serveFlag, "-addr", addr), &errBuf)
+			if code != 0 {
+				t.Logf("run stderr: %s", errBuf.String())
+			}
+			done <- code
+		}()
 
-	url := "http://" + addr + "/healthz"
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		resp, err := http.Get(url)
-		if err == nil {
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			break
+		url := "http://" + addr + "/healthz"
+		deadline := time.Now().Add(5 * time.Second)
+		for {
+			resp, err := http.Get(url)
+			if err == nil {
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				break
+			}
+			if time.Now().After(deadline) {
+				cancel()
+				t.Fatalf("daemon %v never came up: %v", serveFlag, err)
+			}
+			time.Sleep(10 * time.Millisecond)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("daemon never came up: %v", err)
+		cancel()
+		select {
+		case code := <-done:
+			if code != 0 {
+				t.Fatalf("run %v returned %d after cancel, want 0", serveFlag, code)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("run %v did not exit within 5s", serveFlag)
 		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	cancel()
-	select {
-	case code := <-done:
-		if code != 0 {
-			t.Fatalf("run returned %d after cancel, want 0", code)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("run did not exit within 5s")
 	}
 }

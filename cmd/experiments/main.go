@@ -1,10 +1,19 @@
-// Command experiments regenerates the paper's evaluation figures.
+// Command experiments is the batch front end: it regenerates the
+// paper's evaluation figures, and its three modes run one scenario.
 //
 // Usage:
 //
 //	experiments [-seeds N] [-size F] [-ilp-nodes N] [-parallel N] [-timeout D] [-csv] [-quiet] [-trace FILE] [-trace-sample N] [id|group ...]
+//	experiments sim -alg mla-c|...|all [-scenario file.json] [-aps N] [-users N] [-loads] [-dump FILE]
+//	experiments gen [-aps N] [-users N] [-seed S] [-example figure1|figure1-mnu|figure4] > scenario.json
+//	experiments netsim -objective bla [-locks] [-jitter 200ms] [-aps N] [-users N] [-runs N] [-parallel W]
 //
-// With no arguments, every paper figure runs in order. Arguments may
+// sim reports each algorithm's association quality; gen writes
+// scenario JSON; netsim runs the message-level distributed protocol
+// (internal/netsim) and reports convergence and signaling overhead
+// (paper §8), over the seeds seed, seed+1, ... with -runs N.
+//
+// Without a mode, every paper figure runs in order. Arguments may
 // be individual experiment ids (see -list) or group aliases:
 //
 //	paper  the ten paper figures fig9a..fig12c (the default)
@@ -51,6 +60,16 @@ func main() {
 }
 
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) (code int) {
+	if len(args) > 0 {
+		switch args[0] { // a mode; any other argument is an experiment id or group
+		case "sim":
+			return runSim(args[1:], stdout, stderr)
+		case "gen":
+			return runGen(args[1:], stdout, stderr)
+		case "netsim":
+			return runNetsim(ctx, args[1:], stdout, stderr)
+		}
+	}
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	seeds := fs.Int("seeds", 40, "random scenarios per data point (paper: 40)")

@@ -18,7 +18,7 @@
 //	internal/scenario    workload generation and scenario JSON
 //	internal/metrics     avg/min/max aggregation and table formatting
 //	internal/experiments one runner per paper figure
-//	cmd/...              wlansim, experiments, scenariogen, assocd
+//	cmd/...              experiments (figures, sim, gen, netsim), assocd, loadgen
 //	examples/...         quickstart, campustv, payperview, citywide
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the

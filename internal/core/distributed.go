@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"wlanmcast/internal/obs"
 	"wlanmcast/internal/wlan"
@@ -33,6 +34,18 @@ func (o Objective) String() string {
 	default:
 		return fmt.Sprintf("Objective(%d)", int(o))
 	}
+}
+
+// ParseObjective maps mnu, bla or mla to its Objective; any other
+// spelling is an error. Journal replay re-checks a scenario record's
+// error outcome, so the accepted set must not widen.
+func ParseObjective(name string) (Objective, error) {
+	for _, o := range []Objective{ObjMNU, ObjBLA, ObjMLA} {
+		if name == strings.ToLower(o.String()) {
+			return o, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown objective %q", name)
 }
 
 // loadEps absorbs floating-point noise in "strictly better" tests; a

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -132,6 +133,23 @@ func TestDistributedValidation(t *testing.T) {
 	}
 	if _, err := (&Distributed{Objective: ObjMLA}).RunSimultaneous(n, wlan.NewAssoc(2), 5); err == nil {
 		t.Error("size-mismatched start should error")
+	}
+}
+
+// TestParseObjective pins the accepted names: exactly the three
+// lower-case ones. The daemon's replay re-checks a journaled scenario
+// record's error outcome, so a wider set would change what boots.
+func TestParseObjective(t *testing.T) {
+	for name, want := range map[string]Objective{"mnu": ObjMNU, "bla": ObjBLA, "mla": ObjMLA} {
+		if got, err := ParseObjective(name); err != nil || got != want {
+			t.Errorf("ParseObjective(%q) = (%v, %v), want %v", name, got, err, want)
+		}
+	}
+	for _, name := range []string{"nope", "", "MLA", "Bla", " mnu"} {
+		_, err := ParseObjective(name)
+		if want := fmt.Sprintf("unknown objective %q", name); err == nil || err.Error() != want {
+			t.Errorf("ParseObjective(%q) error = %v, want %q", name, err, want)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -194,12 +195,11 @@ func TestEngineShardsIgnored(t *testing.T) {
 		now := func() time.Time { return time.Unix(0, tick.Add(1000)) }
 		e := newEngine(t, n, Config{ActiveUsers: initial, Shards: shards, Now: now})
 		for start := 0; start < len(trace); start += 16 {
-			before := runtime.NumGoroutine()
 			if _, err := e.ApplyBatch(trace[start:min(start+16, len(trace))]); err != nil {
 				t.Fatalf("shards=%d batch at %d: %v", shards, start, err)
 			}
-			if after := runtime.NumGoroutine(); after != before {
-				t.Fatalf("shards=%d batch at %d: %d goroutines before, %d after", shards, start, before, after)
+			if g := engineGoroutine(); g != "" {
+				t.Fatalf("shards=%d batch at %d left an engine goroutine running:\n%s", shards, start, g)
 			}
 		}
 		snap, err := e.EncodeSnapshot()
@@ -228,6 +228,28 @@ func TestEngineShardsIgnored(t *testing.T) {
 			t.Errorf("shards=%d: metrics exposition differs from shards=0", shards)
 		}
 	}
+}
+
+// engineGoroutine returns the stack of a live goroutine that this
+// package's code started, or "" if there is none. It reads creators,
+// not a goroutine count, so runtime and test-harness goroutines do not
+// matter.
+func engineGoroutine() string {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "created by wlanmcast/internal/engine") {
+			return g
+		}
+	}
+	return ""
 }
 
 // applyEach applies events one Apply call at a time, stopping at the

@@ -597,10 +597,10 @@ func (e *Engine) Snapshot() *wlan.Assoc { return e.tr.Assoc() }
 // it: callers must treat it as strictly read-only — mutating it (or
 // running another Tracker's Associate over it) silently corrupts the
 // engine's incremental state. Use Snapshot for an independent copy of
-// the association, and the NumAPs/NumUsers/NumSessions/TotalLoad/
-// MaxLoad/APLoads accessors for the common read-outs; reach for
-// Network only when a read-only API (scenario export, DecodeAssoc
-// sizing, load recomputation) genuinely needs the full model.
+// the association, and the NumAPs/NumUsers/TotalLoad/MaxLoad/APLoads
+// accessors for the common read-outs; reach for Network only when a
+// read-only API (scenario export, DecodeAssoc sizing, load
+// recomputation) genuinely needs the full model.
 func (e *Engine) Network() *wlan.Network { return e.n }
 
 // NumAPs returns the network's AP count.
@@ -608,9 +608,6 @@ func (e *Engine) NumAPs() int { return e.n.NumAPs() }
 
 // NumUsers returns the network's user slot count.
 func (e *Engine) NumUsers() int { return e.n.NumUsers() }
-
-// NumSessions returns the network's session count.
-func (e *Engine) NumSessions() int { return e.n.NumSessions() }
 
 // ActiveUsers returns how many user slots are currently active.
 func (e *Engine) ActiveUsers() int { return e.nActive }

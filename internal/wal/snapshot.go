@@ -13,8 +13,14 @@ import (
 // rename into place, fsync the directory. A crash at any instant
 // leaves either no new snapshot or a complete one — never a partial
 // file under the real name. The header and the payload are written
-// one after the other, so the payload is never copied.
+// one after the other, so the payload is never copied. A payload over
+// Options.MaxRecord is refused before any file is made: LatestSnapshot
+// could not read it back, so after the journal is pruned the log
+// would not boot.
 func (l *Log) WriteSnapshot(seq uint64, payload []byte) error {
+	if len(payload) > l.opt.MaxRecord {
+		return fmt.Errorf("wal: snapshot of %d bytes exceeds cap %d", len(payload), l.opt.MaxRecord)
+	}
 	final := l.snapPath(seq)
 	tmp := final + ".tmp"
 	var hdr [frameHeader]byte

@@ -254,6 +254,30 @@ func TestSnapshotRoundTripAndFallback(t *testing.T) {
 	l.Close()
 }
 
+// TestSnapshotOverCapRefused pins that a snapshot LatestSnapshot could
+// not read back is refused up front: no file appears, and the earlier
+// snapshot stays the latest.
+func TestSnapshotOverCapRefused(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{Policy: SyncOff, MaxRecord: 1024})
+	defer l.Close()
+	if err := l.WriteSnapshot(5, []byte("state@5")); err != nil {
+		t.Fatal(err)
+	}
+	err := l.WriteSnapshot(9, make([]byte, 2048))
+	if err == nil || !strings.Contains(err.Error(), "exceeds cap 1024") {
+		t.Fatalf("WriteSnapshot of 2048 bytes = %v, want a cap error", err)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "snap-*"))
+	if want := filepath.Join(dir, fmt.Sprintf("snap-%016d.snap", uint64(5))); len(files) != 1 || files[0] != want {
+		t.Fatalf("snapshot files = %v, want only %s", files, want)
+	}
+	seq, payload, err := l.LatestSnapshot()
+	if err != nil || seq != 5 || string(payload) != "state@5" {
+		t.Fatalf("LatestSnapshot = (%d, %q, %v), want (5, state@5, nil)", seq, payload, err)
+	}
+}
+
 func TestSnapshotNewerThanJournalTail(t *testing.T) {
 	dir := t.TempDir()
 	l := mustOpen(t, dir, Options{Policy: SyncOff})

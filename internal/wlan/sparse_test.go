@@ -23,7 +23,7 @@ func TestSparseMatchesBruteForce(t *testing.T) {
 	}{
 		{seed: 1, nAPs: 5, nUsers: 30},
 		{seed: 2, nAPs: 40, nUsers: 200},
-		// > parallelChunk users: exercises the runner.Map fan-out.
+		// > parallelChunk users: exercises the parallel chunk fan-out.
 		{seed: 3, nAPs: 64, nUsers: parallelChunk + 500},
 	} {
 		rng := rand.New(rand.NewSource(tc.seed))

@@ -10,13 +10,13 @@
 package wlan
 
 import (
-	"context"
 	"fmt"
+	"runtime"
 	"sort"
+	"sync"
 
 	"wlanmcast/internal/geom"
 	"wlanmcast/internal/radio"
-	"wlanmcast/internal/runner"
 )
 
 // Unassociated marks a user that receives no multicast service.
@@ -160,8 +160,8 @@ const parallelChunk = 2048
 // Construction is O(users x candidate APs), not O(users x APs): a
 // uniform grid over the AP positions (cell = the table's maximum
 // range) yields each user's candidates, and users are scanned in
-// parallel chunks through the shared runner pool, so building a
-// million-user network uses all cores and only O(links) memory.
+// parallel chunks, so building a million-user network uses all cores
+// and only O(links) memory.
 func NewGeometric(area geom.Rect, apPos, userPos []geom.Point, userSession []int, sessions []Session, table *radio.RateTable, budget float64) (*Network, error) {
 	if table == nil {
 		return nil, fmt.Errorf("wlan: nil rate table")
@@ -193,20 +193,19 @@ func NewGeometric(area geom.Rect, apPos, userPos []geom.Point, userSession []int
 			nbrRates[u] = rates
 		}
 	}
-	if chunks := (len(userPos) + parallelChunk - 1) / parallelChunk; chunks > 1 {
-		_, err := runner.Map(context.Background(), runner.Options{}, chunks, 1,
-			func(ctx context.Context, p, _ int) (struct{}, error) {
-				lo := p * parallelChunk
-				hi := lo + parallelChunk
-				if hi > len(userPos) {
-					hi = len(userPos)
-				}
-				scan(lo, hi, make([]int, 0, 64))
-				return struct{}{}, nil
-			})
-		if err != nil {
-			return nil, fmt.Errorf("wlan: parallel link scan: %w", err)
+	if len(userPos) > parallelChunk {
+		// One goroutine per chunk, at most one running per CPU.
+		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+		var wg sync.WaitGroup
+		for lo := 0; lo < len(userPos); lo += parallelChunk {
+			wg.Add(1)
+			sem <- struct{}{}
+			go func() {
+				defer func() { <-sem; wg.Done() }()
+				scan(lo, min(lo+parallelChunk, len(userPos)), make([]int, 0, 64))
+			}()
 		}
+		wg.Wait()
 	} else {
 		scan(0, len(userPos), nil)
 	}

@@ -23,10 +23,11 @@
 #      (the 26-seed differential suite runs under -race here),
 #      internal/wal, the journal under every daemon mutation (it
 #      has no background flusher: interval fsyncs ride on the next
-#      append), and cmd/assocd, whose HTTP daemon serves one engine
+#      append), cmd/assocd, whose HTTP daemon serves one engine
 #      to many connections behind one mutex and reads /metrics and
 #      the flight recorder outside it (the SIGKILL crash-recovery
-#      differential suite runs under -race here)
+#      differential suite runs under -race here), and cmd/experiments,
+#      whose netsim -runs batch fans seeds out over runner.Map
 #   5. the promtext lint gate: the byte-format golden test for the
 #      exposition writer plus the linter over the daemon's live
 #      /metrics output
@@ -114,8 +115,8 @@ fi
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race (runner + experiments + obs + fault + engine + wal + assocd)"
-go test -race ./internal/runner ./internal/experiments ./internal/obs ./internal/fault ./internal/engine ./internal/wal ./cmd/assocd
+echo "== go test -race (runner + experiments + obs + fault + engine + wal + assocd + cmd/experiments)"
+go test -race ./internal/runner ./internal/experiments ./internal/obs ./internal/fault ./internal/engine ./internal/wal ./cmd/assocd ./cmd/experiments
 
 echo "== promtext lint (golden exposition + live /metrics)"
 go test -run 'TestGoldenAssocdExposition|TestLintProm' -count 1 ./internal/obs
