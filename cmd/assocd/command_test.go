@@ -19,6 +19,7 @@ import (
 	"strings"
 	"testing"
 
+	"wlanmcast/internal/stream"
 	"wlanmcast/internal/wal"
 )
 
@@ -26,7 +27,7 @@ var updateFixture = flag.Bool("update", false, "regenerate testdata/journal-v1 a
 
 // streamBody pushes an NDJSON body through /v1/events/stream in
 // process and returns the response frames.
-func streamBody(t *testing.T, s *server, query, body string) []streamFrame {
+func streamBody(t *testing.T, s *server, query, body string) []stream.Frame {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/events/stream?"+query, strings.NewReader(body)))

@@ -15,7 +15,7 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -32,7 +32,9 @@ import (
 
 	"wlanmcast/internal/engine"
 	"wlanmcast/internal/fault"
+	"wlanmcast/internal/obs"
 	"wlanmcast/internal/scenario"
+	"wlanmcast/internal/stream"
 )
 
 // TestHelperDaemonProcess is not a test: it is the body of the daemon
@@ -196,103 +198,22 @@ func crashTrace(t *testing.T, seed int64, events int) []engine.Event {
 	return trace
 }
 
-// crashStream is the minimal resumable stream client: one session
-// token, offset = last seq the client knows is applied.
-type crashStream struct {
-	session string
-	offset  int
-	window  int
-	trace   []engine.Event
-}
-
-// attempt opens one stream connection offering trace[offset:]. When
-// killAt >= 0, kill() fires as soon as an ack advances the session
-// past that seq — so the daemon is provably mid-stream with durable
-// progress, and keeps applying the next window right up to the
-// SIGKILL (the crash point inside that window is whatever the race
-// gives us). Returns done=true on the daemon's done frame;
-// rewound=true when the daemon lost unsynced state and told the
-// client to back up (offset is already rewound; retry against the
-// same daemon); killed=true when kill() actually fired. done and
-// killed can both be true: on a single CPU the daemon may apply the
-// whole tail and flush its done frame before the SIGKILL lands, and
-// the client still reads the buffered frames off the dead socket.
-func (c *crashStream) attempt(t *testing.T, base string, killAt int, kill func()) (done, rewound, killed bool, err error) {
-	t.Helper()
-	// The frame loop below mutates c.offset; the writer must send from
-	// the offset the resume parameter promised, captured before spawn.
-	start := c.offset
-	pr, pw := io.Pipe()
-	go func() {
-		enc := json.NewEncoder(pw)
-		for i := start; i < len(c.trace); i++ {
-			if enc.Encode(c.trace[i]) != nil {
-				pw.CloseWithError(io.ErrClosedPipe)
-				return
-			}
-		}
-		pw.Close()
-	}()
-	defer pr.CloseWithError(io.ErrClosedPipe)
-
-	u := fmt.Sprintf("%s/v1/events/stream?window=%d&session=%s&resume=%d",
-		base, c.window, c.session, start)
-	resp, err := http.Post(u, "application/x-ndjson", pr)
-	if err != nil {
-		return false, false, false, fmt.Errorf("open stream: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		return false, false, false, fmt.Errorf("stream rejected: %s: %s", resp.Status, raw)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	for sc.Scan() {
-		var f streamFrame
-		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
-			return false, false, killed, fmt.Errorf("bad frame %q: %v", sc.Text(), err)
-		}
-		switch {
-		case f.Session != nil:
-			c.session = f.Session.Token
-			if int(f.Session.Seq) > c.offset {
-				c.offset = int(f.Session.Seq) // daemon is ahead; it skips the overlap
-			}
-		case f.Ack != nil:
-			c.offset = f.Ack.Seq
-			if killAt >= 0 && c.offset >= killAt {
-				killAt = -1
-				killed = true
-				kill()
-			}
-		case f.Done != nil:
-			return true, false, killed, nil
-		case f.Drain:
-			return false, false, killed, fmt.Errorf("daemon draining")
-		case f.Error != "":
-			if strings.Contains(f.Error, "cannot resume from") {
-				c.offset = f.Event
-				return false, true, killed, nil
-			}
-			return false, false, killed, fmt.Errorf("daemon rejected stream at event %d: %s", f.Event, f.Error)
-		}
-	}
-	return false, false, killed, fmt.Errorf("connection lost: %v", sc.Err())
-}
-
 // crashCounterFamilies extracts the deterministic engine counter
-// sample lines from a /metrics exposition for comparison.
-func crashCounterFamilies(text string) string {
-	var lines []string
-	for _, line := range strings.Split(text, "\n") {
-		for _, fam := range []string{"assocd_events_total", "assocd_redecisions_total", "assocd_handoffs_total"} {
-			if strings.HasPrefix(line, fam+"{") || strings.HasPrefix(line, fam+" ") {
-				lines = append(lines, line)
-			}
+// samples from a /metrics exposition for comparison.
+func crashCounterFamilies(t *testing.T, text string) string {
+	t.Helper()
+	lines, err := obs.ParseProm(strings.NewReader(text))
+	if err != nil {
+		t.Fatalf("parse /metrics: %v", err)
+	}
+	var b strings.Builder
+	for _, l := range lines {
+		switch l.Name {
+		case "assocd_events_total", "assocd_redecisions_total", "assocd_handoffs_total":
+			fmt.Fprintf(&b, "%s%v %v\n", l.Name, l.Labels, l.Value)
 		}
 	}
-	return strings.Join(lines, "\n")
+	return b.String()
 }
 
 // crashReference streams the full trace into an uninterrupted
@@ -304,14 +225,13 @@ func crashReference(t *testing.T, seed int64, trace []engine.Event, window int) 
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 	crashPost(t, ts.URL+"/v1/scenario", "application/json", crashScenario(seed))
-	cs := &crashStream{session: "ref", window: window, trace: trace}
-	done, _, _, err := cs.attempt(t, ts.URL, -1, nil)
-	if !done {
+	c := &stream.Client{Base: ts.URL, Window: window, Events: trace, Session: "ref"}
+	if _, err := c.Attempt(); err != nil {
 		t.Fatalf("reference stream did not finish: %v", err)
 	}
 	return crashGet(t, ts.URL+"/v1/assoc"),
 		crashGet(t, ts.URL+"/v1/loads"),
-		crashCounterFamilies(crashGet(t, ts.URL+"/metrics"))
+		crashCounterFamilies(t, crashGet(t, ts.URL+"/metrics"))
 }
 
 // TestCrashRecoveryDifferential is the tentpole proof: for each seed,
@@ -350,17 +270,31 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 			if seed%4 == 1 {
 				kills = 2
 			}
-			cs := &crashStream{session: fmt.Sprintf("seed-%d", seed), window: window, trace: trace}
+			c := &stream.Client{Window: window, Events: trace, Session: fmt.Sprintf("seed-%d", seed)}
 			for attempt := 0; ; attempt++ {
 				if attempt > 8 {
-					t.Fatalf("trace did not finish after %d attempts (offset %d/%d)", attempt, cs.offset, len(trace))
+					t.Fatalf("trace did not finish after %d attempts (offset %d/%d)", attempt, c.Offset, len(trace))
 				}
 				killAt := -1
-				remaining := len(trace) - cs.offset
+				remaining := len(trace) - c.Offset
 				if kills > 0 && remaining > 40 {
-					killAt = cs.offset + 8 + rnd.Intn(remaining-30)
+					killAt = c.Offset + 8 + rnd.Intn(remaining-30)
 				}
-				done, rewound, killed, err := cs.attempt(t, d.base, killAt, d.kill)
+				// Kill as soon as an ack advances the session past killAt,
+				// so the daemon is provably mid-stream with durable
+				// progress and keeps applying the next window right up to
+				// the SIGKILL (the crash point inside that window is
+				// whatever the race gives us).
+				killed, kill := false, d.kill
+				c.Base = d.base
+				c.OnAck = func(seq int) {
+					if killAt >= 0 && seq >= killAt {
+						killAt = -1
+						killed = true
+						kill()
+					}
+				}
+				_, err := c.Attempt()
 				if killed {
 					// The daemon is dead (even if it outran the SIGKILL
 					// and flushed its done frame first — the restart's
@@ -370,13 +304,13 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 					d = startCrashDaemon(t, args...)
 					continue
 				}
-				if done {
+				if err == nil {
 					if killAt >= 0 {
-						t.Fatalf("kill scheduled at seq %d never fired (final offset %d)", killAt, cs.offset)
+						t.Fatalf("kill scheduled at seq %d never fired (final offset %d)", killAt, c.Offset)
 					}
 					break
 				}
-				if rewound {
+				if errors.As(err, new(stream.CannotResume)) {
 					continue // same daemon, offset already backed up
 				}
 				t.Fatalf("stream failed without a kill in flight: %v", err)
@@ -384,7 +318,7 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 
 			gotAssoc := crashGet(t, d.base+"/v1/assoc")
 			gotLoads := crashGet(t, d.base+"/v1/loads")
-			gotCounters := crashCounterFamilies(crashGet(t, d.base+"/metrics"))
+			gotCounters := crashCounterFamilies(t, crashGet(t, d.base+"/metrics"))
 			if gotAssoc != refAssoc {
 				t.Errorf("association diverged from the uninterrupted reference:\ngot:  %s\nwant: %s", gotAssoc, refAssoc)
 			}

@@ -12,6 +12,7 @@ import (
 
 	"wlanmcast/internal/engine"
 	"wlanmcast/internal/scenario"
+	"wlanmcast/internal/stream"
 	"wlanmcast/internal/wlan"
 )
 
@@ -196,7 +197,7 @@ func FuzzStreamEvents(f *testing.F) {
 			if terminal {
 				t.Fatalf("frame %d %q after the terminal frame", i, line)
 			}
-			var fr streamFrame
+			var fr stream.Frame
 			if err := json.Unmarshal([]byte(line), &fr); err != nil {
 				t.Fatalf("frame %d %q is not JSON: %v", i, line, err)
 			}

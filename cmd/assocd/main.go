@@ -44,6 +44,12 @@ func run(ctx context.Context, args []string, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// Flag parsing stops at the first positional argument, so every
+	// flag after it would be dropped silently.
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "assocd: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
 	if *shards < 1 {
 		fmt.Fprintf(stderr, "assocd: -shards must be >= 1\n")
 		return 2

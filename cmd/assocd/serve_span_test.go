@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"wlanmcast/internal/obs"
+	"wlanmcast/internal/stream"
 )
 
 // TestServeStatus pins GET /v1/status: 409 before a scenario, then
@@ -235,12 +236,12 @@ func TestServeStreamMetricsConsistency(t *testing.T) {
 		t.Fatalf("stream = %d: %s", resp.StatusCode, raw)
 	}
 	sc := bufio.NewScanner(resp.Body)
-	nextFrame := func() streamFrame {
+	nextFrame := func() stream.Frame {
 		t.Helper()
 		if !sc.Scan() {
 			t.Fatalf("stream ended early: %v", sc.Err())
 		}
-		var f streamFrame
+		var f stream.Frame
 		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
 			t.Fatalf("bad frame %q: %v", sc.Text(), err)
 		}

@@ -12,64 +12,28 @@ import (
 	"time"
 
 	"wlanmcast/internal/engine"
+	"wlanmcast/internal/stream"
 )
 
-// POST /v1/events/stream — the streaming ingest endpoint.
-//
-// One long-lived connection carries an NDJSON request body (one churn
-// event per line, same JSON shape as /v1/events) and an NDJSON
-// response of acknowledgement frames. The handler decodes incrementally
-// into a pooled window of at most `window` events (?window=N, default
-// 512, cap 8192), applies each window as one engine.ApplyBatch under
-// the engine lock, and writes one ack frame per window:
-//
-//	{"ack":{"seq":2048,"applied":512,"redecisions":63,"moves":12}}
-//
-// seq is the total number of events consumed since the stream started,
-// so the client always knows how far the daemon has gotten.
+// POST /v1/events/stream — the streaming ingest endpoint, the daemon's
+// side of package stream, which defines the frames and the resume and
+// rewind rules. The handler decodes the NDJSON body into a pooled
+// window of at most `window` events (?window=N, default 512, cap
+// 8192), applies each window as one engine.ApplyBatch under the engine
+// lock, and writes one ack frame per window.
 //
 // Backpressure is structural: the daemon reads at most one window
 // ahead of the engine, so a client that outruns it fills the TCP
-// buffers and blocks on write — no daemon-side queue can grow without
-// bound — and the windowed acks give the client live progress to pace
-// against. Overload across connections is explicit: the endpoint
-// serves one stream at a time, and a second concurrent stream gets
-// 429 with Retry-After rather than queueing behind an unbounded
-// competitor.
+// buffers and blocks on write. Overload across connections is
+// explicit: one stream at a time, and a second gets 429 with
+// Retry-After rather than queueing.
 //
-// Errors are in-band frames that preserve the /v1/events wire shape
-// ("event %d: ... (%d applied)"), with the index global to the stream
-// and an explicit event field:
-//
-//	{"event":731,"error":"event 731: engine: invalid \"join\" event: user 9 is already active (219 applied)"}
-//
-// A rejected event terminates the stream after the frame: the window's
-// valid prefix is applied (exactly the ApplyBatch contract), the
-// remainder is dropped, and the engine is untouched past the rejection
-// — the client replays or repairs from seq. Undecodable lines and
-// oversized lines (> 1 MiB) terminate the same way. A clean EOF gets a
-// final summary frame:
-//
-//	{"done":{"events":100000,"redecisions":12040,"moves":3011,"total_load":12.5,"max_load":0.71}}
-//
-// Resume: the first response frame is always a session frame,
-//
-//	{"session":{"token":"ab12…","seq":4096,"skipped":1024}}
-//
-// where token identifies the stream session (?session=tok to reuse
-// one; the server mints a random token otherwise), seq is the
-// session's durable offset — the number of events already applied
-// (and, with -data-dir, journaled) under that token — and skipped is
-// how many of the client's re-sent leading lines the server will
-// discard as duplicates. A client that reconnects after a broken
-// stream sends ?session=tok&resume=L and re-sends its events starting
-// at line L; the server skips the first seq−L lines without
-// re-applying them (exactly-once), applies from there, and every ack
-// seq is the session-global offset. resume beyond the durable offset
-// is refused with an in-band error (the client rewinds to the session
-// frame's seq). During graceful shutdown the stream finishes its
-// current window and terminates with {"drain":true}; the client
-// reconnects and resumes against the restarted daemon.
+// A rejected event ends the stream with an error frame in the
+// /v1/events wire shape ("event %d: ... (%d applied)"): the window's
+// valid prefix is applied (the ApplyBatch contract) and the rest
+// dropped. Undecodable and oversized (> 1 MiB) lines end it the same
+// way, and a graceful shutdown ends it with a drain frame after the
+// current window.
 
 const (
 	streamDefaultWindow = 512
@@ -104,49 +68,6 @@ type streamBuf struct {
 }
 
 var streamBufs = sync.Pool{New: func() any { return new(streamBuf) }}
-
-// streamAck acknowledges one applied window.
-type streamAck struct {
-	// Seq is the total events consumed since the stream started.
-	Seq int `json:"seq"`
-	// Applied/Redecisions/Moves are this window's costs.
-	Applied     int `json:"applied"`
-	Redecisions int `json:"redecisions"`
-	Moves       int `json:"moves"`
-}
-
-// streamDone summarizes a cleanly finished stream.
-type streamDone struct {
-	Events      int     `json:"events"`
-	Redecisions int     `json:"redecisions"`
-	Moves       int     `json:"moves"`
-	TotalLoad   float64 `json:"total_load"`
-	MaxLoad     float64 `json:"max_load"`
-}
-
-// streamSession opens every response: the session's identity and
-// durable offset, and how many re-sent leading lines will be skipped.
-type streamSession struct {
-	Token   string `json:"token"`
-	Seq     uint64 `json:"seq"`
-	Skipped uint64 `json:"skipped,omitempty"`
-}
-
-// streamFrame is one NDJSON response line: exactly one of session,
-// ack, done, drain, or error is present.
-type streamFrame struct {
-	Session *streamSession `json:"session,omitempty"`
-	Ack     *streamAck     `json:"ack,omitempty"`
-	Done    *streamDone    `json:"done,omitempty"`
-	// Drain marks a server-initiated termination during graceful
-	// shutdown: everything acked so far is durable; reconnect and
-	// resume.
-	Drain bool `json:"drain,omitempty"`
-	// Event is the session-global index of the offending event on an
-	// error frame.
-	Event int    `json:"event,omitempty"`
-	Error string `json:"error,omitempty"`
-}
 
 func (s *server) handleEventsStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -241,13 +162,13 @@ func (s *server) handleEventsStream(w http.ResponseWriter, r *http.Request) {
 	if durable > resume {
 		toSkip = durable - resume
 	}
-	if !s.writeFrame(enc, rc, streamFrame{Session: &streamSession{Token: tok, Seq: durable, Skipped: toSkip}}) {
+	if !s.writeFrame(enc, rc, stream.Frame{Session: &stream.Session{Token: tok, Seq: durable, Skipped: toSkip}}) {
 		return
 	}
 	if resume > durable {
 		release()
 		s.streamError(enc, rc, int(durable),
-			fmt.Sprintf("cannot resume from %d: session %q is durable to %d", resume, tok, durable))
+			fmt.Sprintf("%s %d: session %q is durable to %d", stream.CannotResumePrefix, resume, tok, durable))
 		return
 	}
 	s.walResumeSkipped.Add(toSkip)
@@ -255,7 +176,7 @@ func (s *server) handleEventsStream(w http.ResponseWriter, r *http.Request) {
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(make([]byte, 64<<10), maxStreamLine)
 
-	var done streamDone
+	var done stream.Done
 	seq := durable // session-global offset of the next event to apply
 	events, raw := buf.events, buf.raw
 	defer func() { buf.events, buf.raw = events, raw }()
@@ -312,7 +233,7 @@ func (s *server) handleEventsStream(w http.ResponseWriter, r *http.Request) {
 			}
 			seq = newSeq
 			s.streamWindows.Inc()
-			if !s.writeFrame(enc, rc, streamFrame{Ack: &streamAck{
+			if !s.writeFrame(enc, rc, stream.Frame{Ack: &stream.Ack{
 				Seq:         int(seq),
 				Applied:     br.Applied,
 				Redecisions: br.Redecisions,
@@ -329,7 +250,7 @@ func (s *server) handleEventsStream(w http.ResponseWriter, r *http.Request) {
 		// so srv.Shutdown does not wait out this stream's idle timeout.
 		if s.draining.Load() {
 			release()
-			s.writeFrame(enc, rc, streamFrame{Drain: true})
+			s.writeFrame(enc, rc, stream.Frame{Drain: true})
 			return
 		}
 	}
@@ -345,7 +266,7 @@ func (s *server) handleEventsStream(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	release()
-	s.writeFrame(enc, rc, streamFrame{Done: &done})
+	s.writeFrame(enc, rc, stream.Frame{Done: &done})
 }
 
 // applyStreamWindow runs one window through commit and returns the
@@ -371,7 +292,7 @@ func (s *server) applyStreamWindow(eng *engine.Engine, events []engine.Event, ra
 // stream afterwards.
 func (s *server) streamError(enc *json.Encoder, rc *http.ResponseController, gidx int, msg string) {
 	s.streamErrors.Inc()
-	s.writeFrame(enc, rc, streamFrame{Event: gidx, Error: msg})
+	s.writeFrame(enc, rc, stream.Frame{Event: gidx, Error: msg})
 }
 
 // discardStream consumes whatever remains of the request body after a
@@ -397,7 +318,7 @@ func discardStream(rc *http.ResponseController, body io.Reader) {
 
 // writeFrame writes one NDJSON frame and flushes it, under a fresh
 // write deadline. A false return means the client is gone.
-func (s *server) writeFrame(enc *json.Encoder, rc *http.ResponseController, f streamFrame) bool {
+func (s *server) writeFrame(enc *json.Encoder, rc *http.ResponseController, f stream.Frame) bool {
 	rc.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
 	if err := enc.Encode(f); err != nil {
 		return false

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"wlanmcast/internal/stream"
 )
 
 // ndjsonMoves renders n valid move events (users 0..29 are active in
@@ -23,7 +25,7 @@ func ndjsonMoves(n int) string {
 
 // postStream opens one streaming request and returns the decoded
 // response frames plus the HTTP status.
-func postStream(t *testing.T, url, body string) (int, []streamFrame) {
+func postStream(t *testing.T, url, body string) (int, []stream.Frame) {
 	t.Helper()
 	resp, err := http.Post(url, "application/x-ndjson", strings.NewReader(body))
 	if err != nil {
@@ -32,7 +34,7 @@ func postStream(t *testing.T, url, body string) (int, []streamFrame) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		raw, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, []streamFrame{{Error: string(raw)}}
+		return resp.StatusCode, []stream.Frame{{Error: string(raw)}}
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
 		t.Errorf("stream Content-Type = %q, want application/x-ndjson", ct)
@@ -47,12 +49,12 @@ func postStream(t *testing.T, url, body string) (int, []streamFrame) {
 	return resp.StatusCode, frames[1:]
 }
 
-func readFrames(t testing.TB, r io.Reader) []streamFrame {
+func readFrames(t testing.TB, r io.Reader) []stream.Frame {
 	t.Helper()
-	var frames []streamFrame
+	var frames []stream.Frame
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
-		var f streamFrame
+		var f stream.Frame
 		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
 			t.Fatalf("bad frame %q: %v", sc.Text(), err)
 		}

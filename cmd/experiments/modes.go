@@ -35,6 +35,35 @@ func scenarioFlags(fs *flag.FlagSet, aps, users int, budget bool) *scenario.Para
 	return p
 }
 
+// parseMode parses a mode's flags and reports whether the command line
+// is usable. It refuses a positional argument, because flag parsing
+// stops at the first one and would silently drop every flag after it,
+// and a generator flag set beside -scenario, because the file fixes
+// the network the flag would size.
+func parseMode(fs *flag.FlagSet, args []string, stderr io.Writer) bool {
+	if fs.Parse(args) != nil {
+		return false // the flag package has reported it
+	}
+	var err error
+	if fs.NArg() > 0 {
+		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	} else if f := fs.Lookup("scenario"); f != nil && f.Value.String() != "" {
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "aps", "users", "sessions", "budget", "basic-rate":
+				if err == nil {
+					err = fmt.Errorf("-%s cannot be combined with -scenario: the scenario file fixes the network", f.Name)
+				}
+			}
+		})
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "%s: %v\n", fs.Name(), err)
+		return false
+	}
+	return true
+}
+
 // loadNetwork reads the scenario JSON at path, or generates one from
 // p when path is empty.
 func loadNetwork(path string, p scenario.Params) (*wlan.Network, error) {
@@ -63,7 +92,7 @@ func runSim(args []string, stdout, stderr io.Writer) int {
 	p := scenarioFlags(fs, 200, 400, true)
 	loads := fs.Bool("loads", false, "print every AP's load")
 	dump := fs.String("dump", "", "write the resulting association(s) as JSON to this file")
-	if err := fs.Parse(args); err != nil {
+	if !parseMode(fs, args, stderr) {
 		return 2
 	}
 
@@ -164,7 +193,7 @@ func runGen(args []string, stdout, stderr io.Writer) int {
 	height := fs.Float64("height", 1000, "area height (m)")
 	placement := fs.String("placement", "uniform", "placement: uniform, grid, clustered")
 	example := fs.String("example", "", "emit a canonical example instead: figure1, figure1-mnu, figure4")
-	if err := fs.Parse(args); err != nil {
+	if !parseMode(fs, args, stderr) {
 		return 2
 	}
 	var ok bool
@@ -192,30 +221,14 @@ func buildSpec(example string, p scenario.Params) (*scenario.Spec, error) {
 	case "":
 		return scenario.Generate(p)
 	case "figure1":
-		return figureSpec(1, 1)
+		return scenario.Figure1Spec(1, 1), nil
 	case "figure1-mnu":
-		return figureSpec(3, 3)
+		return scenario.Figure1Spec(3, 3), nil
 	case "figure4":
-		return &scenario.Spec{
-			Kind:         scenario.KindRates,
-			Rates:        [][]radio.Mbps{{5, 4, 4, 0}, {0, 4, 4, 5}},
-			UserSessions: []int{0, 0, 0, 0},
-			Sessions:     []wlan.Session{{Rate: 1, Name: "s1"}},
-			Budget:       1,
-		}, nil
+		return scenario.Figure4Spec(), nil
 	default:
 		return nil, fmt.Errorf("unknown example %q", example)
 	}
-}
-
-func figureSpec(s1, s2 radio.Mbps) (*scenario.Spec, error) {
-	return &scenario.Spec{
-		Kind:         scenario.KindRates,
-		Rates:        [][]radio.Mbps{{3, 6, 4, 4, 4}, {0, 0, 5, 5, 3}},
-		UserSessions: []int{0, 1, 0, 1, 1},
-		Sessions:     []wlan.Session{{Rate: s1, Name: "s1"}, {Rate: s2, Name: "s2"}},
-		Budget:       1,
-	}, nil
 }
 
 // placements are gen's -placement names.
@@ -237,7 +250,7 @@ func runNetsim(ctx context.Context, args []string, stdout, stderr io.Writer) int
 	locks := fs.Bool("locks", false, "enable the lock-coordination extension (paper §8)")
 	runs := fs.Int("runs", 1, "number of consecutive seeds to simulate")
 	parallel := fs.Int("parallel", 0, "concurrent runs with -runs (0 = all CPUs)")
-	if err := fs.Parse(args); err != nil {
+	if !parseMode(fs, args, stderr) {
 		return 2
 	}
 	obj, err := core.ParseObjective(*objective)

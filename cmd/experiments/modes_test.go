@@ -217,3 +217,53 @@ func TestNetsimBadFlags(t *testing.T) {
 		t.Errorf("-runs 0 exited %d, want 2", code)
 	}
 }
+
+// TestModeStrayArguments: flag parsing stops at the first positional
+// argument, so every flag after it would be dropped silently (`sim
+// extra -alg bogus` ran MLA on the default network); each mode exits
+// 2 naming the argument instead, before doing any work.
+func TestModeStrayArguments(t *testing.T) {
+	for _, args := range [][]string{
+		{"sim", "extra", "-alg", "bogus"},
+		{"sim", "-aps", "5", "-users", "5", "extra"},
+		{"gen", "extra", "-placement", "gird"},
+		{"gen", "-example", "figure1", "extra"},
+		{"netsim", "extra", "-objective", "nope"},
+		{"netsim", "-aps", "5", "extra", "other"},
+	} {
+		code, out, errOut := runMode(t, args...)
+		if code != 2 || out != "" || !strings.Contains(errOut, `unexpected argument "extra"`) {
+			t.Errorf("%q exited %d with output %q (%q), want 2 naming \"extra\"", args, code, out, errOut)
+		}
+	}
+}
+
+// TestModeScenarioBesideGeneratorFlags: with -scenario the file fixes
+// the network, so an explicitly set generator flag beside it is an
+// error rather than silently ignored.
+func TestModeScenarioBesideGeneratorFlags(t *testing.T) {
+	path := saveSpec(t, scenario.Figure1Spec(1, 1))
+	for _, c := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"sim", "-scenario", path, "-budget", "0.3"}, "-budget"},
+		{[]string{"sim", "-basic-rate", "-scenario", path}, "-basic-rate"},
+		{[]string{"sim", "-scenario", path, "-aps", "200"}, "-aps"},
+		{[]string{"netsim", "-scenario", path, "-users", "9"}, "-users"},
+		{[]string{"netsim", "-sessions", "2", "-scenario", path}, "-sessions"},
+	} {
+		code, out, errOut := runMode(t, c.args...)
+		if code != 2 || out != "" || !strings.Contains(errOut, c.flag+" cannot be combined with -scenario") {
+			t.Errorf("%q exited %d with output %q (%q), want 2 naming %s", c.args, code, out, errOut, c.flag)
+		}
+	}
+	// The same flags without -scenario, and -scenario with the flags
+	// it does not fix, still run.
+	if code, _, errOut := runMode(t, "sim", "-scenario", path, "-seed", "3", "-alg", "ssa"); code != 0 {
+		t.Errorf("sim -scenario -seed exited %d: %s", code, errOut)
+	}
+	if code, _, errOut := runMode(t, "sim", "-budget", "0.3", "-aps", "5", "-users", "5", "-alg", "ssa"); code != 0 {
+		t.Errorf("sim without -scenario exited %d: %s", code, errOut)
+	}
+}

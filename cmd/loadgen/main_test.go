@@ -154,50 +154,6 @@ func TestLoadgenEndToEnd(t *testing.T) {
 	}
 }
 
-// TestScrapeHistogramVec pins the labeled scrape against the real
-// exposition writer, including the before/after diff path.
-func TestScrapeHistogramVec(t *testing.T) {
-	d := newMockDaemon()
-	d.stages.With("apply").Observe(0.0001)
-	d.stages.With("apply").Observe(2.0)
-	d.stages.With("reduce").Observe(0.001)
-	ts := httptest.NewServer(d)
-	defer ts.Close()
-
-	snaps, order, err := scrapeHistogramVec(ts.URL, "assocd_stage_seconds", "stage")
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantOrder := []string{"queue_wait", "apply", "reduce"}
-	if fmt.Sprint(order) != fmt.Sprint(wantOrder) {
-		t.Fatalf("label order = %v, want %v", order, wantOrder)
-	}
-	for _, stg := range wantOrder {
-		want := d.stages.With(stg).Snapshot()
-		got := snaps[stg]
-		if got.Count != want.Count || got.Sum != want.Sum {
-			t.Errorf("%s count/sum = %d/%v, want %d/%v", stg, got.Count, got.Sum, want.Count, want.Sum)
-		}
-		if len(got.Bounds) != len(want.Bounds) || len(got.Counts) != len(want.Counts) {
-			t.Fatalf("%s shape = %d bounds/%d counts, want %d/%d", stg, len(got.Bounds), len(got.Counts), len(want.Bounds), len(want.Counts))
-		}
-		for i := range want.Counts {
-			if got.Counts[i] != want.Counts[i] {
-				t.Errorf("%s cumulative count[%d] = %d, want %d", stg, i, got.Counts[i], want.Counts[i])
-			}
-		}
-	}
-	before := snaps["apply"]
-	d.stages.With("apply").Observe(0.0001)
-	after, _, err := scrapeHistogramVec(ts.URL, "assocd_stage_seconds", "stage")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if delta := after["apply"].Sub(before); delta.Count != 1 {
-		t.Errorf("apply delta count = %d, want 1", delta.Count)
-	}
-}
-
 // TestLoadgenFaultMerge checks -mtbf layers ap_down/ap_up events into
 // the stream (the daemon sees more than -events lines).
 func TestLoadgenFaultMerge(t *testing.T) {
@@ -388,42 +344,35 @@ func TestLoadgenStreamError(t *testing.T) {
 	}
 }
 
-// TestScrapeHistogram pins the /metrics text → HistogramSnapshot
-// round trip against the real exposition writer.
-func TestScrapeHistogram(t *testing.T) {
+// TestLoadgenStrayArguments: flag parsing stops at the first
+// positional argument, so every flag after it would be dropped
+// silently; the run is refused instead, as a usage error, before it
+// contacts the daemon.
+func TestLoadgenStrayArguments(t *testing.T) {
 	d := newMockDaemon()
-	d.lat.Observe(0.0001)
-	d.lat.Observe(0.0001)
-	d.lat.Observe(2.0)
 	ts := httptest.NewServer(d)
 	defer ts.Close()
-
-	s, err := scrapeHistogram(ts.URL, "assocd_event_latency_seconds")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := d.lat.Snapshot()
-	if s.Count != want.Count || s.Sum != want.Sum {
-		t.Errorf("count/sum = %d/%v, want %d/%v", s.Count, s.Sum, want.Count, want.Sum)
-	}
-	if len(s.Bounds) != len(want.Bounds) || len(s.Counts) != len(want.Counts) {
-		t.Fatalf("shape = %d bounds/%d counts, want %d/%d", len(s.Bounds), len(s.Counts), len(want.Bounds), len(want.Counts))
-	}
-	for i := range want.Counts {
-		if s.Counts[i] != want.Counts[i] {
-			t.Errorf("cumulative count[%d] = %d, want %d", i, s.Counts[i], want.Counts[i])
+	for _, args := range [][]string{
+		{"extra"},
+		{"-addr", ts.URL, "extra", "-events", "5"},
+		{"-addr", ts.URL, "-events", "5", "extra", "-rate", "bogus"},
+	} {
+		var stdout, stderr bytes.Buffer
+		err := run(args, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), `"extra"`) {
+			t.Errorf("%q: err = %v, want one naming \"extra\"", args, err)
+		}
+		if code := exitCode(err); code != 2 {
+			t.Errorf("%q: exit code %d, want 2", args, code)
 		}
 	}
-	// And the diff path on top of the scrape: a second run of
-	// observations isolates cleanly.
-	before := s
-	d.lat.Observe(0.0001)
-	after, err := scrapeHistogram(ts.URL, "assocd_event_latency_seconds")
-	if err != nil {
-		t.Fatal(err)
+	if n := d.scenario.Load(); n != 0 {
+		t.Errorf("daemon contacted %d times", n)
 	}
-	delta := after.Sub(before)
-	if delta.Count != 1 {
-		t.Errorf("delta count = %d, want 1", delta.Count)
+	if exitCode(run([]string{"-bogus"}, io.Discard, io.Discard)) != 2 {
+		t.Error("an unknown flag is not a usage error")
+	}
+	if exitCode(nil) != 0 || exitCode(io.EOF) != 1 {
+		t.Error("exitCode maps success or failure wrong")
 	}
 }

@@ -1,22 +1,18 @@
 package obs
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 )
 
-// LintProm parses a Prometheus text exposition (version 0.0.4) and
-// returns an error describing the first malformed line. It checks:
+// LintProm parses a Prometheus text exposition (version 0.0.4) with
+// ParseProm and returns an error describing the first malformed line.
+// Over the parsed lines it checks:
 //
-//   - HELP/TYPE comment syntax and known TYPE keywords,
+//   - known TYPE keywords,
 //   - at most one HELP and one TYPE per family, TYPE before samples,
-//   - metric and label name character sets,
-//   - label block syntax with escaped values,
-//   - sample values parse as floats (+Inf/-Inf/NaN allowed),
 //   - histogram families expose only _bucket/_sum/_count samples and
 //     every _bucket carries an le label,
 //   - no duplicate series (same name and label set),
@@ -29,102 +25,69 @@ import (
 // scripts/check.sh runs it (via the obs tests) against the live
 // assocd /metrics output — the "promtext lint" CI step.
 func LintProm(r io.Reader) error {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	lines, err := ParseProm(r)
+	if err != nil {
+		return err
+	}
 	types := make(map[string]string)   // family -> TYPE
 	helped := make(map[string]bool)    // family -> HELP seen
 	sampled := make(map[string]bool)   // family -> sample seen
 	seen := make(map[string]bool)      // name+labels -> dup check
 	famKeys := make(map[string]string) // family -> canonical label key set
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			if err := lintComment(line, types, helped, sampled); err != nil {
-				return fmt.Errorf("line %d: %w", lineNo, err)
+	for _, l := range lines {
+		var err error
+		switch l.Kind {
+		case "HELP":
+			if helped[l.Name] {
+				err = fmt.Errorf("duplicate HELP for %q", l.Name)
 			}
-			continue
-		}
-		if err := lintSample(line, types, sampled, seen, famKeys); err != nil {
-			return fmt.Errorf("line %d: %w", lineNo, err)
-		}
-	}
-	return sc.Err()
-}
-
-func lintComment(line string, types map[string]string, helped, sampled map[string]bool) error {
-	fields := strings.SplitN(line, " ", 4)
-	if len(fields) < 3 || fields[0] != "#" {
-		// Free-form comments are legal; only # HELP / # TYPE are structured.
-		if len(fields) >= 2 && (fields[1] == "HELP" || fields[1] == "TYPE") {
-			return fmt.Errorf("malformed %s comment %q", fields[1], line)
-		}
-		return nil
-	}
-	switch fields[1] {
-	case "HELP":
-		name := fields[2]
-		if !validMetricName(name) {
-			return fmt.Errorf("HELP for invalid metric name %q", name)
-		}
-		if helped[name] {
-			return fmt.Errorf("duplicate HELP for %q", name)
-		}
-		helped[name] = true
-	case "TYPE":
-		if len(fields) < 4 {
-			return fmt.Errorf("TYPE line %q missing type keyword", line)
-		}
-		name, typ := fields[2], strings.TrimSpace(fields[3])
-		if !validMetricName(name) {
-			return fmt.Errorf("TYPE for invalid metric name %q", name)
-		}
-		switch typ {
-		case "counter", "gauge", "histogram", "summary", "untyped":
+			helped[l.Name] = true
+		case "TYPE":
+			err = lintType(l, types, sampled)
 		default:
-			return fmt.Errorf("unknown TYPE %q for %q", typ, name)
+			err = lintSample(l, types, sampled, seen, famKeys)
 		}
-		if _, dup := types[name]; dup {
-			return fmt.Errorf("duplicate TYPE for %q", name)
+		if err != nil {
+			return fmt.Errorf("line %d: %w", l.No, err)
 		}
-		if sampled[name] {
-			return fmt.Errorf("TYPE for %q after its samples", name)
-		}
-		types[name] = typ
 	}
 	return nil
 }
 
-func lintSample(line string, types map[string]string, sampled, seen map[string]bool, famKeys map[string]string) error {
-	name, rest, err := splitName(line)
-	if err != nil {
-		return err
+func lintType(l PromLine, types map[string]string, sampled map[string]bool) error {
+	switch l.Text {
+	case "counter", "gauge", "histogram", "summary", "untyped":
+	default:
+		return fmt.Errorf("unknown TYPE %q for %q", l.Text, l.Name)
 	}
-	labels := ""
-	var keys []string
-	if strings.HasPrefix(rest, "{") {
-		end, ks, err := lintLabels(rest)
-		if err != nil {
-			return fmt.Errorf("series %s: %w", name, err)
+	if _, dup := types[l.Name]; dup {
+		return fmt.Errorf("duplicate TYPE for %q", l.Name)
+	}
+	if sampled[l.Name] {
+		return fmt.Errorf("TYPE for %q after its samples", l.Name)
+	}
+	types[l.Name] = l.Text
+	return nil
+}
+
+func lintSample(l PromLine, types map[string]string, sampled, seen map[string]bool, famKeys map[string]string) error {
+	name := l.Name
+	var series strings.Builder
+	series.WriteString(name)
+	for i, lb := range l.Labels {
+		for _, prev := range l.Labels[:i] {
+			if prev.Name == lb.Name {
+				return fmt.Errorf("series %s: duplicate label key %q", name, lb.Name)
+			}
 		}
-		labels, rest, keys = rest[:end+1], rest[end+1:], ks
-	}
-	rest = strings.TrimSpace(rest)
-	// A sample may carry a trailing timestamp; value is the first field.
-	valueField := rest
-	if i := strings.IndexByte(rest, ' '); i >= 0 {
-		valueField = rest[:i]
-	}
-	if _, err := strconv.ParseFloat(valueField, 64); err != nil {
-		switch valueField {
-		case "+Inf", "-Inf", "NaN":
-		default:
-			return fmt.Errorf("series %s: unparseable value %q", name, valueField)
+		sep := ","
+		if i == 0 {
+			sep = "{"
 		}
+		fmt.Fprintf(&series, "%s%s=%q", sep, lb.Name, lb.Value)
+	}
+	if len(l.Labels) > 0 {
+		series.WriteByte('}')
 	}
 	family, isBucket := name, false
 	for _, suffix := range []string{"_bucket", "_sum", "_count"} {
@@ -133,8 +96,8 @@ func lintSample(line string, types map[string]string, sampled, seen map[string]b
 			family = base
 			if suffix == "_bucket" {
 				isBucket = true
-				if !strings.Contains(labels, `le="`) {
-					return fmt.Errorf("histogram bucket %s%s missing le label", name, labels)
+				if _, ok := l.Label("le"); !ok {
+					return fmt.Errorf("histogram bucket %s missing le label", series.String())
 				}
 			}
 		}
@@ -144,15 +107,15 @@ func lintSample(line string, types map[string]string, sampled, seen map[string]b
 	}
 	// Label-set rules: le belongs to buckets alone, and every series
 	// of a family must expose the same key set (le set aside).
-	bare := keys[:0:0]
-	for _, k := range keys {
-		if k == "le" {
+	var bare []string
+	for _, lb := range l.Labels {
+		if lb.Name == "le" {
 			if !isBucket {
-				return fmt.Errorf("series %s%s: le label on a non-bucket sample", name, labels)
+				return fmt.Errorf("series %s: le label on a non-bucket sample", series.String())
 			}
 			continue
 		}
-		bare = append(bare, k)
+		bare = append(bare, lb.Name)
 	}
 	sort.Strings(bare)
 	canon := strings.Join(bare, ",")
@@ -162,111 +125,10 @@ func lintSample(line string, types map[string]string, sampled, seen map[string]b
 		return fmt.Errorf("family %s: inconsistent label keys {%s} vs {%s}", family, canon, prev)
 	}
 	sampled[family] = true
-	key := name + labels
+	key := series.String()
 	if seen[key] {
 		return fmt.Errorf("duplicate series %s", key)
 	}
 	seen[key] = true
 	return nil
-}
-
-// splitName peels the metric name off a sample line.
-func splitName(line string) (name, rest string, err error) {
-	i := 0
-	for i < len(line) && line[i] != '{' && line[i] != ' ' {
-		i++
-	}
-	name = line[:i]
-	if !validMetricName(name) {
-		return "", "", fmt.Errorf("invalid metric name %q", name)
-	}
-	return name, line[i:], nil
-}
-
-// lintLabels validates a {k="v",...} block starting at s[0] == '{'
-// and returns the index of the closing brace plus the label keys in
-// block order. Duplicate keys within one block are an error.
-func lintLabels(s string) (int, []string, error) {
-	i := 1
-	var keys []string
-	for {
-		if i >= len(s) {
-			return 0, nil, fmt.Errorf("unterminated label block")
-		}
-		if s[i] == '}' {
-			return i, keys, nil
-		}
-		start := i
-		for i < len(s) && s[i] != '=' && s[i] != '}' && s[i] != ',' {
-			i++
-		}
-		key := s[start:i]
-		if i >= len(s) || s[i] != '=' || !validLabelName(key) {
-			return 0, nil, fmt.Errorf("bad label name %q", key)
-		}
-		for _, k := range keys {
-			if k == key {
-				return 0, nil, fmt.Errorf("duplicate label key %q", key)
-			}
-		}
-		keys = append(keys, key)
-		i++
-		if i >= len(s) || s[i] != '"' {
-			return 0, nil, fmt.Errorf("label %q value not quoted", key)
-		}
-		i++
-		for i < len(s) && s[i] != '"' {
-			if s[i] == '\\' {
-				i++
-				if i >= len(s) {
-					return 0, nil, fmt.Errorf("label %q value has dangling escape", key)
-				}
-				switch s[i] {
-				case '\\', '"', 'n':
-				default:
-					return 0, nil, fmt.Errorf("label %q value has bad escape \\%c", key, s[i])
-				}
-			}
-			i++
-		}
-		if i >= len(s) {
-			return 0, nil, fmt.Errorf("label %q value unterminated", key)
-		}
-		i++ // closing quote
-		if i < len(s) && s[i] == ',' {
-			i++
-		}
-	}
-}
-
-func validMetricName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		ok := c == '_' || c == ':' ||
-			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-			(i > 0 && c >= '0' && c <= '9')
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-func validLabelName(s string) bool {
-	if s == "" {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		ok := c == '_' ||
-			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-			(i > 0 && c >= '0' && c <= '9')
-		if !ok {
-			return false
-		}
-	}
-	return true
 }

@@ -155,25 +155,34 @@ func GenerateNetwork(p Params) (*wlan.Network, error) {
 	return spec.Network()
 }
 
-// Figure1 returns the paper's Figure 1 example with the given session
-// rates (3 Mbps in the MNU discussion, 1 Mbps for BLA/MLA).
-func Figure1(s1Rate, s2Rate radio.Mbps) (*wlan.Network, error) {
-	rates := [][]radio.Mbps{
-		{3, 6, 4, 4, 4}, // a1 → u1..u5
-		{0, 0, 5, 5, 3}, // a2 → u1..u5
+// Figure1Spec is the paper's Figure 1 example with the given session
+// rates (3 Mbps in the MNU discussion, 1 Mbps for BLA/MLA). Rates rows
+// are a1 and a2, columns u1..u5.
+func Figure1Spec(s1Rate, s2Rate radio.Mbps) *Spec {
+	return &Spec{
+		Kind:         KindRates,
+		Rates:        [][]radio.Mbps{{3, 6, 4, 4, 4}, {0, 0, 5, 5, 3}},
+		UserSessions: []int{0, 1, 0, 1, 1},
+		Sessions:     []wlan.Session{{Rate: s1Rate, Name: "s1"}, {Rate: s2Rate, Name: "s2"}},
+		Budget:       1,
 	}
-	sessions := []wlan.Session{{Rate: s1Rate, Name: "s1"}, {Rate: s2Rate, Name: "s2"}}
-	return wlan.NewFromRates(rates, []int{0, 1, 0, 1, 1}, sessions, 1.0)
 }
 
-// Figure4 returns the paper's Figure 4 non-convergence example and its
-// starting association (u1,u2 on a1; u3,u4 on a2).
-func Figure4() (*wlan.Network, *wlan.Assoc, error) {
-	rates := [][]radio.Mbps{
-		{5, 4, 4, 0},
-		{0, 4, 4, 5},
+// Figure4Spec is the paper's Figure 4 non-convergence example.
+func Figure4Spec() *Spec {
+	return &Spec{
+		Kind:         KindRates,
+		Rates:        [][]radio.Mbps{{5, 4, 4, 0}, {0, 4, 4, 5}},
+		UserSessions: []int{0, 0, 0, 0},
+		Sessions:     []wlan.Session{{Rate: 1, Name: "s1"}},
+		Budget:       1,
 	}
-	n, err := wlan.NewFromRates(rates, []int{0, 0, 0, 0}, []wlan.Session{{Rate: 1, Name: "s1"}}, 1.0)
+}
+
+// Figure4 builds Figure4Spec's network and its starting association
+// (u1,u2 on a1; u3,u4 on a2).
+func Figure4() (*wlan.Network, *wlan.Assoc, error) {
+	n, err := Figure4Spec().Network()
 	if err != nil {
 		return nil, nil, err
 	}

@@ -94,7 +94,7 @@ func TestGeneratePlacements(t *testing.T) {
 }
 
 func TestFigure1Canonical(t *testing.T) {
-	n, err := Figure1(1, 1)
+	n, err := Figure1Spec(1, 1).Network()
 	if err != nil {
 		t.Fatal(err)
 	}

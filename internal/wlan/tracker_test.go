@@ -187,6 +187,54 @@ func TestTrackerMoveNoop(t *testing.T) {
 	}
 }
 
+// TestTrackerMove pins Move's three cases against loads computed from
+// scratch: between two APs, to the user's current AP, and of an
+// unassociated user.
+func TestTrackerMove(t *testing.T) {
+	n := figure1(t, 1, 1)
+	want := NewAssoc(5)
+	for u, ap := range []int{0, 0, 0, 1} {
+		want.Associate(u, ap)
+	}
+	tr, err := NewTracker(n, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, satisfied int) {
+		t.Helper()
+		if !tr.Assoc().Equal(want) {
+			t.Fatalf("%s: association %v, want %v", step, tr.Assoc(), want)
+		}
+		if tr.Satisfied() != satisfied {
+			t.Fatalf("%s: Satisfied = %d, want %d", step, tr.Satisfied(), satisfied)
+		}
+		for ap := 0; ap < n.NumAPs(); ap++ {
+			if got, exp := tr.APLoad(ap), n.APLoad(want, ap); got != exp {
+				t.Fatalf("%s: AP %d load %v, want %v", step, ap, got, exp)
+			}
+		}
+		if got, exp := tr.TotalLoad(), n.TotalLoad(want); got != exp {
+			t.Fatalf("%s: total load %v, want %v", step, got, exp)
+		}
+	}
+	for _, m := range []struct {
+		step      string
+		u, ap     int
+		satisfied int
+	}{
+		{"move between APs", 2, 1, 4},
+		{"move to the current AP", 2, 1, 4},
+		{"move back", 2, 0, 4},
+		{"move of an unassociated user", 4, 1, 5},
+	} {
+		if err := tr.Move(m.u, m.ap); err != nil {
+			t.Fatalf("%s: %v", m.step, err)
+		}
+		want.Associate(m.u, m.ap)
+		check(m.step, m.satisfied)
+	}
+}
+
 func TestAPLoadMonotoneInUsers(t *testing.T) {
 	// Property: associating one more user with an AP never decreases
 	// that AP's load (the transmission set only grows and per-session

@@ -26,8 +26,10 @@
 #      append), cmd/assocd, whose HTTP daemon serves one engine
 #      to many connections behind one mutex and reads /metrics and
 #      the flight recorder outside it (the SIGKILL crash-recovery
-#      differential suite runs under -race here), and cmd/experiments,
-#      whose netsim -runs batch fans seeds out over runner.Map
+#      differential suite runs under -race here), cmd/experiments,
+#      whose netsim -runs batch fans seeds out over runner.Map, and
+#      internal/stream and cmd/loadgen, whose stream client runs a
+#      writer goroutine beside its frame reader
 #   5. the promtext lint gate: the byte-format golden test for the
 #      exposition writer plus the linter over the daemon's live
 #      /metrics output
@@ -71,7 +73,9 @@
 #      multi-association decoder, NDJSON stream handler, journal
 #      record decoder, engine snapshot decoder, scenario loader, LP
 #      solver, sparse greedy set
-#      cover against the dense reference and a reused Solver) so
+#      cover against the dense reference and a reused Solver, and the
+#      Prometheus-text parser: no panic, and every exposition LintProm
+#      accepts parses to one sample per non-comment line) so
 #      corpus regressions surface in CI, not just in long local fuzz
 #      runs
 #  11. the benchmark module (bench/, a nested module outside
@@ -115,8 +119,8 @@ fi
 echo "== go test ./..."
 go test ./...
 
-echo "== go test -race (runner + experiments + obs + fault + engine + wal + assocd + cmd/experiments)"
-go test -race ./internal/runner ./internal/experiments ./internal/obs ./internal/fault ./internal/engine ./internal/wal ./cmd/assocd ./cmd/experiments
+echo "== go test -race (runner + experiments + obs + fault + engine + wal + stream + assocd + cmd/experiments + loadgen)"
+go test -race ./internal/runner ./internal/experiments ./internal/obs ./internal/fault ./internal/engine ./internal/wal ./internal/stream ./cmd/assocd ./cmd/experiments ./cmd/loadgen
 
 echo "== promtext lint (golden exposition + live /metrics)"
 go test -run 'TestGoldenAssocdExposition|TestLintProm' -count 1 ./internal/obs
@@ -173,6 +177,7 @@ go test -run '^$' -fuzz 'FuzzRestoreSnapshot' -fuzztime 10s ./internal/engine
 go test -run '^$' -fuzz 'FuzzLoad' -fuzztime 10s ./internal/scenario
 go test -run '^$' -fuzz 'FuzzSolve' -fuzztime 10s ./internal/lp
 go test -run '^$' -fuzz 'FuzzGreedySparse' -fuzztime 10s ./internal/setcover
+go test -run '^$' -fuzz 'FuzzParseProm' -fuzztime 10s ./internal/obs
 
 echo "== benchmark module (cd bench && go vet + go test)"
 (cd bench && go vet ./... && go test -count 1 ./...)
