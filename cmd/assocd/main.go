@@ -3,8 +3,7 @@
 // internal/engine, with an optional write-ahead journal (durable.go).
 // -serve is accepted and changes nothing: the command always serves.
 // -shards is accepted and ignored: the engine applies every batch
-// serially. Ctrl-C / SIGTERM shuts it down gracefully; SIGQUIT dumps
-// the engine's flight recorder to stderr without stopping it.
+// serially. Ctrl-C / SIGTERM shuts it down gracefully.
 //
 // Usage:
 //

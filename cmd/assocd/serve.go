@@ -10,12 +10,10 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/signal"
 	"runtime/debug"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"wlanmcast/internal/engine"
@@ -51,14 +49,14 @@ import (
 //	PUT  /v1/multiassoc    force-install user AP-sets (validated, normalized)
 //	GET  /v1/loads         per-AP load vector, total, max
 //	GET  /v1/trace/export  ring-buffered trace events as JSONL
-//	GET  /v1/debug/flightrecord  flight-recorder span dump (JSON)
 //	GET  /metrics          Prometheus-style text exposition
 //	GET  /debug/pprof/*    runtime profiles
 //	GET  /healthz          liveness (503 once the daemon has failed)
 //
-// SIGQUIT also dumps the flight recorder to the error log, the
-// classic "what is the daemon doing right now" lever when the HTTP
-// plane itself is wedged.
+// Neither /v1/trace/export nor /debug/pprof takes mu, so both answer
+// while a batch runs: the goroutine profile (?debug=2) shows where an
+// engine call is stuck, and the trace's last churn_event is the event
+// applied just before it.
 type server struct {
 	mu      sync.Mutex
 	eng     *engine.Engine
@@ -123,7 +121,7 @@ type server struct {
 var servedPaths = map[string]bool{
 	"/v1/scenario": true, "/v1/events": true, "/v1/events/stream": true,
 	"/v1/status": true, "/v1/assoc": true, "/v1/multiassoc": true,
-	"/v1/loads": true, "/v1/trace/export": true, "/v1/debug/flightrecord": true,
+	"/v1/loads": true, "/v1/trace/export": true,
 	"/metrics": true, "/healthz": true,
 }
 
@@ -178,7 +176,6 @@ func newServer() *server {
 	s.mux.HandleFunc("/v1/assoc", s.handleAssoc)
 	s.mux.HandleFunc("/v1/multiassoc", s.handleMultiAssoc)
 	s.mux.HandleFunc("/v1/loads", s.handleLoads)
-	s.mux.HandleFunc("/v1/debug/flightrecord", s.handleFlightRecord)
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		if err := s.failed(); err != nil {
@@ -262,21 +259,6 @@ func serveOn(ctx context.Context, ln net.Listener, stderr io.Writer, opt serveOp
 			return err
 		}
 	}
-	// SIGQUIT dumps the flight recorder to stderr without stopping the
-	// daemon — usable even when the HTTP plane is wedged.
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGQUIT)
-	defer signal.Stop(sigc)
-	go func() {
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-sigc:
-				h.dumpFlight("SIGQUIT")
-			}
-		}
-	}()
 	srv := &http.Server{
 		Handler:           h,
 		ReadHeaderTimeout: 5 * time.Second,
@@ -352,15 +334,6 @@ type statusResponse struct {
 	// least one live home (primary or secondary).
 	MaxHomes       int `json:"max_homes,omitempty"`
 	MultiSatisfied int `json:"multi_satisfied,omitempty"`
-	// Flight summarizes the flight recorder (absent when disabled).
-	Flight *flightSummary `json:"flight,omitempty"`
-}
-
-// flightSummary is the /v1/status view of the flight recorder; the
-// full span dump lives on /v1/debug/flightrecord.
-type flightSummary struct {
-	Spans    uint64 `json:"spans"`    // spans ever recorded
-	Capacity int    `json:"capacity"` // ring size
 }
 
 type eventsResponse struct {
@@ -447,50 +420,13 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStatus reports the engine summary — the operator's first stop
-// before reaching for the flight recorder or pprof.
+// before reaching for the trace export or pprof.
 func (s *server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	s.withEngine(w, func(eng *engine.Engine) { writeJSON(w, s.status(eng)) })
-}
-
-// handleFlightRecord dumps the engine's flight recorder: the last N
-// completed pipeline spans plus the span of the event being applied. With
-// the recorder disabled (flight_spans < 0) the dump is empty.
-func (s *server) handleFlightRecord(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		httpError(w, http.StatusMethodNotAllowed, "GET required")
-		return
-	}
-	s.mu.Lock()
-	eng := s.eng
-	s.mu.Unlock()
-	if eng == nil {
-		httpError(w, http.StatusConflict, "no scenario loaded; POST /v1/scenario first")
-		return
-	}
-	// Snapshot is lock-free on the engine side: safe while a batch is
-	// mid-flight, which is exactly when a dump is wanted.
-	writeJSON(w, eng.Flight().Snapshot())
-}
-
-// dumpFlight writes the current engine's flight-recorder dump to the
-// error log (the SIGQUIT path).
-func (s *server) dumpFlight(why string) {
-	s.mu.Lock()
-	eng := s.eng
-	s.mu.Unlock()
-	if eng == nil {
-		fmt.Fprintf(s.errlog, "assocd: %s flight dump: no scenario loaded\n", why)
-		return
-	}
-	b, err := json.Marshal(eng.Flight().Snapshot())
-	if err != nil {
-		return
-	}
-	fmt.Fprintf(s.errlog, "assocd: %s flight dump: %s\n", why, b)
 }
 
 func (s *server) handleAssoc(w http.ResponseWriter, r *http.Request) {
@@ -630,9 +566,6 @@ func (s *server) status(eng *engine.Engine) statusResponse {
 	if eng.MaxHomes() > 1 {
 		resp.MaxHomes = eng.MaxHomes()
 		resp.MultiSatisfied = eng.MultiSatisfied()
-	}
-	if f := eng.Flight(); f != nil {
-		resp.Flight = &flightSummary{Spans: f.Total(), Capacity: f.Capacity()}
 	}
 	return resp
 }

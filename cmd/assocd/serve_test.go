@@ -563,10 +563,14 @@ func TestServeBadRequests(t *testing.T) {
 		t.Errorf("DELETE /v1/assoc = %d, want 405: %s", code, raw)
 	}
 	// Generated traces are sent as /v1/events batches; there is no
-	// server-side trace route.
+	// server-side trace route. Nor is there a flight-recorder dump:
+	// the trace export is the one recent-history buffer.
 	loadScenario(t, ts)
 	if code, raw := doJSON(t, "POST", ts.URL+"/v1/trace", map[string]any{"seed": 3, "events": 5}, nil); code != http.StatusNotFound {
 		t.Errorf("POST /v1/trace = %d, want 404: %s", code, raw)
+	}
+	if code, raw := doJSON(t, "GET", ts.URL+"/v1/debug/flightrecord", nil, nil); code != http.StatusNotFound {
+		t.Errorf("GET /v1/debug/flightrecord = %d, want 404: %s", code, raw)
 	}
 }
 

@@ -8,7 +8,8 @@
 // so a shared daemon reports only this replay's cost), and a
 // per-stage p50/p99 breakdown (validate, apply, reduce, ...)
 // diffed the same way from the daemon's labeled assocd_stage_seconds
-// family.
+// family (left out, with daemon_restarted set, if the daemon
+// restarted during the run and its histograms with it).
 //
 // The stream survives daemon restarts. It runs on internal/stream's
 // resumable client: every connection carries a session token and a
@@ -88,7 +89,7 @@ type report struct {
 	AchievedEPS float64 `json:"achieved_eps"`
 	// P50/P99 are per-event apply latencies from the daemon's
 	// histogram, interpolated within buckets (0 when the daemon
-	// recorded nothing, e.g. a zero-event run).
+	// recorded nothing, e.g. a zero-event run, or restarted).
 	P50Sec    float64 `json:"p50_s"`
 	P99Sec    float64 `json:"p99_s"`
 	TotalLoad float64 `json:"total_load"`
@@ -96,8 +97,13 @@ type report struct {
 	// Stages breaks the daemon-side cost down by pipeline stage
 	// (queue-wait, apply, reduce, ...), diffed around the run from
 	// the daemon's labeled assocd_stage_seconds family. Empty when
-	// the daemon does not expose the family or recorded nothing.
+	// the daemon does not expose the family, recorded nothing, or
+	// restarted.
 	Stages []stageLatency `json:"stages,omitempty"`
+	// DaemonRestarted: the scrape after the run came from a later
+	// daemon process than the one before it, whose histograms cover
+	// only that process, so P50/P99 and Stages are left out.
+	DaemonRestarted bool `json:"daemon_restarted,omitempty"`
 }
 
 // stageLatency is one row of the per-stage breakdown.
@@ -184,10 +190,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stderr, "loadgen: merged %d fault actions into the trace\n", len(sched))
 	}
 
-	before, stagesBefore, _, err := scrape(base)
+	before, err := scrape(base)
 	if err != nil {
 		return fmt.Errorf("scrape /metrics before run: %w", err)
 	}
+	scraped := time.Now()
 
 	c := &stream.Client{
 		Base: base, Window: *window, Rate: *rate, Events: trace, Session: *session,
@@ -216,31 +223,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 			rep.Applied, rep.ElapsedSec, rep.AchievedEPS)
 	}
 
-	after, stagesAfter, stageOrder, err := scrape(base)
+	between := time.Since(scraped)
+	after, err := scrape(base)
 	if err != nil {
 		return fmt.Errorf("scrape /metrics after run: %w", err)
 	}
-	delta := after.Sub(before)
-	if delta.Count > 0 {
-		rep.P50Sec = delta.Quantile(0.50)
-		rep.P99Sec = delta.Quantile(0.99)
-	}
-	for _, stg := range stageOrder {
-		cur := stagesAfter[stg]
-		// A stage family that appeared mid-run (or changed shape)
-		// cannot be diffed; attribute its whole history to this run
-		// rather than panicking in Sub.
-		d := cur
-		if prev, ok := stagesBefore[stg]; ok && len(prev.Bounds) == len(cur.Bounds) {
-			d = cur.Sub(prev)
-		}
-		if d.Count == 0 {
-			continue
-		}
-		rep.Stages = append(rep.Stages, stageLatency{
-			Stage: stg, Count: d.Count,
-			P50Sec: d.Quantile(0.50), P99Sec: d.Quantile(0.99),
-		})
+	if restarted(before, after, between) {
+		rep.DaemonRestarted = true
+		fmt.Fprintf(stderr, "loadgen: the daemon restarted during the run; its histograms cover only the last process, so daemon-side p50/p99 and stages are left out\n")
+	} else {
+		rep.addDaemonLatency(before, after)
 	}
 	if len(rep.Stages) > 0 {
 		fmt.Fprintf(stderr, "loadgen: per-stage latency (daemon-side, this run):\n")
@@ -290,26 +282,103 @@ func postJSON(url string, body, out any) error {
 	return json.Unmarshal(raw, out)
 }
 
-// scrape fetches /metrics once and reads the daemon's per-event
-// latency histogram and its per-stage histograms, with the stage
-// names in exposition order. Families the daemon has not registered
-// yet (no scenario loaded) read as empty.
-func scrape(base string) (lat obs.HistogramSnapshot, stages map[string]obs.HistogramSnapshot, order []string, err error) {
+// daemonStats is one /metrics scrape: the daemon's uptime (hasUptime
+// false when it is not exposed), its per-event latency histogram, and
+// its per-stage histograms with the stage names in exposition order.
+type daemonStats struct {
+	uptime    float64
+	hasUptime bool
+	lat       obs.HistogramSnapshot
+	stages    map[string]obs.HistogramSnapshot
+	order     []string
+}
+
+// scrape fetches /metrics once and reads it into a daemonStats.
+// Families the daemon has not registered yet (no scenario loaded)
+// read as empty.
+func scrape(base string) (daemonStats, error) {
+	var st daemonStats
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
-		return lat, nil, nil, err
+		return st, err
 	}
 	defer resp.Body.Close()
 	lines, err := obs.ParseProm(resp.Body)
 	if err != nil {
-		return lat, nil, nil, err
+		return st, err
+	}
+	for _, l := range lines {
+		if l.Kind == "" && l.Name == "assocd_uptime_seconds" {
+			st.uptime, st.hasUptime = l.Value, true
+		}
 	}
 	lats, _, err := obs.PromHistograms(lines, "assocd_event_latency_seconds", "")
 	if err != nil {
-		return lat, nil, nil, err
+		return st, err
 	}
-	stages, order, err = obs.PromHistograms(lines, "assocd_stage_seconds", "stage")
-	return lats[""], stages, order, err
+	st.lat = lats[""]
+	st.stages, st.order, err = obs.PromHistograms(lines, "assocd_stage_seconds", "stage")
+	return st, err
+}
+
+// restarted reports whether cur, scraped between after prev, came
+// from a later daemon process: its uptime is shorter than the time
+// between the scrapes, or a histogram count went backwards.
+func restarted(prev, cur daemonStats, between time.Duration) bool {
+	if cur.hasUptime && cur.uptime < between.Seconds() {
+		return true
+	}
+	if wentBack(prev.lat, cur.lat) {
+		return true
+	}
+	for stg, p := range prev.stages {
+		if wentBack(p, cur.stages[stg]) {
+			return true
+		}
+	}
+	return false
+}
+
+// wentBack reports whether any count of cur is below prev's.
+func wentBack(prev, cur obs.HistogramSnapshot) bool {
+	if cur.Count < prev.Count {
+		return true
+	}
+	for i := range min(len(prev.Counts), len(cur.Counts)) {
+		if cur.Counts[i] < prev.Counts[i] {
+			return true
+		}
+	}
+	return false
+}
+
+// addDaemonLatency fills P50/P99 and Stages from the histograms of
+// one daemon process scraped before and after the run.
+func (rep *report) addDaemonLatency(before, after daemonStats) {
+	if d := delta(before.lat, after.lat); d.Count > 0 {
+		rep.P50Sec = d.Quantile(0.50)
+		rep.P99Sec = d.Quantile(0.99)
+	}
+	for _, stg := range after.order {
+		d := delta(before.stages[stg], after.stages[stg])
+		if d.Count == 0 {
+			continue
+		}
+		rep.Stages = append(rep.Stages, stageLatency{
+			Stage: stg, Count: d.Count,
+			P50Sec: d.Quantile(0.50), P99Sec: d.Quantile(0.99),
+		})
+	}
+}
+
+// delta is cur minus prev. A family that appeared mid-run (or changed
+// shape) cannot be diffed, so its whole history counts as this run's
+// rather than panicking in Sub.
+func delta(prev, cur obs.HistogramSnapshot) obs.HistogramSnapshot {
+	if len(prev.Bounds) != len(cur.Bounds) {
+		return cur
+	}
+	return cur.Sub(prev)
 }
 
 // fmtSeconds renders a latency in seconds as a human duration.

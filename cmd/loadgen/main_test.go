@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"wlanmcast/internal/obs"
 )
@@ -26,10 +27,15 @@ type mockDaemon struct {
 	stages   *obs.HistogramVec
 	events   atomic.Int64
 	scenario atomic.Int64
+	// uptime feeds assocd_uptime_seconds (default: time since the
+	// mock was built). Set it before serving.
+	uptime func() float64
 }
 
 func newMockDaemon() *mockDaemon {
-	d := &mockDaemon{reg: obs.NewRegistry()}
+	started := time.Now()
+	d := &mockDaemon{reg: obs.NewRegistry(), uptime: func() float64 { return time.Since(started).Seconds() }}
+	d.reg.GaugeFunc("assocd_uptime_seconds", "Time since the daemon started.", func() float64 { return d.uptime() })
 	d.lat = d.reg.Histogram("assocd_event_latency_seconds", "Wall-clock time to apply one event.", obs.DefaultLatencyBounds())
 	d.stages = d.reg.HistogramVec("assocd_stage_seconds", "Pipeline stage cost.", obs.DefaultLatencyBounds(),
 		"stage", []string{"queue_wait", "apply", "reduce"})
@@ -121,6 +127,9 @@ func TestLoadgenEndToEnd(t *testing.T) {
 	if rep.AchievedEPS <= 0 || rep.ElapsedSec <= 0 {
 		t.Errorf("throughput not measured: %+v", rep)
 	}
+	if rep.DaemonRestarted {
+		t.Error("daemon_restarted set against a daemon that never restarted")
+	}
 	// All mock observations sit in the 100µs bucket; both quantiles
 	// must land inside its bounds (6.4e-05, 0.000256].
 	if rep.P50Sec <= 6.4e-05 || rep.P50Sec > 0.000256 || rep.P99Sec <= rep.P50Sec-1e-12 {
@@ -151,6 +160,78 @@ func TestLoadgenEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "per-stage latency") || !strings.Contains(stderr.String(), "queue_wait") {
 		t.Errorf("stderr lacks the per-stage table:\n%s", stderr.String())
+	}
+}
+
+// restartedDaemon serves its first /metrics scrape from first, a
+// stand-in for the daemon process before a restart, and everything
+// else, later scrapes included, from the mock: the process after it.
+type restartedDaemon struct {
+	*mockDaemon
+	first   *obs.Registry
+	scrapes atomic.Int64
+}
+
+func (d *restartedDaemon) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.URL.Path == "/metrics" && d.scrapes.Add(1) == 1 {
+		d.first.WriteProm(w)
+		return
+	}
+	d.mockDaemon.ServeHTTP(w, r)
+}
+
+// TestLoadgenDaemonRestart runs loadgen against a daemon whose scrape
+// after the run comes from a new process. The before/after diff would
+// then cover only the last process (or wrap where a count went
+// backwards), so the report must leave the daemon-side p50/p99 and
+// stages out, set daemon_restarted and say so on stderr. Each case
+// shows the reset one way: a short uptime with counts that still grew,
+// and counts that went backwards beside an uptime that looks fine.
+func TestLoadgenDaemonRestart(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		uptimeBefore  float64
+		samplesBefore int
+		uptimeAfter   func() float64 // nil = the mock's real uptime
+	}{
+		{"uptime", 1000, 0, func() float64 { return 0 }},
+		{"counts", 0, 300, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prev := newMockDaemon()
+			prev.uptime = func() float64 { return tc.uptimeBefore }
+			for range tc.samplesBefore {
+				prev.lat.Observe(0.0001)
+				prev.stages.With("apply").Observe(0.0001)
+			}
+			d := &restartedDaemon{mockDaemon: newMockDaemon(), first: prev.reg}
+			if tc.uptimeAfter != nil {
+				d.uptime = tc.uptimeAfter
+			}
+			ts := httptest.NewServer(d)
+			defer ts.Close()
+
+			var stdout, stderr bytes.Buffer
+			if err := run([]string{"-addr", ts.URL, "-events", "200", "-window", "32"}, &stdout, &stderr); err != nil {
+				t.Fatalf("run: %v (stderr: %s)", err, stderr.String())
+			}
+			var rep report
+			if err := json.Unmarshal(stdout.Bytes(), &rep); err != nil {
+				t.Fatalf("report not JSON: %v\n%s", err, stdout.String())
+			}
+			if !rep.DaemonRestarted || rep.P50Sec != 0 || rep.P99Sec != 0 || len(rep.Stages) != 0 {
+				t.Errorf("report = %+v, want daemon_restarted and no daemon-side latency", rep)
+			}
+			if !strings.Contains(stdout.String(), `"daemon_restarted": true`) {
+				t.Errorf("report JSON lacks daemon_restarted:\n%s", stdout.String())
+			}
+			if !strings.Contains(stderr.String(), "daemon restarted") {
+				t.Errorf("stderr does not say the daemon restarted:\n%s", stderr.String())
+			}
+			if rep.Applied != 200 {
+				t.Errorf("applied = %d, want 200", rep.Applied)
+			}
+		})
 	}
 }
 

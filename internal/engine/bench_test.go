@@ -112,52 +112,34 @@ func BenchmarkEngineFaultRepairFullRecompute(b *testing.B) {
 	benchFaultRepair(b, ModeFullRecompute)
 }
 
-// The observability overhead trio. Run the three interleaved
+// The observability overhead pair. Run the two interleaved
 // (go test -bench EngineIncrementalObs -count N) and compare:
 //
-//	trace overhead = Obs      vs ObsDisabled  (ring recording path)
-//	span overhead  = ObsSpans vs Obs          (flight ring + stage spans)
+//	trace overhead = Obs vs ObsDisabled  (ring recording path)
 //
-// All three share one registry, and the variants that disable a piece
-// still allocate (and KeepAlive) a same-size stand-in, so heap size
-// and GC pacing — which otherwise dominate the A/B delta — match
-// across the trio.
+// Both share one registry, and the disabled variant still allocates
+// (and KeepAlives) a same-size ring, so heap size and GC pacing —
+// which otherwise dominate the A/B delta — match across the pair.
 
-// BenchmarkEngineIncrementalObs measures the trace path alone: a live
-// ring recorder with the per-event span machinery off (FlightSpans <
-// 0), plus a kept-alive dummy flight ring for heap parity.
+// BenchmarkEngineIncrementalObs is the assocd configuration: a live
+// ring recorder beside the always-on stage histograms.
 func BenchmarkEngineIncrementalObs(b *testing.B) {
-	reg := obs.NewRegistry()
-	ring := obs.NewRing(obs.DefaultRingCapacity)
-	flight := obs.NewFlightRecorder(obs.DefaultFlightSpans, stageNames, flightKinds)
-	benchEngine(b, ModeIncremental, func(cfg *Config) {
-		cfg.Obs, cfg.Trace, cfg.FlightSpans = reg, ring, -1
-	})
-	runtime.KeepAlive(flight)
-}
-
-// BenchmarkEngineIncrementalObsDisabled is the floor: the same shared
-// registry, a same-size kept-alive ring and flight stand-in, but the
-// recorder handed to the engine is obs.Disabled (every Record call is
-// skipped at the obs.Active guard) and the span path is off.
-func BenchmarkEngineIncrementalObsDisabled(b *testing.B) {
-	reg := obs.NewRegistry()
-	ring := obs.NewRing(obs.DefaultRingCapacity)
-	flight := obs.NewFlightRecorder(obs.DefaultFlightSpans, stageNames, flightKinds)
-	benchEngine(b, ModeIncremental, func(cfg *Config) {
-		cfg.Obs, cfg.Trace, cfg.FlightSpans = reg, obs.Disabled, -1
-	})
-	runtime.KeepAlive(ring)
-	runtime.KeepAlive(flight)
-}
-
-// BenchmarkEngineIncrementalObsSpans is the full assocd -serve
-// configuration: live ring trace plus the default flight recorder and
-// per-event stage spans.
-func BenchmarkEngineIncrementalObsSpans(b *testing.B) {
 	reg := obs.NewRegistry()
 	ring := obs.NewRing(obs.DefaultRingCapacity)
 	benchEngine(b, ModeIncremental, func(cfg *Config) {
 		cfg.Obs, cfg.Trace = reg, ring
 	})
+}
+
+// BenchmarkEngineIncrementalObsDisabled is the floor: the same shared
+// registry and a same-size kept-alive ring, but the recorder handed
+// to the engine is obs.Disabled (every Record call is skipped at the
+// obs.Active guard).
+func BenchmarkEngineIncrementalObsDisabled(b *testing.B) {
+	reg := obs.NewRegistry()
+	ring := obs.NewRing(obs.DefaultRingCapacity)
+	benchEngine(b, ModeIncremental, func(cfg *Config) {
+		cfg.Obs, cfg.Trace = reg, obs.Disabled
+	})
+	runtime.KeepAlive(ring)
 }

@@ -103,16 +103,11 @@ type Config struct {
 	// registry — instrumentation always runs; Obs only decides who
 	// can read it.
 	Obs *obs.Registry
-	// Trace, when active, receives churn_event / redecision / handoff
-	// trace events (and conv_round events from full recomputes),
-	// plus batch-level span events (validate/reduce).
+	// Trace, when active, receives churn_event and handoff trace
+	// events (and conv_round events from full recomputes), plus
+	// batch-level span events (validate/reduce). Re-decisions ride
+	// churn_event's N rather than an event of their own.
 	Trace obs.Recorder
-	// FlightSpans sizes the flight recorder's span ring (0 =
-	// obs.DefaultFlightSpans). Negative disables the flight recorder
-	// and the per-event span path entirely — the stage histogram still
-	// registers (so exposition is stable) but stays at zero. See
-	// DESIGN.md "Stage-attributed tracing".
-	FlightSpans int
 }
 
 // Engine is a long-lived association engine. It is not safe for
@@ -163,11 +158,8 @@ type Engine struct {
 	trace   obs.Recorder
 	now     func() time.Time
 
-	// Span/flight state (see span.go; flight is nil when disabled).
-	// seq numbers the events run over the engine's lifetime; localApply
-	// stages the apply-stage histogram, flushed by flushStageStats.
-	flight     *obs.FlightRecorder
-	seq        uint64
+	// localApply stages the apply-stage histogram, flushed by
+	// flushStageStats (see span.go).
 	localApply *obs.LocalHistogram
 }
 
@@ -266,12 +258,12 @@ func newShell(n *wlan.Network, cfg Config) (*Engine, error) {
 }
 
 // finish completes an engine shell around an already-decided
-// association: worklist, flight recorder, tracker seeding, the
+// association: worklist, apply-stage buffer, tracker seeding, the
 // multi-home derivation grandfathering prevSec (nil for none), and the
 // first gauge refresh.
 func (e *Engine) finish(assoc *wlan.Assoc, prevSec [][]int) error {
 	e.inList = make([]bool, e.n.NumUsers())
-	e.setupFlight()
+	e.localApply = e.metrics.stageLat.At(stageApply).Local()
 	if err := e.seedTracker(assoc); err != nil {
 		return err
 	}

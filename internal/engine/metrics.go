@@ -103,7 +103,7 @@ type batchTally struct {
 
 // count accounts one successfully applied event into the tally.
 func (t *batchTally) count(kind EventKind, res *ApplyResult) {
-	t.events[kindIndex(kind)-1]++
+	t.events[kindSlot(kind)]++
 	t.redecisions += uint64(res.Redecisions)
 	t.handoffs += uint64(res.Moves)
 	if res.Truncated {

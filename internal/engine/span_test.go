@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -22,17 +23,17 @@ func checkStageConsistency(t *testing.T, e *Engine) {
 }
 
 // TestEngineInstrumentedDifferential rides the 26-seed differential
-// suite with every observability knob on — trace ring, flight
-// recorder, per-event spans — asserting the instrumented engine still
-// produces byte-identical snapshots, and that the apply-stage samples
-// match the scalar totals at every batch boundary.
+// suite with the trace ring on, asserting the instrumented engine
+// still produces byte-identical snapshots, that the apply-stage
+// samples match the scalar totals at every batch boundary, and that
+// the ring holds the applied events' churn_event records.
 func TestEngineInstrumentedDifferential(t *testing.T) {
 	apply := func(e *Engine, evs []Event) (BatchResult, error) {
 		br, err := e.ApplyBatch(evs)
 		if err == nil {
 			checkStageConsistency(t, e)
-			if e.Flight() == nil || e.Flight().Total() == 0 {
-				t.Fatal("flight recorder saw no spans")
+			if e.cfg.Trace.(*obs.Ring).CountsByType()[obs.EvChurn] == 0 {
+				t.Fatal("trace ring holds no churn_event")
 			}
 		}
 		return br, err
@@ -91,35 +92,54 @@ func TestEngineQueueWaitSums(t *testing.T) {
 	}
 }
 
-// TestEngineFlightDisabled pins the FlightSpans < 0 escape hatch: no
-// recorder, no span observations (the stage histograms stay empty),
-// but the event counters keep working and the registry still exposes
-// every family.
-func TestEngineFlightDisabled(t *testing.T) {
+// TestEngineTraceReadMidEvent pins that the trace ring is readable
+// while a batch runs: a Now hook parks the engine at the start of the
+// batch's second event, and another goroutine reads the ring there and
+// finds the first event's churn_event as the last one recorded.
+func TestEngineTraceReadMidEvent(t *testing.T) {
 	n, trace, initial := zonedSetup(t, 3, 4, 12, 40, 60)
-	e := newEngine(t, n, Config{ActiveUsers: initial, FlightSpans: -1})
-	if e.Flight() != nil {
-		t.Fatal("Flight() non-nil with FlightSpans < 0")
+	ring := obs.NewRing(0)
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	now := func() time.Time {
+		// Engine goroutine only: the first clock read after one
+		// churn_event is the second event's start.
+		if ring.CountsByType()[obs.EvChurn] == 1 {
+			once.Do(func() {
+				close(parked)
+				<-release
+			})
+		}
+		return time.Now()
 	}
-	if _, err := e.ApplyBatch(trace); err != nil {
+	e := newEngine(t, n, Config{ActiveUsers: initial, Trace: ring, Now: now})
+	done := make(chan error, 1)
+	go func() {
+		_, err := e.ApplyBatch(trace)
+		done <- err
+	}()
+	select {
+	case <-parked:
+	case err := <-done:
+		t.Fatalf("batch returned (%v) without parking mid-event", err)
+	}
+	var last obs.Event
+	churns := 0
+	for _, ev := range ring.Snapshot() {
+		if ev.Type == obs.EvChurn {
+			last = ev
+			churns++
+		}
+	}
+	close(release)
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	if st := e.Stats(); st.EventsTotal() != uint64(len(trace)) {
-		t.Errorf("events total %d, want %d", st.EventsTotal(), len(trace))
+	if churns != 1 || last.Kind != string(trace[0].Kind) || last.User != trace[0].User {
+		t.Errorf("mid-event ring: %d churn_event(s), last %+v; want 1, for %+v", churns, last, trace[0])
 	}
-	var buf bytes.Buffer
-	if err := e.Registry().WriteProm(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, `assocd_stage_seconds_count{stage="apply"} 0`) {
-		t.Errorf("stage histogram not empty with spans disabled")
-	}
-	if !strings.Contains(out, `assocd_stage_seconds_count{stage="handoff_arrive"} 0`) {
-		t.Errorf("handoff stage label missing from exposition")
-	}
-	if err := obs.LintProm(strings.NewReader(out)); err != nil {
-		t.Fatal(err)
+	if got := ring.CountsByType()[obs.EvChurn]; got != uint64(len(trace)) {
+		t.Errorf("churn_events after the batch = %d, want %d", got, len(trace))
 	}
 }
 

@@ -239,29 +239,6 @@ func (r *Registry) Families() []FamilyInfo {
 	return out
 }
 
-// Names returns the registered family names in registration order.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, len(r.families))
-	for i, f := range r.families {
-		out[i] = f.name
-	}
-	return out
-}
-
-// NumSeries returns the total number of registered series (histogram
-// families count as one series each).
-func (r *Registry) NumSeries() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, f := range r.families {
-		n += len(f.series)
-	}
-	return n
-}
-
 // renderLabels pre-renders the label block, escaping values per the
 // exposition format (backslash, quote, newline).
 func renderLabels(labels []Label) string {

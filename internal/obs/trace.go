@@ -73,8 +73,8 @@ const (
 	// ("engine"); Kind = stage name ("validate", "reduce", ...);
 	// N = events the stage covered; Value = elapsed seconds.
 	// Per-event apply spans do NOT ride the trace (EvChurn already
-	// carries kind/user/elapsed per event; the flight recorder keeps
-	// the span-level detail) — trace spans are batch-granular.
+	// carries kind/user/elapsed per event) — trace spans are
+	// batch-granular.
 	EvSpan = "span"
 )
 

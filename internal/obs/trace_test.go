@@ -131,3 +131,28 @@ func TestDisabledAndActive(t *testing.T) {
 		t.Error("Active(sampler(Disabled)) = true")
 	}
 }
+
+func TestSpanRecordsTrace(t *testing.T) {
+	ring := NewRing(8)
+	sp := StartSpan(ring, Event{Algo: "engine", Kind: "validate", AP: 2, N: 10}, 1_000)
+	sp.End(3_500)
+	evs := ring.Snapshot()
+	if len(evs) != 1 {
+		t.Fatalf("got %d events, want 1", len(evs))
+	}
+	ev := evs[0]
+	if ev.Type != EvSpan || ev.Kind != "validate" || ev.AP != 2 || ev.N != 10 {
+		t.Fatalf("span event mangled: %+v", ev)
+	}
+	if want := 2.5e-6; ev.Value != want {
+		t.Fatalf("Value=%g, want %g", ev.Value, want)
+	}
+	// Inert spans: nil or disabled recorder records nothing, End is safe.
+	StartSpan(nil, Event{}, 0).End(10)
+	StartSpan(Disabled, Event{}, 0).End(10)
+	var zero Span
+	zero.End(5)
+	if ring.Total() != 1 {
+		t.Fatalf("inert spans recorded: total=%d", ring.Total())
+	}
+}

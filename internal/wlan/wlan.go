@@ -399,11 +399,6 @@ func (n *Network) finish() error {
 	return nil
 }
 
-// RateLevels returns the fixed ascending universe of rates a link can
-// ever carry in this network. The slice is shared and immutable —
-// callers must not modify it.
-func (n *Network) RateLevels() []radio.Mbps { return n.rateLevels }
-
 func sortRates(rs []radio.Mbps) {
 	for i := 1; i < len(rs); i++ {
 		for j := i; j > 0 && rs[j] < rs[j-1]; j-- {

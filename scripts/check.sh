@@ -18,14 +18,15 @@
 #      evaluations over a goroutine pool, internal/obs, whose
 #      lock-free instruments are written and exposed concurrently,
 #      internal/fault, whose schedules feed the parallel sweeps,
-#      internal/engine, whose registry instruments and flight
-#      recorder are read from other goroutines while a batch runs
-#      (the 26-seed differential suite runs under -race here),
+#      internal/engine, whose registry instruments and trace ring
+#      are read from other goroutines while a batch runs (the
+#      26-seed differential suite and the mid-event ring read run
+#      under -race here),
 #      internal/wal, the journal under every daemon mutation (it
 #      has no background flusher: interval fsyncs ride on the next
 #      append), cmd/assocd, whose HTTP daemon serves one engine
 #      to many connections behind one mutex and reads /metrics and
-#      the flight recorder outside it (the SIGKILL crash-recovery
+#      the trace export outside it (the SIGKILL crash-recovery
 #      differential suite runs under -race here), cmd/experiments,
 #      whose netsim -runs batch fans seeds out over runner.Map, and
 #      internal/stream and cmd/loadgen, whose stream client runs a
