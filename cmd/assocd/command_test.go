@@ -23,7 +23,7 @@ import (
 	"wlanmcast/internal/wal"
 )
 
-var updateFixture = flag.Bool("update", false, "regenerate testdata/journal-v1 and its golden state files")
+var updateFixture = flag.Bool("update", false, "regenerate "+currentFixture+", the current-format data dir, and its golden state files")
 
 // streamBody pushes an NDJSON body through /v1/events/stream in
 // process and returns the response frames.
@@ -72,15 +72,24 @@ func fixtureState(s *server) map[string]string {
 	}
 }
 
-const fixtureDir = "testdata/journal-v1"
+// The journal fixtures are data dirs that must keep booting. Each
+// holds the same history, written by the build of its day: journal-v1
+// checkpoints in the JSON envelope, journal-v2 in the v1 binary
+// envelope with the scenario request inline, and journal-v3 in the v2
+// envelope that names its scenario file. -update rewrites only the
+// current one; the older ones cannot be written any more.
+const currentFixture = "testdata/journal-v3"
 
-// writeJournalFixture builds testdata/journal-v1: a multi-homed
-// scenario and every record kind (scenario, batch with one rejected,
-// a generated trace batch, stream windows under a session, assoc and
+var journalFixtures = []string{"testdata/journal-v1", "testdata/journal-v2", currentFixture}
+
+// writeJournalFixture builds currentFixture: a multi-homed scenario
+// and every record kind (scenario, batch with one rejected, a
+// generated trace batch, stream windows under a session, assoc and
 // multiassoc installs), one snapshot cut partway, then a tail of every
 // kind but scenario after it. The journal is closed without a final snapshot,
 // so a boot restores the snapshot and replays the tail.
 func writeJournalFixture(t *testing.T) {
+	fixtureDir := currentFixture
 	if err := os.RemoveAll(fixtureDir); err != nil {
 		t.Fatal(err)
 	}
@@ -118,10 +127,10 @@ func writeJournalFixture(t *testing.T) {
 	closeLog(t, s)
 }
 
-// copyFixture copies the fixture's journal segments and snapshots (not
-// the golden files) into a fresh directory, so booting cannot touch
-// the checked-in bytes.
-func copyFixture(t *testing.T, withSnapshots bool) string {
+// copyFixture copies a fixture's journal segments, snapshots and
+// scenario files (not the golden files) into a fresh directory, so
+// booting cannot touch the checked-in bytes.
+func copyFixture(t *testing.T, fixtureDir string, withSnapshots bool) string {
 	t.Helper()
 	dst := t.TempDir()
 	entries, err := os.ReadDir(fixtureDir)
@@ -130,7 +139,8 @@ func copyFixture(t *testing.T, withSnapshots bool) string {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if strings.HasSuffix(name, ".json") || (!withSnapshots && strings.HasSuffix(name, ".snap")) {
+		if strings.HasSuffix(name, ".json") ||
+			(!withSnapshots && (strings.HasSuffix(name, ".snap") || strings.HasSuffix(name, ".scn"))) {
 			continue
 		}
 		b, err := os.ReadFile(filepath.Join(fixtureDir, name))
@@ -144,32 +154,49 @@ func copyFixture(t *testing.T, withSnapshots bool) string {
 	return dst
 }
 
-// TestDurableJournalFixtureBoots boots a data dir written by an
-// earlier build of the daemon and byte-compares the recovered state
-// with the golden files written beside it. The record format is a
-// storage contract: a daemon that cannot boot yesterday's data dir
-// loses it. It boots twice: from the snapshot plus the journal tail,
-// and from the journal alone (snapshot removed), which replays the
-// scenario record too. -update regenerates the fixture.
+// TestDurableJournalFixtureBoots boots each journal fixture and
+// byte-compares the recovered state with the golden files written
+// beside it. The record and snapshot formats are a storage contract:
+// a daemon that cannot boot yesterday's data dir loses it. Each boots
+// twice: from the snapshot plus the journal tail, and from the journal
+// alone (snapshot and scenario files removed), which replays the
+// scenario record too. -update regenerates the current fixture.
 func TestDurableJournalFixtureBoots(t *testing.T) {
 	if *updateFixture {
 		writeJournalFixture(t)
 	}
+	for _, fixtureDir := range journalFixtures {
+		t.Run(filepath.Base(fixtureDir), func(t *testing.T) { bootFixture(t, fixtureDir) })
+	}
+}
+
+// bootFixture boots a copy of fixtureDir, checks the golden state, then
+// cuts a checkpoint in the current format and boots that too, so an
+// older data dir is also shown to upgrade.
+func bootFixture(t *testing.T, fixtureDir string) {
 	for _, withSnap := range []bool{true, false} {
-		r := durableServer(t, copyFixture(t, withSnap), 0)
+		dir := copyFixture(t, fixtureDir, withSnap)
+		r := durableServer(t, dir, 0)
 		replayed := metricValue(t, recordGet(r, "/metrics"), "assocd_wal_replay_records_total")
 		if replayed == 0 {
 			t.Fatalf("snapshot=%v: boot replayed no records; the tail path went untested", withSnap)
 		}
-		for name, got := range fixtureState(r) {
-			want, err := os.ReadFile(filepath.Join(fixtureDir, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != string(want) {
-				t.Errorf("snapshot=%v: recovered %s differs:\nwant %s\ngot  %s", withSnap, name, want, got)
+		checkState := func(r *server, when string) {
+			for name, got := range fixtureState(r) {
+				want, err := os.ReadFile(filepath.Join(fixtureDir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != string(want) {
+					t.Errorf("snapshot=%v, %s: recovered %s differs:\nwant %s\ngot  %s", withSnap, when, name, want, got)
+				}
 			}
 		}
+		checkState(r, "first boot")
+		checkpoint(t, r)
+		closeLog(t, r)
+		r = durableServer(t, dir, 0)
+		checkState(r, "boot from a current-format checkpoint")
 		closeLog(t, r)
 	}
 }

@@ -6,10 +6,12 @@ package main
 // install. A command is one journal record's header plus its payload,
 // decoded once, and exec is the only code that applies one. A live
 // handler decodes its request into a command, execs it, journals the
-// record (with -data-dir) and only then acks. The full daemon state
-// (scenario request, engine snapshot, stream-session offsets) is
-// periodically checkpointed as an atomic snapshot. Boot restores the
-// newest snapshot and runs each journal record after it
+// record (with -data-dir) and only then acks. The scenario request is
+// written once more, as its own scenario file, and the rest of the
+// daemon state (engine snapshot, stream-session offsets) is
+// periodically checkpointed as an atomic snapshot that names that
+// file. Boot restores the newest snapshot and runs each journal record
+// after it
 // through decodeRecord, decodeCommand and the same exec, then checks
 // the outcome the record holds (applied count and error presence). Any
 // divergence fails boot loudly rather than serving silently wrong
@@ -37,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"sort"
 	"time"
@@ -78,49 +81,76 @@ type recHeader struct {
 
 // daemonSnap is the snapshot payload: everything needed to boot
 // without replaying the whole journal. encodeSnapshot writes it in
-// the binary envelope; the JSON tags read envelopes written before it.
+// the v2 binary envelope, which names the scenario file (Ref); the
+// v1 binary and the JSON envelope carry the request inline (Scenario)
+// and are still read. The JSON tags read the JSON one.
 type daemonSnap struct {
 	Scenario json.RawMessage   `json:"scenario"`
+	Ref      scenarioRef       `json:"-"`
 	Engine   json.RawMessage   `json:"engine"`
 	Sessions map[string]uint64 `json:"sessions,omitempty"`
 }
 
-// snapEnvelopeMagic opens a binary snapshot envelope:
+// scenarioRef names a scenario file and pins its content. Seq is the
+// journal seq of the scenario record (for a scenario first read from
+// an older inline envelope, the seq of that checkpoint); Len and CRC
+// are the request's length and CRC32C. The zero value names no file.
+type scenarioRef struct {
+	Seq, Len uint64
+	CRC      uint32
+}
+
+// The binary snapshot envelopes:
 //
-//	"ASNP" 0x01                   magic, version
-//	len, scenario                 the journal-canonical scenario request, verbatim
+//	"ASNP" 0x02                   magic, version
+//	seq, len, crc                 the scenarioRef of scenario-<seq>.scn
 //	len, engine                   engine.EncodeSnapshot's blob
-//	count, then per session:      ascending by token
+//	count, then per session:      strictly ascending by token
 //	  len, token, offset
 //
-// All integers are unsigned varints, and nothing follows the last
-// session. An envelope whose first byte is '{' is the JSON one
-// (daemonSnap's tags), still read but no longer written.
-const snapEnvelopeMagic = "ASNP\x01"
+// and the same with "ASNP" 0x01 and (len, scenario request) in place
+// of the scenarioRef. All integers are minimal unsigned varints, and
+// nothing follows the last session, so a decodable envelope has one
+// encoding. An envelope whose first byte is '{' is the JSON one
+// (daemonSnap's tags). Only v2 is written.
+const (
+	snapEnvelopeV1 = "ASNP\x01"
+	snapEnvelopeV2 = "ASNP\x02"
+)
 
-// encodeSnapshot assembles a binary snapshot envelope. Sessions are
+// encodeSnapshot assembles a v2 snapshot envelope. Sessions are
 // written sorted by token, so identical states give identical bytes.
 func encodeSnapshot(snap daemonSnap) []byte {
-	toks := make([]string, 0, len(snap.Sessions))
-	size := len(snapEnvelopeMagic) + 3*binary.MaxVarintLen64 + len(snap.Scenario) + len(snap.Engine)
+	size := len(snapEnvelopeV2) + 5*binary.MaxVarintLen64 + len(snap.Engine)
 	for tok := range snap.Sessions {
-		toks = append(toks, tok)
 		size += 2*binary.MaxVarintLen64 + len(tok)
 	}
-	sort.Strings(toks)
 	buf := make([]byte, 0, size)
-	buf = append(buf, snapEnvelopeMagic...)
-	buf = appendSection(buf, snap.Scenario)
+	buf = append(buf, snapEnvelopeV2...)
+	buf = binary.AppendUvarint(buf, snap.Ref.Seq)
+	buf = binary.AppendUvarint(buf, snap.Ref.Len)
+	buf = binary.AppendUvarint(buf, uint64(snap.Ref.CRC))
 	buf = appendSection(buf, snap.Engine)
+	return appendSessions(buf, snap.Sessions)
+}
+
+// appendSessions appends the session count, then each session's
+// token and offset in token order.
+func appendSessions(buf []byte, sessions map[string]uint64) []byte {
+	toks := make([]string, 0, len(sessions))
+	for tok := range sessions {
+		toks = append(toks, tok)
+	}
+	sort.Strings(toks)
 	buf = binary.AppendUvarint(buf, uint64(len(toks)))
 	for _, tok := range toks {
 		buf = appendSection(buf, []byte(tok))
-		buf = binary.AppendUvarint(buf, snap.Sessions[tok])
+		buf = binary.AppendUvarint(buf, sessions[tok])
 	}
 	return buf
 }
 
-// decodeSnapshot reads a snapshot envelope, binary or JSON. The
+// decodeSnapshot reads a snapshot envelope, v2, v1 or JSON. The
 // binary sections are sliced out of blob, not copied or scanned.
 func decodeSnapshot(blob []byte) (daemonSnap, error) {
 	var snap daemonSnap
@@ -128,14 +158,45 @@ func decodeSnapshot(blob []byte) (daemonSnap, error) {
 		err := json.Unmarshal(blob, &snap)
 		return snap, err
 	}
-	rest, ok := bytes.CutPrefix(blob, []byte(snapEnvelopeMagic))
-	if !ok {
-		return snap, fmt.Errorf("not a snapshot envelope")
-	}
 	var err error
-	if snap.Scenario, rest, err = cutSection(rest); err != nil {
-		return snap, err
+	if rest, ok := bytes.CutPrefix(blob, []byte(snapEnvelopeV2)); ok {
+		if snap.Ref, rest, err = cutScenarioRef(rest); err != nil {
+			return snap, err
+		}
+		return decodeSnapshotTail(snap, rest)
 	}
+	if rest, ok := bytes.CutPrefix(blob, []byte(snapEnvelopeV1)); ok {
+		if snap.Scenario, rest, err = cutSection(rest); err != nil {
+			return snap, err
+		}
+		return decodeSnapshotTail(snap, rest)
+	}
+	return snap, fmt.Errorf("not a snapshot envelope")
+}
+
+// cutScenarioRef splits a v2 envelope's scenarioRef off the front of b.
+func cutScenarioRef(b []byte) (ref scenarioRef, rest []byte, err error) {
+	var crc uint64
+	if ref.Seq, rest, err = cutUvarint(b); err != nil {
+		return ref, nil, err
+	}
+	if ref.Len, rest, err = cutUvarint(rest); err != nil {
+		return ref, nil, err
+	}
+	if crc, rest, err = cutUvarint(rest); err != nil {
+		return ref, nil, err
+	}
+	if ref.Seq == 0 || crc > math.MaxUint32 {
+		return ref, nil, fmt.Errorf("snapshot names no scenario file (seq %d, crc %#x)", ref.Seq, crc)
+	}
+	ref.CRC = uint32(crc)
+	return ref, rest, nil
+}
+
+// decodeSnapshotTail reads the engine and sessions sections every
+// binary envelope ends with.
+func decodeSnapshotTail(snap daemonSnap, rest []byte) (daemonSnap, error) {
+	var err error
 	if snap.Engine, rest, err = cutSection(rest); err != nil {
 		return snap, err
 	}
@@ -146,12 +207,17 @@ func decodeSnapshot(blob []byte) (daemonSnap, error) {
 	if count > 0 {
 		snap.Sessions = make(map[string]uint64, min(count, maxSessions))
 	}
-	for ; count > 0; count-- {
+	prev := ""
+	for i := uint64(0); i < count; i++ {
 		var tok []byte
 		if tok, rest, err = cutSection(rest); err != nil {
 			return snap, err
 		}
-		if snap.Sessions[string(tok)], rest, err = cutUvarint(rest); err != nil {
+		if i > 0 && string(tok) <= prev {
+			return snap, fmt.Errorf("snapshot session %q out of order after %q", tok, prev)
+		}
+		prev = string(tok)
+		if snap.Sessions[prev], rest, err = cutUvarint(rest); err != nil {
 			return snap, err
 		}
 	}
@@ -178,11 +244,14 @@ func cutSection(b []byte) (section, rest []byte, err error) {
 	return rest[:n], rest[n:], nil
 }
 
-// cutUvarint splits a varint off the front of b.
+// cutUvarint splits a minimal varint off the front of b.
 func cutUvarint(b []byte) (v uint64, rest []byte, err error) {
 	v, n := binary.Uvarint(b)
 	if n <= 0 {
 		return 0, nil, fmt.Errorf("truncated snapshot envelope")
+	}
+	if n > 1 && b[n-1] == 0 {
+		return 0, nil, fmt.Errorf("overlong varint in snapshot envelope")
 	}
 	return v, b[n:], nil
 }
@@ -198,17 +267,21 @@ type durability struct {
 	// have been journaled since the last one, or snapInterval has
 	// elapsed (checked on the next journaled record), or on graceful
 	// shutdown. lastSnapSeq is the journal seq the newest snapshot
-	// covers; boot replays only records after it.
-	snapEvents   int
-	snapInterval time.Duration
-	lastSnapSeq  uint64
-	lastSnapTime time.Time
-	eventsSince  int
+	// covers; boot replays only records after it. lastSnapScenario is
+	// the scenario file that snapshot names.
+	snapEvents       int
+	snapInterval     time.Duration
+	lastSnapSeq      uint64
+	lastSnapScenario uint64
+	lastSnapTime     time.Time
+	eventsSince      int
 
-	// scenarioRaw is the journal-canonical bytes of the current
-	// scenario request, embedded in every snapshot so recovery can
-	// rebuild the network layout before restoring mutable state.
-	scenarioRaw json.RawMessage
+	// scenario names the durable file of the current scenario request,
+	// which every snapshot names so recovery can rebuild the network
+	// layout before restoring mutable state. The request itself is not
+	// kept: it is written once, when its record is journaled (or at
+	// boot, when replay brought it in), and read back only at boot.
+	scenario scenarioRef
 }
 
 // encodeRecord assembles a journal record payload: the header line
@@ -346,9 +419,6 @@ func (s *server) exec(c *command) (engine.BatchResult, error) {
 		s.eng = c.eng
 		// A new scenario invalidates every stream session's offsets.
 		clear(s.sessions)
-		if s.dur != nil {
-			s.dur.scenarioRaw = c.hdr.Req
-		}
 		s.scenarios.Inc()
 		return engine.BatchResult{}, nil
 	case recAssoc:
@@ -410,17 +480,18 @@ func (s *server) commit(c *command) (engine.BatchResult, int, error) {
 // journal appends c's record (with -data-dir). Scenario records fsync
 // whatever the policy: a daemon must never ack a scenario it could
 // forget. A failed append or sync latches the daemon and is returned,
-// so the call is not acked. A failed snapshot after a good append
-// latches too, but the record is in the journal, so the call is still
-// acked. Requires s.mu held.
+// so the call is not acked. A failed snapshot, or a failed scenario
+// file, after a good append latches too, but the record is in the
+// journal, so the call is still acked. Requires s.mu held.
 func (s *server) journal(c *command) error {
 	d := s.dur
 	if d == nil {
 		return nil
 	}
 	payload, err := c.record()
+	var seq uint64
 	if err == nil {
-		_, err = d.log.Append(payload)
+		seq, err = d.log.Append(payload)
 	}
 	if err == nil && c.hdr.T == recScenario {
 		err = d.log.Sync()
@@ -433,6 +504,9 @@ func (s *server) journal(c *command) error {
 	switch c.hdr.T {
 	case recScenario:
 		d.eventsSince = 0
+		if err := d.storeScenario(seq, c.hdr.Req); err != nil {
+			s.latch(err)
+		}
 		return nil
 	case recAssoc, recMultiAssoc:
 		d.eventsSince++
@@ -475,16 +549,33 @@ func refusal(err error) error {
 
 // --- snapshots ---
 
-// writeSnapshotLocked unconditionally snapshots the full daemon state
-// at the journal's current tail, then prunes segments and older
-// snapshots the checkpoint has made redundant. Requires s.mu held.
+// storeScenario makes raw, the scenario request journaled at seq,
+// durable as scenario-<seq>.scn and the file the next snapshots name.
+// Until it returns nil, d names no scenario and no snapshot is cut.
+func (d *durability) storeScenario(seq uint64, raw []byte) error {
+	d.scenario = scenarioRef{}
+	crc, err := d.log.WriteScenario(seq, raw)
+	if err != nil {
+		return fmt.Errorf("scenario file: %w", err)
+	}
+	d.scenario = scenarioRef{Seq: seq, Len: uint64(len(raw)), CRC: crc}
+	return nil
+}
+
+// writeSnapshotLocked unconditionally snapshots the engine and the
+// stream sessions at the journal's current tail, naming the durable
+// scenario file, then prunes what only older checkpoints needed.
+// Requires s.mu held.
 func (s *server) writeSnapshotLocked() error {
 	d := s.dur
+	if d.scenario.Seq == 0 {
+		return fmt.Errorf("the scenario has no durable file to name")
+	}
 	engBlob, err := s.eng.EncodeSnapshot()
 	if err != nil {
 		return fmt.Errorf("encode engine snapshot: %w", err)
 	}
-	blob := encodeSnapshot(daemonSnap{Scenario: d.scenarioRaw, Engine: engBlob, Sessions: s.sessions})
+	blob := encodeSnapshot(daemonSnap{Ref: d.scenario, Engine: engBlob, Sessions: s.sessions})
 	seq := d.log.LastSeq()
 	// The snapshot only covers what is durably on disk: flush and sync
 	// the journal first so a crash right after the rename cannot leave
@@ -495,15 +586,21 @@ func (s *server) writeSnapshotLocked() error {
 	if err := d.log.WriteSnapshot(seq, blob); err != nil {
 		return err
 	}
-	d.lastSnapSeq = seq
+	older, olderScenario := d.lastSnapSeq, d.lastSnapScenario
+	d.lastSnapSeq, d.lastSnapScenario = seq, d.scenario.Seq
 	d.lastSnapTime = time.Now()
 	d.eventsSince = 0
 	// GC: keep the newest two snapshots (belt and suspenders against a
-	// torn newest) and drop journal segments the older one predates.
+	// damaged newest), the scenario files both name, and the journal
+	// segments after the older one, so a boot that falls back to it
+	// still replays every record since.
 	if err := d.log.PruneSnapshots(2); err != nil {
 		return err
 	}
-	return d.log.Prune(seq)
+	if err := d.log.PruneScenarios(olderScenario, d.scenario.Seq); err != nil {
+		return err
+	}
+	return d.log.Prune(older)
 }
 
 // --- boot recovery ---
@@ -520,9 +617,10 @@ func (s *server) enableDurability(opt serveOptions, stderr io.Writer) error {
 		}
 	}
 	log, err := wal.Open(opt.dataDir, wal.Options{
-		Policy:   policy,
-		Interval: opt.fsyncInterval,
-		Metrics:  s.walMetrics,
+		Policy:       policy,
+		Interval:     opt.fsyncInterval,
+		SegmentBytes: opt.segmentBytes,
+		Metrics:      s.walMetrics,
 	})
 	if err != nil {
 		return fmt.Errorf("open journal: %w", err)
@@ -601,7 +699,11 @@ func (s *server) buildFromRequest(req scenarioRequest) (*wlan.Network, engine.Co
 // first, then each journal record after it decoded and exec'd like a
 // live call. Any mismatch between a record's journaled outcome and its
 // replayed outcome is a fatal boot error — a daemon that cannot prove
-// its recovered state is exact must not serve.
+// its recovered state is exact must not serve. A snapshot whose
+// scenario file is missing, damaged or another one is fatal too. The
+// current scenario's file is written before boot ends when it is not
+// on disk yet: replay brought the scenario in, or the snapshot is an
+// older envelope with the request inline.
 func (s *server) recoverState(stderr io.Writer) error {
 	d := s.dur
 	start := time.Now()
@@ -609,13 +711,31 @@ func (s *server) recoverState(stderr io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("read snapshot: %w", err)
 	}
+	// pending is a scenario request whose file is still to be written.
+	var pending struct {
+		seq uint64
+		raw []byte
+	}
 	if snapBlob != nil {
 		snap, err := decodeSnapshot(snapBlob)
 		if err != nil {
 			return fmt.Errorf("decode snapshot %d: %w", snapSeq, err)
 		}
+		raw := []byte(snap.Scenario)
+		if snap.Ref.Seq != 0 {
+			if raw, err = d.log.ReadScenario(snap.Ref.Seq, snap.Ref.Len, snap.Ref.CRC); err != nil {
+				return fmt.Errorf("snapshot %d: %w", snapSeq, err)
+			}
+			d.scenario = snap.Ref
+			d.lastSnapScenario = snap.Ref.Seq
+		} else {
+			// An inline request has no record seq; the checkpoint's
+			// seq names its file (no other scenario can hold it).
+			pending.seq, pending.raw = snapSeq, raw
+			d.lastSnapScenario = snapSeq
+		}
 		var req scenarioRequest
-		if err := json.Unmarshal(snap.Scenario, &req); err != nil {
+		if err := json.Unmarshal(raw, &req); err != nil {
 			return fmt.Errorf("decode snapshot scenario: %w", err)
 		}
 		n, cfg, err := s.buildFromRequest(req)
@@ -627,8 +747,6 @@ func (s *server) recoverState(stderr io.Writer) error {
 			return fmt.Errorf("restore engine snapshot: %w", err)
 		}
 		s.eng = eng
-		// A copy, so the envelope's engine bytes are not kept alive.
-		d.scenarioRaw = bytes.Clone(snap.Scenario)
 		for tok, seq := range snap.Sessions {
 			s.sessions[tok] = seq
 		}
@@ -661,11 +779,19 @@ func (s *server) recoverState(stderr io.Writer) error {
 			return fmt.Errorf("journal seq %d: replay diverged: applied %d/%d err=%v, journal says %d err=%v",
 				seq, c.hdr.Applied, len(c.events), c.hdr.Err, hdr.Applied, hdr.Err)
 		}
+		if hdr.T == recScenario {
+			pending.seq, pending.raw = seq, hdr.Req
+		}
 		events += br.Applied
 		return nil
 	})
 	if err != nil {
 		return err
+	}
+	if pending.raw != nil {
+		if err := d.storeScenario(pending.seq, pending.raw); err != nil {
+			return err
+		}
 	}
 	elapsed := time.Since(start)
 	s.walReplayRecords.Add(uint64(records))

@@ -8,6 +8,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,9 +17,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"wlanmcast/internal/wal"
 )
 
 // durableServer builds a daemon over dir with aggressive-but-settable
@@ -26,6 +30,16 @@ import (
 // explicit finalize snapshots).
 func durableServer(t *testing.T, dir string, snapEvents int) *server {
 	t.Helper()
+	s, err := bootDurable(dir, snapEvents, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// bootDurable is durableServer returning its boot error, with the
+// journal rotating at segmentBytes (0 = the default).
+func bootDurable(dir string, snapEvents int, segmentBytes int64) (*server, error) {
 	s := newServer()
 	s.errlog = io.Discard
 	if snapEvents <= 0 {
@@ -36,11 +50,69 @@ func durableServer(t *testing.T, dir string, snapEvents int) *server {
 		fsync:        "off", // tests exercise logic, not the disk
 		snapEvents:   snapEvents,
 		snapInterval: time.Hour,
+		segmentBytes: segmentBytes,
 	}
-	if err := s.enableDurability(opt, io.Discard); err != nil {
+	return s, s.enableDurability(opt, io.Discard)
+}
+
+// checkpoint cuts a snapshot by hand.
+func checkpoint(t *testing.T, s *server) {
+	t.Helper()
+	s.mu.Lock()
+	err := s.writeSnapshotLocked()
+	s.mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
-	return s
+}
+
+// dataFiles lists dir's files matching pattern, by base name.
+func dataFiles(t *testing.T, dir, pattern string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, pattern))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range paths {
+		paths[i] = filepath.Base(p)
+	}
+	return paths
+}
+
+// scenarioFile is the base name of the scenario file for seq.
+func scenarioFile(seq uint64) string { return fmt.Sprintf("scenario-%016d.scn", seq) }
+
+// flipLastByte damages a file so its CRC no longer matches.
+func flipLastByte(t *testing.T, path string) {
+	t.Helper()
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf[len(buf)-1] ^= 0xff
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// copyDir copies a flat data dir into a fresh one.
+func copyDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
 }
 
 // closeLog simulates a crash boundary that still reaches the page
@@ -304,16 +376,21 @@ func TestDurableMultihomeRecovery(t *testing.T) {
 
 // TestDurableScenarioReplacement journals a scenario swap and the
 // churn on both sides; recovery must land on the second scenario's
-// state, and stream sessions must not leak across the swap.
+// state, and stream sessions must not leak across the swap. A
+// checkpoint on each side of the swap pins scenario-file pruning:
+// while the two retained checkpoints name both scenarios both files
+// stay (so booting from the older one works), and the first file goes
+// once no retained checkpoint names it.
 func TestDurableScenarioReplacement(t *testing.T) {
 	dir := t.TempDir()
 	s := durableServer(t, dir, 0)
-	mustPost(t, s, "/v1/scenario", durableScenario)
+	mustPost(t, s, "/v1/scenario", durableScenario) // seq 1
 	driveChurn(t, s, 2)
+	checkpoint(t, s) // snap 3 names scenario 1
 	s.mu.Lock()
 	s.rememberSession("tok-a", 20)
 	s.mu.Unlock()
-	mustPost(t, s, "/v1/scenario", `{"aps":8,"users":24,"sessions":2,"seed":5,"active_users":20}`)
+	mustPost(t, s, "/v1/scenario", `{"aps":8,"users":24,"sessions":2,"seed":5,"active_users":20}`) // seq 4
 	s.mu.Lock()
 	if len(s.sessions) != 0 {
 		s.mu.Unlock()
@@ -321,19 +398,152 @@ func TestDurableScenarioReplacement(t *testing.T) {
 	}
 	s.mu.Unlock()
 	driveChurn(t, s, 2)
+	checkpoint(t, s) // snap 6 names scenario 4
+	if got, want := dataFiles(t, dir, "scenario-*"), []string{scenarioFile(1), scenarioFile(4)}; !slices.Equal(got, want) {
+		t.Fatalf("scenario files %v, want %v: one per retained checkpoint", got, want)
+	}
+	driveChurn(t, s, 1)
 	wantAssoc, _ := stateOf(s)
 	closeLog(t, s)
 
+	// The fallback: the newest checkpoint is damaged, so boot restores
+	// the older one, from the first scenario's file, and replays the
+	// swap after it.
+	fallback := copyDir(t, dir)
+	flipLastByte(t, filepath.Join(fallback, "snap-0000000000000006.snap"))
+	for _, d := range []string{dir, fallback} {
+		r := durableServer(t, d, 0)
+		if gotAssoc, _ := stateOf(r); gotAssoc != wantAssoc {
+			t.Fatalf("recovery across scenario replacement diverged (%s)", d)
+		}
+		r.mu.Lock()
+		_, leaked := r.sessions["tok-a"]
+		r.mu.Unlock()
+		if leaked {
+			t.Fatal("pre-replacement session recovered past the scenario swap")
+		}
+		if d == dir {
+			checkpoint(t, r) // snaps 6 and 8 both name scenario 4
+			if got, want := dataFiles(t, dir, "scenario-*"), []string{scenarioFile(4)}; !slices.Equal(got, want) {
+				t.Fatalf("scenario files %v, want %v once no retained checkpoint names scenario 1", got, want)
+			}
+		}
+		closeLog(t, r)
+	}
+}
+
+// TestDurableFallbackAfterRotation corrupts the newest checkpoint
+// after the journal rotated and was pruned: boot falls back to the
+// older checkpoint and must still find every journal record after it,
+// so the daemon prunes only up to the older of the two it keeps.
+func TestDurableFallbackAfterRotation(t *testing.T) {
+	dir := t.TempDir()
+	s, err := bootDurable(dir, 20, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustPost(t, s, "/v1/scenario", durableScenario)
+	driveChurn(t, s, 7) // checkpoints at seqs 3, 5 and 7
+	wantAssoc, wantLoads := stateOf(s)
+	closeLog(t, s)
+	snaps, segs := dataFiles(t, dir, "snap-*"), dataFiles(t, dir, "journal-*")
+	if len(snaps) != 2 || len(segs) < 2 || segs[0] == "journal-0000000000000001.wal" {
+		t.Fatalf("snapshots %v and segments %v: want two snapshots, a rotated journal and its first segment pruned", snaps, segs)
+	}
+	flipLastByte(t, filepath.Join(dir, snaps[1]))
+
+	r, err := bootDurable(dir, 20, 1024)
+	if err != nil {
+		t.Fatalf("boot from the older checkpoint: %v", err)
+	}
+	defer closeLog(t, r)
+	if gotAssoc, gotLoads := stateOf(r); gotAssoc != wantAssoc || gotLoads != wantLoads {
+		t.Fatal("boot from the older checkpoint lost journal records")
+	}
+	if got := metricValue(t, recordGet(r, "/metrics"), "assocd_wal_replay_records_total"); got != 3 {
+		t.Fatalf("replayed %v records, want the 3 after the older checkpoint", got)
+	}
+}
+
+// TestDurableCheckpointNeedsScenarioFile pins the order of the two
+// writes: no checkpoint is renamed into place until the scenario file
+// it names is durable, whether the scenario came from a live call or
+// from boot replay. A directory squatting on the scenario file's
+// temporary name makes that write fail.
+func TestDurableCheckpointNeedsScenarioFile(t *testing.T) {
+	dir := t.TempDir()
+	squat := filepath.Join(dir, scenarioFile(1)+".tmp")
+	if err := os.MkdirAll(filepath.Join(squat, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	s := durableServer(t, dir, 0)
+	// Live: the record is journaled, so the call is acked, but the
+	// daemon fails and cuts no checkpoint.
+	mustPost(t, s, "/v1/scenario", durableScenario)
+	assertFailed(t, s, "scenario file")
+	s.mu.Lock()
+	err := s.writeSnapshotLocked()
+	s.finalizeLocked(io.Discard)
+	s.mu.Unlock()
+	if err == nil {
+		t.Fatal("checkpoint cut although its scenario file was never written")
+	}
+	if snaps := dataFiles(t, dir, "snap-*"); len(snaps) != 0 {
+		t.Fatalf("checkpoints %v without a scenario file", snaps)
+	}
+
+	// Boot replay: the scenario comes from the journal, and boot stops
+	// before serving when its file cannot be written.
+	if _, err := bootDurable(dir, 0, 0); err == nil || !strings.Contains(err.Error(), scenarioFile(1)) {
+		t.Fatalf("boot that cannot write the scenario file = %v, want an error naming it", err)
+	}
+	if err := os.RemoveAll(squat); err != nil {
+		t.Fatal(err)
+	}
 	r := durableServer(t, dir, 0)
 	defer closeLog(t, r)
-	if gotAssoc, _ := stateOf(r); gotAssoc != wantAssoc {
-		t.Fatalf("recovery across scenario replacement diverged")
+	if got := dataFiles(t, dir, "scenario-*"); len(got) != 1 || got[0] != scenarioFile(1) {
+		t.Fatalf("boot replay left scenario files %v, want %s", got, scenarioFile(1))
 	}
-	r.mu.Lock()
-	_, leaked := r.sessions["tok-a"]
-	r.mu.Unlock()
-	if leaked {
-		t.Fatal("pre-replacement session recovered past the scenario swap")
+	checkpoint(t, r)
+	_, blob, err := r.dur.log.LatestSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap, err := decodeSnapshot(blob); err != nil || snap.Ref.Seq != 1 {
+		t.Fatalf("checkpoint names %+v (%v), want scenario 1", snap.Ref, err)
+	}
+}
+
+// TestDurableScenarioFileDamageFailsBoot removes, truncates or swaps
+// the scenario file a checkpoint names: boot must refuse, naming it.
+func TestDurableScenarioFileDamageFailsBoot(t *testing.T) {
+	other := strings.Replace(durableScenario, `"seed":11`, `"seed":12`, 1)
+	for _, damage := range []string{"missing", "truncated", "other scenario"} {
+		t.Run(damage, func(t *testing.T) {
+			dir := t.TempDir()
+			s := durableServer(t, dir, 0)
+			mustPost(t, s, "/v1/scenario", durableScenario)
+			driveChurn(t, s, 1)
+			checkpoint(t, s)
+			closeLog(t, s)
+			path := filepath.Join(dir, scenarioFile(1))
+			var err error
+			switch damage {
+			case "missing":
+				err = os.Remove(path)
+			case "truncated":
+				err = os.Truncate(path, 20)
+			case "other scenario": // same length, intact frame, another CRC
+				err = os.WriteFile(path, wal.EncodeFrame(nil, []byte(other)), 0o644)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := bootDurable(dir, 0, 0); err == nil || !strings.Contains(err.Error(), path) {
+				t.Fatalf("boot over a %s scenario file = %v, want an error naming %s", damage, err, path)
+			}
+		})
 	}
 }
 
@@ -589,7 +799,7 @@ func TestSessionEviction(t *testing.T) {
 // TestDurableSnapshotEnvelope pins the binary snapshot envelope: a
 // checkpoint holding several stream sessions restores their offsets
 // on boot, and two daemons given the same history write byte-identical
-// snapshot files.
+// snapshot and scenario files.
 func TestDurableSnapshotEnvelope(t *testing.T) {
 	sessions := map[string]uint64{"tok-c": 30, "tok-a": 10, "tok-b": 20}
 	history := func(dir string) []byte {
@@ -607,22 +817,26 @@ func TestDurableSnapshotEnvelope(t *testing.T) {
 		}
 		closeLog(t, s)
 		_, payload, err := s.dur.log.LatestSnapshot()
-		if err != nil || !bytes.HasPrefix(payload, []byte(snapEnvelopeMagic)) {
+		if err != nil || !bytes.HasPrefix(payload, []byte(snapEnvelopeV2)) {
 			t.Fatalf("snapshot payload starts %q (err %v), want the binary envelope", payload[:min(8, len(payload))], err)
 		}
-		snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
-		if err != nil || len(snaps) != 1 {
-			t.Fatalf("snapshot files %v (err %v), want one", snaps, err)
+		var files []byte
+		for _, pattern := range []string{"snap-*", "scenario-*"} {
+			names := dataFiles(t, dir, pattern)
+			if len(names) != 1 {
+				t.Fatalf("%s files %v, want one", pattern, names)
+			}
+			file, err := os.ReadFile(filepath.Join(dir, names[0]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(append(files, names[0]...), file...)
 		}
-		file, err := os.ReadFile(snaps[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		return file
+		return files
 	}
 	dirA := t.TempDir()
 	if !bytes.Equal(history(dirA), history(t.TempDir())) {
-		t.Fatal("identical histories wrote different snapshot files")
+		t.Fatal("identical histories wrote different snapshot or scenario files")
 	}
 
 	r := durableServer(t, dirA, 0)
@@ -638,26 +852,69 @@ func TestDurableSnapshotEnvelope(t *testing.T) {
 	}
 }
 
+// encodeSnapshotV1 writes the v1 envelope, scenario request inline,
+// as earlier daemons did.
+func encodeSnapshotV1(snap daemonSnap) []byte {
+	buf := appendSection([]byte(snapEnvelopeV1), snap.Scenario)
+	return appendSessions(appendSection(buf, snap.Engine), snap.Sessions)
+}
+
 // TestDecodeSnapshotEnvelopeRejectsDamage feeds every truncation of a
-// binary envelope, and one with a byte appended, to decodeSnapshot:
-// each must fail rather than yield a partial state.
+// v2 and a v1 envelope, and each with a byte appended, to
+// decodeSnapshot: each must fail rather than yield a partial state.
 func TestDecodeSnapshotEnvelopeRejectsDamage(t *testing.T) {
-	blob := encodeSnapshot(daemonSnap{
+	want := daemonSnap{
 		Scenario: json.RawMessage(durableScenario),
 		Engine:   []byte("engine-bytes"),
 		Sessions: map[string]uint64{"b": 2, "a": 1},
-	})
-	snap, err := decodeSnapshot(blob)
-	if err != nil || string(snap.Scenario) != durableScenario || string(snap.Engine) != "engine-bytes" ||
-		!maps.Equal(snap.Sessions, map[string]uint64{"a": 1, "b": 2}) {
-		t.Fatalf("round trip = %+v, %v", snap, err)
 	}
-	for cut := 0; cut < len(blob); cut++ {
-		if _, err := decodeSnapshot(blob[:cut]); err == nil {
-			t.Fatalf("accepted the envelope cut at %d of %d bytes", cut, len(blob))
+	v2 := want
+	v2.Scenario, v2.Ref = nil, scenarioRef{Seq: 300, Len: 70000, CRC: 0xdeadbeef}
+	for name, c := range map[string]struct {
+		want daemonSnap
+		blob []byte
+	}{
+		"v2": {v2, encodeSnapshot(v2)},
+		"v1": {want, encodeSnapshotV1(want)},
+	} {
+		blob := c.blob
+		snap, err := decodeSnapshot(blob)
+		if err != nil || string(snap.Scenario) != string(c.want.Scenario) || snap.Ref != c.want.Ref ||
+			string(snap.Engine) != "engine-bytes" || !maps.Equal(snap.Sessions, map[string]uint64{"a": 1, "b": 2}) {
+			t.Fatalf("%s round trip = %+v, %v", name, snap, err)
+		}
+		for cut := 0; cut < len(blob); cut++ {
+			if _, err := decodeSnapshot(blob[:cut]); err == nil {
+				t.Fatalf("accepted the %s envelope cut at %d of %d bytes", name, cut, len(blob))
+			}
+		}
+		if _, err := decodeSnapshot(append(blob, 0)); err == nil {
+			t.Fatalf("accepted a %s envelope with a trailing byte", name)
 		}
 	}
-	if _, err := decodeSnapshot(append(blob, 0)); err == nil {
-		t.Fatal("accepted an envelope with a trailing byte")
+	// Envelopes no encoder writes: each would decode to a state that
+	// re-encodes to other bytes, or names no scenario file.
+	v2env := func(ref []byte, sessions ...string) []byte {
+		b := appendSection(append([]byte(snapEnvelopeV2), ref...), []byte("e"))
+		b = binary.AppendUvarint(b, uint64(len(sessions)))
+		for _, tok := range sessions {
+			b = binary.AppendUvarint(appendSection(b, []byte(tok)), 1)
+		}
+		return b
+	}
+	ref := []byte{1, 2, 3}
+	for name, blob := range map[string][]byte{
+		"sessions out of order": v2env(ref, "b", "a"),
+		"duplicate session":     v2env(ref, "a", "a"),
+		"overlong varint":       v2env([]byte{0x81, 0x00, 2, 3}),
+		"scenario seq 0":        v2env([]byte{0, 2, 3}),
+		"crc over 32 bits":      v2env(binary.AppendUvarint([]byte{1, 2}, 1<<32)),
+	} {
+		if _, err := decodeSnapshot(blob); err == nil {
+			t.Errorf("accepted an envelope with a %s", name)
+		}
+	}
+	if _, err := decodeSnapshot(v2env(ref, "a", "b")); err != nil {
+		t.Fatalf("the well-formed control envelope: %v", err)
 	}
 }

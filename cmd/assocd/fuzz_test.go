@@ -7,12 +7,15 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"wlanmcast/internal/engine"
 	"wlanmcast/internal/scenario"
 	"wlanmcast/internal/stream"
+	"wlanmcast/internal/wal"
 	"wlanmcast/internal/wlan"
 )
 
@@ -268,4 +271,45 @@ func TestDecodeEventsForms(t *testing.T) {
 	if _, err := decodeEvents([]byte(`nope`)); !errors.As(err, &jsonErr) {
 		t.Fatalf("want a wrapped *json.SyntaxError, got %v", err)
 	}
+}
+
+// FuzzDecodeSnapshotEnvelope pins the checkpoint decoder on arbitrary
+// bytes: it never panics, and a binary envelope it accepts has exactly
+// one encoding, so re-encoding what it decoded (v2 with encodeSnapshot,
+// v1 with the earlier layout) reproduces the input byte for byte. The
+// seeds are the journal fixtures' checkpoints (JSON, v1, v2) and
+// envelopes with stream sessions.
+func FuzzDecodeSnapshotEnvelope(f *testing.F) {
+	for _, dir := range journalFixtures {
+		names, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+		for _, name := range names {
+			buf, err := os.ReadFile(name)
+			if err != nil {
+				f.Fatal(err)
+			}
+			payloads, _, err := wal.DecodeFrames(buf, 0)
+			if err != nil || len(payloads) != 1 {
+				f.Fatalf("%s: %d frames, %v", name, len(payloads), err)
+			}
+			f.Add(payloads[0])
+		}
+	}
+	snap := daemonSnap{Engine: []byte("engine"), Sessions: map[string]uint64{"a": 1, "tok": 1 << 40}}
+	f.Add(encodeSnapshotV1(daemonSnap{Scenario: json.RawMessage(durableScenario), Engine: snap.Engine, Sessions: snap.Sessions}))
+	snap.Ref = scenarioRef{Seq: 1, Len: uint64(len(durableScenario)), CRC: 0x9a3c5e71}
+	f.Add(encodeSnapshot(snap))
+	f.Add([]byte(`{"scenario":{"aps":1},"engine":"","sessions":{"a":1}}`))
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		snap, err := decodeSnapshot(blob)
+		if err != nil || blob[0] == '{' {
+			return
+		}
+		again := encodeSnapshotV1(snap)
+		if snap.Ref.Seq != 0 {
+			again = encodeSnapshot(snap)
+		}
+		if !bytes.Equal(again, blob) {
+			t.Fatalf("accepted envelope re-encodes differently:\nin  %x\nout %x", blob, again)
+		}
+	})
 }

@@ -237,6 +237,7 @@ type serveOptions struct {
 	fsyncInterval time.Duration
 	snapEvents    int
 	snapInterval  time.Duration
+	segmentBytes  int64 // journal rotation size (0 = wal's default); no flag sets it
 	// multihome is the default Config.MaxHomes for scenarios that do
 	// not set "max_homes" (the -multihome flag).
 	multihome int

@@ -1,63 +1,113 @@
 package wal
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // WriteSnapshot atomically persists a state snapshot covering every
 // journal record with sequence number <= seq. The payload is framed
 // exactly like a journal record (length + CRC32C) so readers detect
-// damage, and the file appears atomically: write to .tmp, fsync,
-// rename into place, fsync the directory. A crash at any instant
-// leaves either no new snapshot or a complete one — never a partial
-// file under the real name. The header and the payload are written
-// one after the other, so the payload is never copied. A payload over
-// Options.MaxRecord is refused before any file is made: LatestSnapshot
-// could not read it back, so after the journal is pruned the log
-// would not boot.
+// damage, and the file appears atomically (see writeFramed). A
+// payload over Options.MaxRecord is refused before any file is made:
+// LatestSnapshot could not read it back, so after the journal is
+// pruned the log would not boot.
 func (l *Log) WriteSnapshot(seq uint64, payload []byte) error {
-	if len(payload) > l.opt.MaxRecord {
-		return fmt.Errorf("wal: snapshot of %d bytes exceeds cap %d", len(payload), l.opt.MaxRecord)
-	}
-	final := l.snapPath(seq)
-	tmp := final + ".tmp"
-	var hdr [frameHeader]byte
-	putFrameHeader(&hdr, payload)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	_, err = f.Write(hdr[:])
-	if err == nil {
-		_, err = f.Write(payload)
-	}
-	if err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := syncDir(l.dir); err != nil {
+	if _, err := l.writeFramed("snapshot", l.snapPath(seq), payload); err != nil {
 		return err
 	}
 	if m := l.opt.Metrics; m != nil && m.Snapshots != nil {
 		m.Snapshots.Inc()
 	}
 	return nil
+}
+
+// WriteScenario atomically persists a payload the caller's snapshots
+// name instead of embedding it, as scenario-<seq>.scn, and returns
+// the payload's CRC32C for the snapshot to pin. seq is the journal
+// record that brought the payload in. The file is framed and written
+// like a snapshot, so it is durable under its final name when
+// WriteScenario returns: a snapshot written after that can name it.
+func (l *Log) WriteScenario(seq uint64, payload []byte) (uint32, error) {
+	return l.writeFramed("scenario", l.scenarioPath(seq), payload)
+}
+
+// ReadScenario returns scenario-<seq>.scn's payload, provided it is
+// intact and is the one a snapshot pinned: size bytes with CRC32C
+// crc. A missing, damaged or different file is an error naming it.
+func (l *Log) ReadScenario(seq, size uint64, crc uint32) ([]byte, error) {
+	path := l.scenarioPath(seq)
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	payload, err := decodeOne(path, buf, l.opt.MaxRecord)
+	if err != nil {
+		return nil, err
+	}
+	// decodeOne checked the payload against its header's CRC32C.
+	if got := binary.LittleEndian.Uint32(buf[4:8]); uint64(len(payload)) != size || got != crc {
+		return nil, fmt.Errorf("wal: scenario file %s holds %d bytes with CRC32C %08x, the snapshot names %d bytes with %08x",
+			path, len(payload), got, size, crc)
+	}
+	return payload, nil
+}
+
+// writeFramed writes payload's frame to path atomically: frame it
+// into path.tmp, fsync that, rename it into place, fsync the
+// directory. A crash at any instant leaves either no new file or a
+// complete one — never a partial file under the real name. The
+// header and the payload are written one after the other, so the
+// payload is never copied. It returns the payload's CRC32C.
+func (l *Log) writeFramed(what, path string, payload []byte) (uint32, error) {
+	if l.err != nil {
+		return 0, l.err
+	}
+	if len(payload) > l.opt.MaxRecord {
+		return 0, fmt.Errorf("wal: %s of %d bytes exceeds cap %d", what, len(payload), l.opt.MaxRecord)
+	}
+	tmp := path + ".tmp"
+	var hdr [frameHeader]byte
+	putFrameHeader(&hdr, payload)
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return 0, fmt.Errorf("wal: %w", err)
+	}
+	_, err = f.Write(hdr[:])
+	if err == nil {
+		_, err = f.Write(payload)
+	}
+	if err == nil {
+		err = l.fsync(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+		return 0, fmt.Errorf("wal: %w", err)
+	}
+	return binary.LittleEndian.Uint32(hdr[4:8]), syncDir(l.dir)
+}
+
+// decodeOne returns the payload of a file that must hold exactly one
+// intact frame.
+func decodeOne(path string, buf []byte, maxRecord int) ([]byte, error) {
+	payloads, n, err := DecodeFrames(buf, maxRecord)
+	if ce, ok := err.(*CorruptError); ok {
+		ce.Path = path
+		return nil, ce
+	}
+	if len(payloads) != 1 || n != int64(len(buf)) {
+		return nil, &CorruptError{Path: path, Offset: n, Reason: fmt.Sprintf("want one whole frame, found %d in %d of %d bytes", len(payloads), n, len(buf))}
+	}
+	return payloads[0], nil
 }
 
 // LatestSnapshot returns the newest readable snapshot's covered
@@ -70,15 +120,15 @@ func (l *Log) LatestSnapshot() (seq uint64, payload []byte, err error) {
 		return 0, nil, err
 	}
 	for i := len(seqs) - 1; i >= 0; i-- {
-		buf, err := os.ReadFile(l.snapPath(seqs[i]))
+		path := l.snapPath(seqs[i])
+		buf, err := os.ReadFile(path)
 		if err != nil {
 			continue
 		}
-		payloads, n, derr := DecodeFrames(buf, l.opt.MaxRecord)
-		if derr != nil || len(payloads) != 1 || n != int64(len(buf)) {
-			continue // damaged or partial; try the previous snapshot
+		if payload, err := decodeOne(path, buf, l.opt.MaxRecord); err == nil {
+			return seqs[i], payload, nil
 		}
-		return seqs[i], payloads[0], nil
+		// Damaged or partial; try the previous snapshot.
 	}
 	return 0, nil, nil
 }
@@ -101,8 +151,31 @@ func (l *Log) PruneSnapshots(keep int) error {
 	return nil
 }
 
+// PruneScenarios removes every scenario file but the ones named by
+// keep: the caller passes the seqs its retained snapshots name, and
+// the scenario its next snapshot will name.
+func (l *Log) PruneScenarios(keep ...uint64) error {
+	seqs, err := listSeqFiles(l.dir, scenarioPrefix, scenarioSuffix)
+	if err != nil {
+		return err
+	}
+	for _, seq := range seqs {
+		if slices.Contains(keep, seq) {
+			continue
+		}
+		if err := os.Remove(l.scenarioPath(seq)); err != nil {
+			return fmt.Errorf("wal: %w", err)
+		}
+	}
+	return nil
+}
+
 func (l *Log) snapPath(seq uint64) string {
 	return filepath.Join(l.dir, fmt.Sprintf("%s%016d%s", snapPrefix, seq, snapSuffix))
+}
+
+func (l *Log) scenarioPath(seq uint64) string {
+	return filepath.Join(l.dir, fmt.Sprintf("%s%016d%s", scenarioPrefix, seq, scenarioSuffix))
 }
 
 // syncDir fsyncs a directory so a just-renamed entry survives a

@@ -3,7 +3,10 @@
 //
 // A Log is a directory of segment files (journal-<seq>.wal, named by
 // the sequence number of their first record) plus snapshot files
-// (snap-<seq>.snap, named by the last journal sequence they cover).
+// (snap-<seq>.snap, named by the last journal sequence they cover) and
+// scenario files (scenario-<seq>.scn, named by the journal record that
+// brought the scenario in, so the caller's snapshots can name a large
+// payload that never changes instead of copying it).
 // Records are opaque byte payloads framed as
 //
 //	[4-byte LE payload length][4-byte LE CRC32C(payload)][payload]
@@ -27,11 +30,20 @@
 // but never fsyncs. Segment rotation seals the previous file with a
 // final fsync, so only the newest segment can ever be torn.
 //
-// Snapshots are written atomically: frame the payload into a .tmp
-// file, fsync it, rename into place, fsync the directory. A reader
-// can always fall back to the previous snapshot if the newest one is
-// damaged, and Prune/PruneSnapshots retire journal segments and old
-// snapshots a snapshot has made redundant.
+// A Log fails stop: after its first write, flush or fsync error every
+// later Append, Sync, WriteSnapshot and WriteScenario returns that
+// error, Close writes nothing more, and the current segment is cut
+// back, best-effort, to the last offset the policy made durable. A
+// failed fsync may have dropped dirty pages, so no retry could prove
+// what reached the disk; cutting back keeps a record its caller saw
+// fail from coming back on the next boot.
+//
+// Snapshots and scenario files are written atomically: frame the
+// payload into a .tmp file, fsync it, rename into place, fsync the
+// directory. A reader can always fall back to the previous snapshot
+// if the newest one is damaged, and Prune/PruneSnapshots/
+// PruneScenarios retire the journal segments, snapshots and scenario
+// files the caller's newest snapshots no longer need.
 package wal
 
 import (
@@ -191,6 +203,14 @@ type Log struct {
 	closed   bool
 	torn     *Torn
 	hdr      [frameHeader]byte
+	// durable is the current segment's length at the last point the
+	// policy counts as stable: an fsync, or under SyncOff a flush.
+	durable int64
+	// err is the first write, flush or fsync error, returned by every
+	// later call (see the package comment).
+	err error
+	// fsync syncs a file to stable storage; tests swap it to fail one.
+	fsync func(*os.File) error
 }
 
 // Open opens (or creates) the journal in dir, repairing a torn tail
@@ -215,7 +235,7 @@ func Open(dir string, opt Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	l := &Log{dir: dir, opt: opt}
+	l := &Log{dir: dir, opt: opt, fsync: (*os.File).Sync}
 
 	// A crash mid-snapshot leaves a .tmp behind; it was never renamed
 	// into place, so it is garbage by construction.
@@ -262,6 +282,7 @@ func Open(dir string, opt Options) (*Log, error) {
 		}
 		l.next = last + uint64(len(payloads))
 		l.segBytes = n
+		l.durable = n
 	}
 	if snapFloor+1 > l.next {
 		// The journal tail is behind the newest snapshot (lost or
@@ -270,17 +291,18 @@ func Open(dir string, opt Options) (*Log, error) {
 		// + frame index) stays exact.
 		l.next = snapFloor + 1
 		l.segBytes = 0
+		l.durable = 0
 		if len(l.segs) > 0 && l.segs[len(l.segs)-1] < l.next {
 			l.segs = append(l.segs, l.next)
 			if err := l.createSegment(l.next); err != nil {
-				return nil, err
+				return nil, fmt.Errorf("wal: %w", err)
 			}
 		}
 	}
 	if len(l.segs) == 0 {
 		l.segs = []uint64{l.next}
 		if err := l.createSegment(l.next); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("wal: %w", err)
 		}
 	} else if l.f == nil {
 		f, err := os.OpenFile(l.segPath(l.segs[len(l.segs)-1]), os.O_WRONLY|os.O_APPEND, 0o644)
@@ -315,8 +337,8 @@ func (l *Log) Dir() string { return l.dir }
 // number. Whether the record is on stable storage when Append returns
 // depends on the policy; Sync forces the matter.
 func (l *Log) Append(payload []byte) (uint64, error) {
-	if l.closed {
-		return 0, fmt.Errorf("wal: append on closed log")
+	if err := l.usable("append"); err != nil {
+		return 0, err
 	}
 	if len(payload) == 0 {
 		return 0, fmt.Errorf("wal: empty record (zero length marks end of segment)")
@@ -332,10 +354,10 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	}
 	putFrameHeader(&l.hdr, payload)
 	if _, err := l.w.Write(l.hdr[:]); err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
+		return 0, l.fail(err)
 	}
 	if _, err := l.w.Write(payload); err != nil {
-		return 0, fmt.Errorf("wal: %w", err)
+		return 0, l.fail(err)
 	}
 	l.segBytes += frame
 	seq := l.next
@@ -362,16 +384,17 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 		}
 	case SyncOff:
 		if err := l.w.Flush(); err != nil {
-			return 0, fmt.Errorf("wal: %w", err)
+			return 0, l.fail(err)
 		}
+		l.durable = l.segBytes
 	}
 	return seq, nil
 }
 
 // Sync flushes buffered appends and fsyncs the current segment.
 func (l *Log) Sync() error {
-	if l.closed {
-		return fmt.Errorf("wal: sync on closed log")
+	if err := l.usable("sync"); err != nil {
+		return err
 	}
 	if !l.dirty {
 		return nil
@@ -379,32 +402,61 @@ func (l *Log) Sync() error {
 	return l.syncNow()
 }
 
+// usable refuses a call on a closed or failed log.
+func (l *Log) usable(op string) error {
+	if l.err != nil {
+		return l.err
+	}
+	if l.closed {
+		return fmt.Errorf("wal: %s on closed log", op)
+	}
+	return nil
+}
+
+// fail latches err as the log's failure and cuts the current segment
+// back, best-effort, to its last durable offset, so the record whose
+// write, flush or fsync failed is not replayed by the next boot.
+func (l *Log) fail(err error) error {
+	if l.err == nil {
+		l.err = fmt.Errorf("wal: %w", err)
+		_ = os.Truncate(l.segPath(l.segs[len(l.segs)-1]), l.durable)
+	}
+	return l.err
+}
+
 func (l *Log) syncNow() error {
 	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return l.fail(err)
 	}
 	start := l.opt.Now()
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: %w", err)
+	if err := l.fsync(l.f); err != nil {
+		return l.fail(err)
 	}
 	l.lastSync = l.opt.Now()
 	if m := l.opt.Metrics; m != nil && m.FsyncSeconds != nil {
 		m.FsyncSeconds.Observe(l.lastSync.Sub(start).Seconds())
 	}
 	l.dirty = false
+	l.durable = l.segBytes
 	return nil
 }
 
-// Close flushes, fsyncs and closes the journal.
+// Close flushes, fsyncs and closes the journal. A failed log is only
+// closed: its buffered frames are dropped, not written.
 func (l *Log) Close() error {
 	if l.closed {
 		return nil
 	}
-	err := l.syncNow()
-	if cerr := l.f.Close(); err == nil && cerr != nil {
-		err = fmt.Errorf("wal: %w", cerr)
-	}
 	l.closed = true
+	var err error
+	if l.err == nil {
+		err = l.syncNow()
+	}
+	if l.f != nil {
+		if cerr := l.f.Close(); err == nil && cerr != nil {
+			err = fmt.Errorf("wal: %w", cerr)
+		}
+	}
 	return err
 }
 
@@ -415,14 +467,16 @@ func (l *Log) rotate() error {
 	if err := l.syncNow(); err != nil {
 		return err
 	}
-	if err := l.f.Close(); err != nil {
-		return fmt.Errorf("wal: %w", err)
+	err := l.f.Close()
+	l.f = nil
+	if err == nil {
+		err = l.createSegment(l.next)
+	}
+	if err != nil {
+		return l.fail(err)
 	}
 	l.segs = append(l.segs, l.next)
-	l.segBytes = 0
-	if err := l.createSegment(l.next); err != nil {
-		return err
-	}
+	l.segBytes, l.durable = 0, 0
 	if m := l.opt.Metrics; m != nil && m.Segments != nil {
 		m.Segments.Set(float64(len(l.segs)))
 	}
@@ -432,7 +486,7 @@ func (l *Log) rotate() error {
 func (l *Log) createSegment(start uint64) error {
 	f, err := os.OpenFile(l.segPath(start), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return err
 	}
 	l.f = f
 	l.w = bufio.NewWriter(f)
@@ -445,18 +499,28 @@ func (l *Log) createSegment(start uint64) error {
 // replay sees everything. A torn or corrupt frame anywhere but the
 // newest segment's tail returns a *CorruptError: replaying past a
 // mid-journal hole would silently diverge from the pre-crash state.
+// So does a gap: the records run from+1, from+2, ... without a hole,
+// and a segment that starts past the next expected seq (its
+// predecessors were pruned or lost) is reported, not skipped.
 func (l *Log) Replay(from uint64, fn func(seq uint64, payload []byte) error) error {
+	if l.err != nil {
+		return l.err
+	}
 	if l.dirty {
 		if err := l.w.Flush(); err != nil {
-			return fmt.Errorf("wal: %w", err)
+			return l.fail(err)
 		}
 	}
+	want := from + 1
 	for i, start := range l.segs {
 		isLast := i == len(l.segs)-1
-		if !isLast && l.segs[i+1] <= from+1 {
+		if !isLast && l.segs[i+1] <= want {
 			continue // the whole segment is <= from
 		}
 		path := l.segPath(start)
+		if start > want {
+			return &CorruptError{Path: path, Reason: fmt.Sprintf("journal gap: segment starts at seq %d, replay needs seq %d next", start, want)}
+		}
 		buf, err := os.ReadFile(path)
 		if err != nil {
 			return fmt.Errorf("wal: %w", err)
@@ -481,6 +545,7 @@ func (l *Log) Replay(from uint64, fn func(seq uint64, payload []byte) error) err
 				return err
 			}
 		}
+		want = max(want, start+uint64(len(payloads)))
 	}
 	return nil
 }
@@ -515,6 +580,9 @@ const (
 	segSuffix  = ".wal"
 	snapPrefix = "snap-"
 	snapSuffix = ".snap"
+
+	scenarioPrefix = "scenario-"
+	scenarioSuffix = ".scn"
 )
 
 // listSeqFiles returns the sorted sequence numbers of dir's

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -506,5 +507,187 @@ func TestDecodeFramesProperties(t *testing.T) {
 	huge[3] = 0x7f
 	if _, _, err := DecodeFrames(huge, 1024); err == nil {
 		t.Fatal("oversized frame length not reported as corrupt")
+	}
+}
+
+// TestReplayRefusesGap prunes the journal up to the newest of two
+// snapshots and then damages that snapshot, so a boot falls back to
+// the older one: the records between the two are gone, and Replay
+// from the older one must say so instead of starting at the next
+// segment it finds.
+func TestReplayRefusesGap(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{Policy: SyncOff, SegmentBytes: 64})
+	for i := 1; i <= 12; i++ {
+		if _, err := l.Append(record(i)); err != nil {
+			t.Fatal(err)
+		}
+		if i == 3 || i == 9 {
+			if err := l.WriteSnapshot(uint64(i), []byte(fmt.Sprintf("state@%d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := l.Prune(9); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	snap := filepath.Join(dir, fmt.Sprintf("snap-%016d.snap", uint64(9)))
+	buf, _ := os.ReadFile(snap)
+	buf[len(buf)-1] ^= 0xff
+	os.WriteFile(snap, buf, 0o644)
+
+	l2 := mustOpen(t, dir, Options{})
+	defer l2.Close()
+	seq, _, err := l2.LatestSnapshot()
+	if err != nil || seq != 3 {
+		t.Fatalf("LatestSnapshot = (%d, %v), want the older snapshot at 3", seq, err)
+	}
+	var got []uint64
+	err = l2.Replay(seq, func(s uint64, _ []byte) error { got = append(got, s); return nil })
+	var ce *CorruptError
+	if !errors.As(err, &ce) || !strings.Contains(ce.Reason, "gap") {
+		t.Fatalf("Replay(3) over a pruned gap = %v (delivered %v), want a gap *CorruptError", err, got)
+	}
+	if want := l2.segPath(l2.segs[0]); ce.Path != want || len(got) != 0 {
+		t.Fatalf("gap error names %q after delivering %v, want %q and nothing delivered", ce.Path, got, want)
+	}
+	// Without the prune the same replay delivers 4..12 in order.
+	l3 := mustOpen(t, t.TempDir(), Options{Policy: SyncOff, SegmentBytes: 64})
+	defer l3.Close()
+	for i := 1; i <= 12; i++ {
+		l3.Append(record(i))
+	}
+	got = got[:0]
+	if err := l3.Replay(3, func(s uint64, _ []byte) error { got = append(got, s); return nil }); err != nil || len(got) != 9 || got[0] != 4 {
+		t.Fatalf("Replay(3) = %v, %v; want seqs 4..12", got, err)
+	}
+}
+
+// TestFailStop fails one fsync under SyncAlways. The append that hit
+// it fails, every later call returns the same error, Close writes
+// nothing more, and a reopened log does not replay the failed record.
+func TestFailStop(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{Policy: SyncAlways})
+	for i := 0; i < 3; i++ {
+		if _, err := l.Append(record(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	boom := errors.New("injected fsync failure")
+	l.fsync = func(*os.File) error { return boom }
+	_, err := l.Append(record(3))
+	if !errors.Is(err, boom) {
+		t.Fatalf("Append under a failing fsync = %v, want the injected error", err)
+	}
+	l.fsync = (*os.File).Sync // the disk "recovers": the log must not
+	_, aerr := l.Append(record(4))
+	_, serr := l.WriteScenario(9, []byte("s"))
+	for name, got := range map[string]error{
+		"Append":        aerr,
+		"Sync":          l.Sync(),
+		"WriteSnapshot": l.WriteSnapshot(3, []byte("state@3")),
+		"WriteScenario": serr,
+		"Replay":        l.Replay(0, func(uint64, []byte) error { return nil }),
+	} {
+		if !errors.Is(got, boom) {
+			t.Errorf("%s after the failure = %v, want the latched error", name, got)
+		}
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "s*")); len(files) != 0 {
+		t.Errorf("a failed log wrote %v", files)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("Close of a failed log = %v, want nil (it only closes)", err)
+	}
+
+	l2 := mustOpen(t, dir, Options{})
+	defer l2.Close()
+	got := collect(t, l2, 0)
+	if len(got) != 3 || l2.NextSeq() != 4 {
+		t.Fatalf("reopened log holds %d records, next seq %d; want the 3 synced ones and 4", len(got), l2.NextSeq())
+	}
+}
+
+// TestFailStopRotate fails the fsync that seals a segment: the append
+// that needed the rotation fails and nothing more is written.
+func TestFailStopRotate(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{Policy: SyncInterval, Interval: time.Hour, SegmentBytes: 64})
+	if _, err := l.Append(record(0)); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("injected fsync failure")
+	l.fsync = func(*os.File) error { return boom }
+	if _, err := l.Append(record(36)); !errors.Is(err, boom) {
+		t.Fatalf("rotating Append = %v, want the injected error", err)
+	}
+	l.Close()
+	if segs, _ := listSeqFiles(dir, segPrefix, segSuffix); len(segs) != 1 {
+		t.Fatalf("segments %v after a failed rotation, want the first only", segs)
+	}
+	l2 := mustOpen(t, dir, Options{})
+	defer l2.Close()
+	if got := collect(t, l2, 0); len(got) != 0 {
+		t.Fatalf("replayed %d records never synced, want 0", len(got))
+	}
+}
+
+// TestScenarioFiles pins the scenario-file contract: the file is
+// fsynced before it appears under its name, reads back only when its
+// length and CRC32C are the ones asked for, names itself in every
+// refusal, and PruneScenarios keeps exactly the named seqs.
+func TestScenarioFiles(t *testing.T) {
+	dir := t.TempDir()
+	l := mustOpen(t, dir, Options{Policy: SyncOff})
+	defer l.Close()
+	tmps := 0
+	l.fsync = func(f *os.File) error {
+		if final, ok := strings.CutSuffix(f.Name(), ".tmp"); ok {
+			tmps++
+			if _, err := os.Stat(final); !os.IsNotExist(err) {
+				t.Errorf("%s is in place before its fsync", final)
+			}
+		}
+		return f.Sync()
+	}
+	payload := []byte(`{"aps":10}`)
+	crc, err := l.WriteScenario(5, payload)
+	if want := crc32.Checksum(payload, castagnoli); err != nil || crc != want {
+		t.Fatalf("WriteScenario = (%08x, %v), want (%08x, nil)", crc, err, want)
+	}
+	for _, seq := range []uint64{2, 9} {
+		if _, err := l.WriteScenario(seq, []byte("other")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tmps != 3 {
+		t.Fatalf("%d scenario files fsynced under their .tmp name, want 3", tmps)
+	}
+	got, err := l.ReadScenario(5, uint64(len(payload)), crc)
+	if err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("ReadScenario = (%q, %v)", got, err)
+	}
+	path := l.scenarioPath(5)
+	if _, err := l.ReadScenario(5, uint64(len(payload)), crc+1); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("ReadScenario with another CRC = %v, want an error naming %s", err, path)
+	}
+	buf, _ := os.ReadFile(path)
+	os.WriteFile(path, buf[:len(buf)-1], 0o644)
+	if _, err := l.ReadScenario(5, uint64(len(payload)), crc); err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("ReadScenario of a truncated file = %v, want an error naming %s", err, path)
+	}
+	if err := l.PruneScenarios(9, 5, 0); err != nil {
+		t.Fatal(err)
+	}
+	if seqs, _ := listSeqFiles(dir, scenarioPrefix, scenarioSuffix); len(seqs) != 2 || seqs[0] != 5 || seqs[1] != 9 {
+		t.Fatalf("after PruneScenarios(9, 5, 0): %v, want [5 9]", seqs)
+	}
+	if err := l.PruneScenarios(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.ReadScenario(9, 5, 0); !errors.Is(err, os.ErrNotExist) || !strings.Contains(err.Error(), l.scenarioPath(9)) {
+		t.Fatalf("ReadScenario of a pruned file = %v, want a missing-file error naming it", err)
 	}
 }

@@ -71,8 +71,10 @@
 #      rules); regenerate with
 #      UPDATE_METRICS_MD=1 go test ./cmd/assocd -run TestMetricsDocCurrent
 #  10. a fuzz smoke pass: ~10s per fuzz target (events decoder,
-#      multi-association decoder, NDJSON stream handler, journal
-#      record decoder, engine snapshot decoder, scenario loader, LP
+#      multi-association decoder, NDJSON stream handler, checkpoint
+#      envelope decoder (no panic; an accepted binary envelope
+#      re-encodes to its own bytes), journal record decoder, engine
+#      snapshot decoder, scenario loader, LP
 #      solver, sparse greedy set
 #      cover against the dense reference and a reused Solver, and the
 #      Prometheus-text parser: no panic, and every exposition LintProm
@@ -173,6 +175,7 @@ echo "== fuzz smoke (10s per target)"
 go test -run '^$' -fuzz 'FuzzDecodeEvents' -fuzztime 10s ./cmd/assocd
 go test -run '^$' -fuzz 'FuzzDecodeMultiAssoc' -fuzztime 10s ./cmd/assocd
 go test -run '^$' -fuzz 'FuzzStreamEvents' -fuzztime 10s ./cmd/assocd
+go test -run '^$' -fuzz 'FuzzDecodeSnapshotEnvelope' -fuzztime 10s ./cmd/assocd
 go test -run '^$' -fuzz 'FuzzWALDecode' -fuzztime 10s ./internal/wal
 go test -run '^$' -fuzz 'FuzzRestoreSnapshot' -fuzztime 10s ./internal/engine
 go test -run '^$' -fuzz 'FuzzLoad' -fuzztime 10s ./internal/scenario

@@ -12,6 +12,8 @@
 #   3. the recovered run's final assoc and loads must be
 #      byte-identical to the reference, loadgen must report at least
 #      one reconnect, and the restarted daemon must log a recovery
+#   4. the data dir holds exactly one scenario file (the scenario is
+#      stored once, not per checkpoint) and at most two checkpoints
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -95,5 +97,12 @@ cmp "$dir/ref-loads.json" "$dir/loads.json" || {
     echo "crashsmoke: recovered loads diverge from the reference" >&2
     exit 1
 }
+scenarios=$(find "$dir/data" -maxdepth 1 -name 'scenario-*' | wc -l)
+snaps=$(find "$dir/data" -maxdepth 1 -name 'snap-*' | wc -l)
+if [ "$scenarios" -ne 1 ] || [ "$snaps" -gt 2 ]; then
+    echo "crashsmoke: data dir holds $scenarios scenario files and $snaps checkpoints, want 1 and at most 2:" >&2
+    ls -l "$dir/data" >&2
+    exit 1
+fi
 
 echo "ok: killed mid-stream, resumed, state matches the uninterrupted run"
