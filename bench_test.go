@@ -18,6 +18,7 @@ import (
 	"wlanmcast/internal/lp"
 	"wlanmcast/internal/mac"
 	"wlanmcast/internal/netsim"
+	"wlanmcast/internal/optimal"
 	"wlanmcast/internal/radio"
 	"wlanmcast/internal/scenario"
 	"wlanmcast/internal/setcover"
@@ -281,7 +282,7 @@ func fig12Network(b *testing.B, budget float64) *wlan.Network {
 
 func BenchmarkOptimalMLA(b *testing.B) {
 	n := fig12Network(b, 0)
-	alg := &core.OptimalMLA{MaxNodes: 100000}
+	alg := &optimal.MLA{MaxNodes: 100000}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := alg.Run(n); err != nil {
@@ -329,25 +330,6 @@ func BenchmarkILPBoxAblation(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkOscillation exercises the Figure 4 livelock detection.
-func BenchmarkOscillation(b *testing.B) {
-	n, start, err := scenario.Figure4()
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := &core.Distributed{Objective: core.ObjMNU, EnforceBudget: true}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := d.RunSimultaneous(n, start, 50)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Oscillating {
-			b.Fatal("expected oscillation")
-		}
 	}
 }
 
@@ -423,20 +405,6 @@ func BenchmarkPowerAssign(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := core.AssignPowers(n, assoc, radio.Table1(), levels, 3); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPrimalDualCover contrasts the layering f-approximation the
-// paper mentions in §6.1 with the greedy (BenchmarkGreedyCover).
-func BenchmarkPrimalDualCover(b *testing.B) {
-	n := paperNetwork(b)
-	in, _ := core.BuildInstance(n, false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := setcover.PrimalDualCover(in); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -590,11 +590,12 @@ func (s *server) writeSnapshotLocked() error {
 	d.lastSnapSeq, d.lastSnapScenario = seq, d.scenario.Seq
 	d.lastSnapTime = time.Now()
 	d.eventsSince = 0
-	// GC: keep the newest two snapshots (belt and suspenders against a
-	// damaged newest), the scenario files both name, and the journal
-	// segments after the older one, so a boot that falls back to it
-	// still replays every record since.
-	if err := d.log.PruneSnapshots(2); err != nil {
+	// GC: keep this snapshot and the one cut or booted from before it
+	// (belt and suspenders against a damaged newest), the scenario
+	// files both name, and the journal segments after the older one, so
+	// a boot that falls back to it still replays every record since.
+	// Any other snapshot file goes, a damaged one boot skipped included.
+	if err := d.log.PruneSnapshots(older, seq); err != nil {
 		return err
 	}
 	if err := d.log.PruneScenarios(olderScenario, d.scenario.Seq); err != nil {

@@ -465,6 +465,44 @@ func TestDurableFallbackAfterRotation(t *testing.T) {
 	}
 }
 
+// TestDurablePruneKeepsBootCheckpoint pins which checkpoints a cut
+// keeps after a boot that fell back past a damaged newest one: the
+// one the daemon booted from and the new one, both readable. Pruning
+// by name would keep the damaged file and delete the boot checkpoint.
+func TestDurablePruneKeepsBootCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	s := durableServer(t, dir, 0)
+	mustPost(t, s, "/v1/scenario", durableScenario)
+	driveChurn(t, s, 1)
+	checkpoint(t, s)
+	driveChurn(t, s, 1)
+	checkpoint(t, s)
+	closeLog(t, s)
+	before := dataFiles(t, dir, "snap-*")
+	if len(before) != 2 {
+		t.Fatalf("snapshots %v, want two", before)
+	}
+	flipLastByte(t, filepath.Join(dir, before[1]))
+
+	r := durableServer(t, dir, 0)
+	defer closeLog(t, r)
+	driveChurn(t, r, 1)
+	checkpoint(t, r)
+	after := dataFiles(t, dir, "snap-*")
+	if len(after) != 2 || after[0] != before[0] || after[1] == before[1] {
+		t.Fatalf("snapshots after the cut %v, want the boot checkpoint %s and a new one (damaged %s gone)", after, before[0], before[1])
+	}
+	for _, name := range after {
+		buf, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if payloads, n, err := wal.DecodeFrames(buf, wal.DefaultMaxRecord); err != nil || len(payloads) != 1 || n != int64(len(buf)) {
+			t.Fatalf("%s: %d frames in %d of %d bytes, %v; want one whole frame", name, len(payloads), n, len(buf), err)
+		}
+	}
+}
+
 // TestDurableCheckpointNeedsScenarioFile pins the order of the two
 // writes: no checkpoint is renamed into place until the scenario file
 // it names is durable, whether the scenario came from a live call or

@@ -13,6 +13,7 @@ import (
 	"wlanmcast/internal/core"
 	"wlanmcast/internal/geom"
 	"wlanmcast/internal/netsim"
+	"wlanmcast/internal/optimal"
 	"wlanmcast/internal/radio"
 	"wlanmcast/internal/runner"
 	"wlanmcast/internal/scenario"
@@ -172,11 +173,11 @@ func algorithmByName(name string) (core.Algorithm, error) {
 	case "mnu-d":
 		return &core.Distributed{Objective: core.ObjMNU, EnforceBudget: true}, nil
 	case "mla-opt":
-		return &core.OptimalMLA{}, nil
+		return &optimal.MLA{}, nil
 	case "bla-opt":
-		return &core.OptimalBLA{}, nil
+		return &optimal.BLA{}, nil
 	case "mnu-opt":
-		return &core.OptimalMNU{}, nil
+		return &optimal.MNU{}, nil
 	default:
 		return nil, fmt.Errorf("unknown algorithm %q", name)
 	}

@@ -11,9 +11,10 @@
 //
 //	internal/core        the association-control algorithms (the paper's contribution)
 //	internal/wlan        network model: APs, users, sessions, multicast load
-//	internal/radio       802.11a rate-distance table, RSSI, channels, airtime
-//	internal/setcover    greedy set cover, MCG, SCG + exact solvers
-//	internal/lp,ilp      simplex + branch-and-bound (Figure 12 optima)
+//	internal/radio       802.11a rate-distance table, channels, airtime
+//	internal/setcover    greedy set cover, MCG, SCG
+//	internal/optimal     exact ILP optima for Figure 12
+//	internal/lp,ilp      simplex + branch-and-bound under internal/optimal
 //	internal/des,netsim  event-driven distributed-protocol simulation
 //	internal/scenario    workload generation and scenario JSON
 //	internal/metrics     avg/min/max aggregation and table formatting

@@ -16,6 +16,7 @@ import (
 
 	"wlanmcast/internal/core"
 	"wlanmcast/internal/geom"
+	"wlanmcast/internal/optimal"
 	"wlanmcast/internal/scenario"
 )
 
@@ -43,7 +44,7 @@ func main() {
 			&core.SSA{EnforceBudget: true},
 			&core.Distributed{Objective: core.ObjMNU, EnforceBudget: true},
 			&core.CentralizedMNU{},
-			&core.OptimalMNU{MaxNodes: 100000},
+			&optimal.MNU{MaxNodes: 100000},
 		} {
 			res, err := core.Evaluate(alg, n)
 			if err != nil {

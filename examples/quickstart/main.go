@@ -12,6 +12,7 @@ import (
 	"log"
 
 	"wlanmcast/internal/core"
+	"wlanmcast/internal/optimal"
 	"wlanmcast/internal/radio"
 	"wlanmcast/internal/wlan"
 )
@@ -40,8 +41,8 @@ func main() {
 		&core.Distributed{Objective: core.ObjMLA},
 		&core.CentralizedBLA{},
 		&core.Distributed{Objective: core.ObjBLA},
-		&core.OptimalMLA{},
-		&core.OptimalBLA{},
+		&optimal.MLA{},
+		&optimal.BLA{},
 	}
 
 	fmt.Printf("%d APs, %d users, %d sessions (budget %.1f per AP)\n\n",

@@ -130,7 +130,6 @@ func TestAlgorithmsDeterministic(t *testing.T) {
 		&Distributed{Objective: ObjMLA},
 		&Distributed{Objective: ObjBLA},
 		&Distributed{Objective: ObjMNU, EnforceBudget: true},
-		&OptimalMLA{}, &OptimalBLA{},
 	}
 	for _, alg := range algs {
 		a1 := mustRun(t, alg, n)
@@ -190,7 +189,7 @@ func TestCentralizedAlgorithmsOnEmptyCoverage(t *testing.T) {
 	}
 	for _, alg := range []Algorithm{
 		&CentralizedMLA{}, &CentralizedMNU{}, &CentralizedBLA{},
-		&SSA{}, &OptimalMLA{}, &OptimalBLA{}, &OptimalMNU{},
+		&SSA{},
 	} {
 		res := mustRun(t, alg, n)
 		if res.Satisfied != 0 {

@@ -37,17 +37,6 @@ func (r *DualResult) TotalCombined() float64 {
 	return t
 }
 
-// MaxCombined returns the maximum combined AP load.
-func (r *DualResult) MaxCombined() float64 {
-	m := 0.0
-	for _, l := range r.CombinedLoad {
-		if l > m {
-			m = l
-		}
-	}
-	return m
-}
-
 // DualAssociate runs mcast for the multicast side and strongest-
 // signal for the unicast side. unicastDemand[u] is user u's unicast
 // demand in Mbps (nil means zero for everyone).

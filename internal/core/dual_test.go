@@ -84,9 +84,6 @@ func TestDualCombinedLoadAccounting(t *testing.T) {
 	if diff := res.CombinedLoad[0] - want; diff > 1e-9 || diff < -1e-9 {
 		t.Errorf("a1 combined load = %v, want %v", res.CombinedLoad[0], want)
 	}
-	if res.MaxCombined() < res.CombinedLoad[0] {
-		t.Error("MaxCombined below a member")
-	}
 }
 
 func TestDualValidation(t *testing.T) {

@@ -35,18 +35,6 @@ func ExampleCentralizedMLA() {
 	// total load 0.5833, satisfied 5/5
 }
 
-// ExampleOptimalBLA computes the paper's §3.2 BLA optimum exactly:
-// max AP load 1/2 (u1,u2,u3 on a1; u4,u5 on a2).
-func ExampleOptimalBLA() {
-	res, err := core.Evaluate(&core.OptimalBLA{}, figure1())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("max load %.2f\n", res.MaxLoad)
-	// Output:
-	// max load 0.50
-}
-
 // ExampleDistributed shows the distributed BLA rule converging to the
 // optimum on the paper's example (§5.2 walk-through).
 func ExampleDistributed() {

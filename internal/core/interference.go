@@ -63,13 +63,3 @@ func MaxBusyTime(busy []float64) float64 {
 	}
 	return m
 }
-
-// TotalBusyTime sums the effective busy fractions — the interference
-// analogue of the MLA objective.
-func TotalBusyTime(busy []float64) float64 {
-	t := 0.0
-	for _, b := range busy {
-		t += b
-	}
-	return t
-}

@@ -6,54 +6,6 @@ import (
 	"wlanmcast/internal/wlan"
 )
 
-// MultiAlgorithm computes a multi-connectivity association: every
-// user gets a *set* of serving APs (arXiv 2305.15252's model) instead
-// of the paper's single AP.
-type MultiAlgorithm interface {
-	Name() string
-	RunMulti(n *wlan.Network) (*wlan.MultiAssoc, error)
-}
-
-// Multi lifts any single-AP Algorithm (CentralizedMNU/BLA/MLA, SSA,
-// or a Distributed rule with hysteresis) to a multi-homing variant:
-// the inner algorithm runs verbatim to pick every user's primary AP,
-// then AugmentHomes adds up to MaxHomes-1 secondary homes per user
-// under the per-AP budgets. Because the primary pass is the inner
-// algorithm unchanged and augmentation cannot add anything at
-// MaxHomes <= 1, the degree-1 configuration is bit-identical to the
-// single-AP path — the differential suite pins this.
-type Multi struct {
-	// Inner picks the primary AP per user.
-	Inner Algorithm
-	// MaxHomes caps each user's AP-set size; values < 1 mean 1
-	// (single-AP behavior).
-	MaxHomes int
-}
-
-var _ MultiAlgorithm = (*Multi)(nil)
-
-func (m *Multi) maxHomes() int {
-	if m.MaxHomes < 1 {
-		return 1
-	}
-	return m.MaxHomes
-}
-
-// Name implements MultiAlgorithm.
-func (m *Multi) Name() string {
-	return fmt.Sprintf("multi%d-%s", m.maxHomes(), m.Inner.Name())
-}
-
-// RunMulti implements MultiAlgorithm.
-func (m *Multi) RunMulti(n *wlan.Network) (*wlan.MultiAssoc, error) {
-	primary, err := m.Inner.Run(n)
-	if err != nil {
-		return nil, err
-	}
-	ma, _, err := AugmentHomes(n, primary, nil, m.maxHomes())
-	return ma, err
-}
-
 // StrongestOf returns the strongest-signal AP for user u among aps
 // (SSA's ordering: distance on geometric networks, link rate
 // otherwise; first-listed wins ties), or wlan.Unassociated for an

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -255,4 +256,43 @@ func TestAugmentHomesErrors(t *testing.T) {
 	if got := m.Name(); got != "multi1-SSA" {
 		t.Fatalf("Name() = %q", got)
 	}
+}
+
+// Multi lifts any single-AP Algorithm (CentralizedMNU/BLA/MLA, SSA,
+// or a Distributed rule with hysteresis) to a multi-homing variant:
+// the inner algorithm runs verbatim to pick every user's primary AP,
+// then AugmentHomes adds up to MaxHomes-1 secondary homes per user
+// under the per-AP budgets. Because the primary pass is the inner
+// algorithm unchanged and augmentation cannot add anything at
+// MaxHomes <= 1, the degree-1 configuration is bit-identical to the
+// single-AP path — the differential suite pins this. It is the
+// suite's oracle: the engine derives secondary homes incrementally.
+type Multi struct {
+	// Inner picks the primary AP per user.
+	Inner Algorithm
+	// MaxHomes caps each user's AP-set size; values < 1 mean 1
+	// (single-AP behavior).
+	MaxHomes int
+}
+
+func (m *Multi) maxHomes() int {
+	if m.MaxHomes < 1 {
+		return 1
+	}
+	return m.MaxHomes
+}
+
+// Name names the lifted algorithm.
+func (m *Multi) Name() string {
+	return fmt.Sprintf("multi%d-%s", m.maxHomes(), m.Inner.Name())
+}
+
+// RunMulti runs the inner algorithm, then AugmentHomes.
+func (m *Multi) RunMulti(n *wlan.Network) (*wlan.MultiAssoc, error) {
+	primary, err := m.Inner.Run(n)
+	if err != nil {
+		return nil, err
+	}
+	ma, _, err := AugmentHomes(n, primary, nil, m.maxHomes())
+	return ma, err
 }

@@ -29,7 +29,7 @@ func figure1(t *testing.T, s1Rate, s2Rate radio.Mbps) *wlan.Network {
 // figure4 builds the paper's Figure 4 network: u1 reaches only a1
 // (rate 5), u4 reaches only a2 (rate 5), u2 and u3 reach both at rate
 // 4; everyone requests the same 1 Mbps session.
-func figure4(t *testing.T) *wlan.Network {
+func figure4(t testing.TB) *wlan.Network {
 	t.Helper()
 	rates := [][]radio.Mbps{
 		{5, 4, 4, 0}, // a1

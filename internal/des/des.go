@@ -27,66 +27,40 @@ func New() *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Pending returns the number of scheduled, uncanceled events.
-func (e *Engine) Pending() int {
-	n := 0
-	for _, ev := range e.queue {
-		if !ev.canceled {
-			n++
-		}
-	}
-	return n
-}
-
-// Timer is a handle for a scheduled event.
-type Timer struct {
-	ev *event
-}
-
-// Cancel prevents the event from firing. Canceling an already-fired or
-// already-canceled timer is a no-op.
-func (t *Timer) Cancel() {
-	if t != nil && t.ev != nil {
-		t.ev.canceled = true
-	}
-}
+// Pending returns the number of scheduled events.
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // Schedule runs fn after delay of virtual time. Negative delays fire
 // immediately (at the current time). Events at the same instant fire
 // in scheduling order.
-func (e *Engine) Schedule(delay time.Duration, fn func()) *Timer {
+func (e *Engine) Schedule(delay time.Duration, fn func()) {
 	if delay < 0 {
 		delay = 0
 	}
-	return e.At(e.now+delay, fn)
+	e.At(e.now+delay, fn)
 }
 
 // At runs fn at absolute virtual time t; times before now clamp to now.
-func (e *Engine) At(t time.Duration, fn func()) *Timer {
+func (e *Engine) At(t time.Duration, fn func()) {
 	if fn == nil {
 		panic("des: nil event function")
 	}
 	if t < e.now {
 		t = e.now
 	}
-	ev := &event{time: t, seq: e.seq, fn: fn}
+	heap.Push(&e.queue, &event{time: t, seq: e.seq, fn: fn})
 	e.seq++
-	heap.Push(&e.queue, ev)
-	return &Timer{ev: ev}
 }
 
 // Step fires the next event. It reports whether an event fired.
 func (e *Engine) Step() bool {
-	for e.queue.Len() > 0 {
-		ev := heap.Pop(&e.queue).(*event)
-		if ev.canceled {
-			continue
-		}
-		e.now = ev.time
-		ev.fn()
-		return true
+	if e.queue.Len() == 0 {
+		return false
 	}
-	return false
+	ev := heap.Pop(&e.queue).(*event)
+	e.now = ev.time
+	ev.fn()
+	return true
 }
 
 // Run fires events until the queue drains or limit events have fired
@@ -114,15 +88,7 @@ func (e *Engine) Run(limit int) (int, error) {
 // the queue drained earlier than that.
 func (e *Engine) RunUntil(deadline time.Duration) int {
 	fired := 0
-	for e.queue.Len() > 0 {
-		next := e.queue[0]
-		if next.canceled {
-			heap.Pop(&e.queue)
-			continue
-		}
-		if next.time > deadline {
-			break
-		}
+	for e.queue.Len() > 0 && e.queue[0].time <= deadline {
 		e.Step()
 		fired++
 	}
@@ -134,11 +100,9 @@ func (e *Engine) RunUntil(deadline time.Duration) int {
 
 // event is one queue entry.
 type event struct {
-	time     time.Duration
-	seq      uint64
-	fn       func()
-	canceled bool
-	index    int
+	time time.Duration
+	seq  uint64
+	fn   func()
 }
 
 // eventQueue is a min-heap on (time, seq).
@@ -153,18 +117,10 @@ func (q eventQueue) Less(i, j int) bool {
 	return q[i].seq < q[j].seq
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
+func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 
 // Push implements heap.Interface.
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
+func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
 
 // Pop implements heap.Interface.
 func (q *eventQueue) Pop() any {

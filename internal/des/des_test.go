@@ -56,22 +56,6 @@ func TestNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestCancel(t *testing.T) {
-	e := New()
-	fired := false
-	timer := e.Schedule(time.Second, func() { fired = true })
-	timer.Cancel()
-	timer.Cancel() // double cancel is a no-op
-	if _, err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Error("canceled event fired")
-	}
-	var nilTimer *Timer
-	nilTimer.Cancel() // nil-safe
-}
-
 func TestRunLimit(t *testing.T) {
 	e := New()
 	var rearm func()

@@ -25,11 +25,6 @@ type Stats struct {
 	Latency obs.HistogramSnapshot
 }
 
-// EventsTotal is the number of successfully applied events.
-func (s *Stats) EventsTotal() uint64 {
-	return s.Joins + s.Leaves + s.UserMoves + s.DemandChanges + s.APDowns + s.APUps
-}
-
 // metrics holds the engine's pre-resolved registry instruments. The
 // metric names keep the assocd_ prefix the daemon has exposed since
 // /metrics first shipped — the engine is the owner of those series

@@ -5,7 +5,7 @@ import (
 
 	"wlanmcast/internal/core"
 	"wlanmcast/internal/metrics"
-	"wlanmcast/internal/radio"
+	"wlanmcast/internal/optimal"
 	"wlanmcast/internal/scenario"
 )
 
@@ -139,7 +139,7 @@ func Fig12a(ctx context.Context, cfg Config) (*metrics.Figure, error) {
 	cfg = cfg.normalize()
 	fig := &metrics.Figure{ID: "fig12a", Title: "Total AP load vs users (vs optimal)", XLabel: "users", YLabel: "total load"}
 	algs := func() []core.Algorithm {
-		return append(mlaAlgs(), &core.OptimalMLA{MaxNodes: cfg.ILPMaxNodes})
+		return append(mlaAlgs(), &optimal.MLA{MaxNodes: cfg.ILPMaxNodes})
 	}
 	return sweep(ctx, cfg, fig, fig12Users, func(x float64, seed int64) scenario.Params {
 		return fig12Params(cfg, x, seed, 0)
@@ -152,7 +152,7 @@ func Fig12b(ctx context.Context, cfg Config) (*metrics.Figure, error) {
 	cfg = cfg.normalize()
 	fig := &metrics.Figure{ID: "fig12b", Title: "Max AP load vs users (vs optimal)", XLabel: "users", YLabel: "max load"}
 	algs := func() []core.Algorithm {
-		return append(blaAlgs(), &core.OptimalBLA{MaxNodes: cfg.ILPMaxNodes})
+		return append(blaAlgs(), &optimal.BLA{MaxNodes: cfg.ILPMaxNodes})
 	}
 	return sweep(ctx, cfg, fig, fig12Users, func(x float64, seed int64) scenario.Params {
 		return fig12Params(cfg, x, seed, 0)
@@ -169,31 +169,11 @@ func Fig12c(ctx context.Context, cfg Config) (*metrics.Figure, error) {
 	cfg = cfg.normalize()
 	fig := &metrics.Figure{ID: "fig12c", Title: "Unsatisfied users vs users (vs optimal)", XLabel: "users", YLabel: "unsatisfied users"}
 	algs := func() []core.Algorithm {
-		return append(mnuAlgs(), &core.OptimalMNU{MaxNodes: cfg.ILPMaxNodes})
+		return append(mnuAlgs(), &optimal.MNU{MaxNodes: cfg.ILPMaxNodes})
 	}
 	return sweep(ctx, cfg, fig, fig12Users, func(x float64, seed int64) scenario.Params {
 		p := fig12Params(cfg, x, seed, 0.042)
 		p.SessionRate = 0.5
 		return p
 	}, algs, unsatisfied)
-}
-
-// Table1Figure renders the paper's Table 1 (rate vs distance
-// threshold) from the radio package's constants, confirming the PHY
-// substrate matches the paper.
-func Table1Figure() *metrics.Figure {
-	fig := &metrics.Figure{
-		ID:     "tab1",
-		Title:  "802.11a transmission rate vs distance threshold (Table 1)",
-		XLabel: "rate (Mbps)",
-		YLabel: "threshold (m)",
-	}
-	steps := radio.Table1().Steps()
-	// Present in the paper's ascending-rate order.
-	for i := len(steps) - 1; i >= 0; i-- {
-		st := steps[i]
-		fig.X = append(fig.X, float64(st.Rate))
-		fig.AddPoint("threshold", metrics.Stat{Avg: st.Threshold, Min: st.Threshold, Max: st.Threshold, N: 1})
-	}
-	return fig
 }

@@ -57,8 +57,3 @@ func (r Rect) Area() float64 {
 func (r Rect) Contains(p Point) bool {
 	return p.X >= 0 && p.X <= r.Width && p.Y >= 0 && p.Y <= r.Height
 }
-
-// Center returns the rectangle's center point.
-func (r Rect) Center() Point {
-	return Point{X: r.Width / 2, Y: r.Height / 2}
-}

@@ -69,9 +69,6 @@ func TestRect(t *testing.T) {
 	if r.Area() != 360000 {
 		t.Errorf("Area = %v, want 360000", r.Area())
 	}
-	if got := r.Center(); got != (Point{300, 300}) {
-		t.Errorf("Center = %v, want (300,300)", got)
-	}
 	if !r.Contains(Point{0, 0}) || !r.Contains(Point{600, 600}) {
 		t.Error("border points should be contained")
 	}

@@ -99,13 +99,6 @@ func NewGrid(pts []Point, cell float64) (*Grid, error) {
 	return g, nil
 }
 
-// Cell returns the grid's cell side in meters (the maximum radius
-// Near supports).
-func (g *Grid) Cell() float64 { return g.cell }
-
-// NumCells returns the number of allocated grid cells.
-func (g *Grid) NumCells() int { return g.cols * g.rows }
-
 // cellCoords maps p to its (clamped) cell coordinates.
 func (g *Grid) cellCoords(p Point) (cx, cy int) {
 	cx = int((p.X - g.minX) / g.cell)

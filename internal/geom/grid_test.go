@@ -37,8 +37,8 @@ func TestGridEmpty(t *testing.T) {
 	if got := g.Near(Point{X: 123, Y: -456}, nil); len(got) != 0 {
 		t.Fatalf("Near on empty grid = %v, want empty", got)
 	}
-	if g.NumCells() != 1 {
-		t.Fatalf("NumCells = %d, want 1", g.NumCells())
+	if cells := g.cols * g.rows; cells != 1 {
+		t.Fatalf("%d cells, want 1", cells)
 	}
 }
 
@@ -93,8 +93,8 @@ func TestGridNearSuperset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g.Cell() < cell {
-			t.Fatalf("Cell() = %v shrank below requested %v", g.Cell(), cell)
+		if g.cell < cell {
+			t.Fatalf("cell %v shrank below requested %v", g.cell, cell)
 		}
 		buf := make([]int, 0, nPts)
 		for q := 0; q < 50; q++ {
@@ -136,11 +136,11 @@ func TestGridCellDoubling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if max := 4*len(pts) + 64; g.NumCells() > max {
-		t.Fatalf("NumCells = %d exceeds O(points) bound %d", g.NumCells(), max)
+	if cells, max := g.cols*g.rows, 4*len(pts)+64; cells > max {
+		t.Fatalf("%d cells exceeds O(points) bound %d", cells, max)
 	}
-	if g.Cell() < 10 {
-		t.Fatalf("doubling shrank the cell: %v", g.Cell())
+	if g.cell < 10 {
+		t.Fatalf("doubling shrank the cell: %v", g.cell)
 	}
 	// The superset invariant must survive the doubling.
 	for i, p := range pts {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wlanmcast/internal/core"
+	"wlanmcast/internal/optimal"
 )
 
 // subsetSumBruteForce reports whether some subset of g sums to target.
@@ -106,7 +107,7 @@ func TestSubsetSumReductionCorrespondence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.Evaluate(&core.OptimalMNU{}, n)
+		res, err := core.Evaluate(&optimal.MNU{}, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +135,7 @@ func TestSubsetSumReductionPartialSessionsDontPay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Evaluate(&core.OptimalMNU{}, n)
+	res, err := core.Evaluate(&optimal.MNU{}, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestMakespanReductionCorrespondence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.Evaluate(&core.OptimalBLA{}, n)
+		res, err := core.Evaluate(&optimal.BLA{}, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +198,7 @@ func TestSetCoverReductionCorrespondence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.Evaluate(&core.OptimalMLA{}, n)
+		res, err := core.Evaluate(&optimal.MLA{}, n)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -36,7 +36,7 @@ func ExampleRun() {
 		log.Fatal(err)
 	}
 	fmt.Printf("ratio model %.3f, measured %.3f, delivery %.2f\n",
-		1.0/24, res.MeasuredLoad(0), res.DeliveryRatio(0))
+		1.0/24, res.MeasuredLoad(0), float64(res.DeliveredToUser[0])/float64(res.FramesToUser[0]))
 	// Output:
 	// ratio model 0.042, measured 0.053, delivery 1.00
 }

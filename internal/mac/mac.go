@@ -114,15 +114,6 @@ func (r *Result) TotalMeasuredLoad() float64 {
 	return t
 }
 
-// DeliveryRatio returns the fraction of multicast frames addressed to
-// user u that arrived (1.0 when nothing was sent).
-func (r *Result) DeliveryRatio(u int) float64 {
-	if r.FramesToUser[u] == 0 {
-		return 1
-	}
-	return float64(r.DeliveredToUser[u]) / float64(r.FramesToUser[u])
-}
-
 // UnicastGoodput returns ap's unicast goodput in Mbps.
 func (r *Result) UnicastGoodput(ap int, payloadBytes int) float64 {
 	bits := float64(r.PerAP[ap].UnicastSent * payloadBytes * 8)

@@ -82,8 +82,8 @@ func TestIsolatedAPsNeverCollide(t *testing.T) {
 		t.Errorf("%d collisions with a single station", res.PerAP[0].MulticastCollided)
 	}
 	for u := 0; u < n.NumUsers(); u++ {
-		if res.DeliveryRatio(u) != 1 {
-			t.Errorf("user %d delivery %v, want 1", u, res.DeliveryRatio(u))
+		if res.DeliveredToUser[u] != res.FramesToUser[u] {
+			t.Errorf("user %d got %d of %d frames, want all", u, res.DeliveredToUser[u], res.FramesToUser[u])
 		}
 		if res.FramesToUser[u] == 0 {
 			t.Errorf("user %d received no frames at all", u)
@@ -123,7 +123,7 @@ func TestSharedDomainCollides(t *testing.T) {
 	if totalCollided == 0 {
 		t.Fatal("no collisions in a shared domain with CW=4")
 	}
-	if res.DeliveryRatio(0) >= 1 && res.DeliveryRatio(1) >= 1 {
+	if res.DeliveredToUser[0] == res.FramesToUser[0] && res.DeliveredToUser[1] == res.FramesToUser[1] {
 		t.Error("collisions did not lower any delivery ratio")
 	}
 	// But the medium never transmits two frames back to back in
@@ -229,7 +229,7 @@ func TestEmptyAssociationIdleChannel(t *testing.T) {
 	if res.TotalMeasuredLoad() != 0 {
 		t.Errorf("idle network measured load %v", res.TotalMeasuredLoad())
 	}
-	if res.DeliveryRatio(0) != 1 {
-		t.Error("no frames sent should read as delivery 1")
+	if res.FramesToUser[0] != 0 || res.DeliveredToUser[0] != 0 {
+		t.Errorf("idle network sent %d frames, delivered %d", res.FramesToUser[0], res.DeliveredToUser[0])
 	}
 }

@@ -7,7 +7,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -168,13 +167,6 @@ func (f *Figure) Improvement(a, b string, i int) float64 {
 	return (sa.Stats[i].Avg - sb.Stats[i].Avg) / sa.Stats[i].Avg
 }
 
-// Increase returns the relative increase of series b over series a at
-// x index i: (b - a) / a (positive when b is higher — "increased by
-// X%").
-func (f *Figure) Increase(a, b string, i int) float64 {
-	return -f.Improvement(a, b, i)
-}
-
 func (f *Figure) findSeries(label string) *Series {
 	for i := range f.Series {
 		if f.Series[i].Label == label {
@@ -191,11 +183,4 @@ func (f *Figure) Labels() []string {
 		out[i] = s.Label
 	}
 	return out
-}
-
-// SortSeries orders series by label for stable output.
-func (f *Figure) SortSeries() {
-	sort.Slice(f.Series, func(i, j int) bool {
-		return f.Series[i].Label < f.Series[j].Label
-	})
 }

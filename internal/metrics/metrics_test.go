@@ -146,8 +146,9 @@ func TestImprovement(t *testing.T) {
 	if got := f.Improvement("SSA", "MLA", 0); math.Abs(got-0.3) > 1e-12 {
 		t.Errorf("improvement = %v, want 0.3", got)
 	}
-	if got := f.Increase("MLA", "SSA", 0); math.Abs(got-3.0/7.0) > 1e-12 {
-		t.Errorf("increase = %v, want 3/7", got)
+	// SSA is 3/7 above MLA: a negative improvement.
+	if got := f.Improvement("MLA", "SSA", 0); math.Abs(got+3.0/7.0) > 1e-12 {
+		t.Errorf("improvement = %v, want -3/7", got)
 	}
 	if f.Improvement("missing", "MLA", 0) != 0 || f.Improvement("SSA", "MLA", 99) != 0 {
 		t.Error("missing series/index should yield 0")
@@ -164,9 +165,8 @@ func TestLabelsAndSort(t *testing.T) {
 	f := &Figure{X: []float64{1}}
 	f.AddPoint("zeta", Stat{})
 	f.AddPoint("alpha", Stat{})
-	f.SortSeries()
 	labels := f.Labels()
-	if labels[0] != "alpha" || labels[1] != "zeta" {
+	if len(labels) != 2 || labels[0] != "zeta" || labels[1] != "alpha" {
 		t.Errorf("labels = %v", labels)
 	}
 }

@@ -80,16 +80,6 @@ func (w *Walker) PositionAt(t time.Duration) geom.Point {
 	return w.segs[len(w.segs)-1].to
 }
 
-// Moving reports whether the walker is mid-walk at time t.
-func (w *Walker) Moving(t time.Duration) bool {
-	for _, s := range w.segs {
-		if t >= s.depart && t < s.arrive {
-			return true
-		}
-	}
-	return false
-}
-
 // NewWalkers precomputes n trajectories covering [0, horizon].
 func NewWalkers(rng *rand.Rand, n int, cfg Config, horizon time.Duration) ([]*Walker, error) {
 	if err := cfg.normalize(); err != nil {

@@ -63,7 +63,7 @@ func TestQuasiStaticMostlyPaused(t *testing.T) {
 	for _, w := range walkers {
 		for tick := time.Duration(0); tick < time.Hour; tick += 13 * time.Second {
 			total++
-			if w.Moving(tick) {
+			if inMotion(w, tick) {
 				moving++
 			}
 		}
@@ -145,7 +145,17 @@ func TestEmptyWalker(t *testing.T) {
 	if w.PositionAt(time.Second) != (geom.Point{}) {
 		t.Error("empty walker should sit at origin")
 	}
-	if w.Moving(0) {
+	if inMotion(&w, 0) {
 		t.Error("empty walker cannot move")
 	}
+}
+
+// inMotion reports whether w is mid-walk at time t.
+func inMotion(w *Walker, t time.Duration) bool {
+	for _, s := range w.segs {
+		if t >= s.depart && t < s.arrive {
+			return true
+		}
+	}
+	return false
 }

@@ -326,13 +326,3 @@ func ReadJSONL(r io.Reader) ([]Event, error) {
 	}
 	return out, nil
 }
-
-// CountByType tallies events per type — the replay side of the
-// "trace reproduces the metrics" acceptance check.
-func CountByType(events []Event) map[string]uint64 {
-	out := make(map[string]uint64)
-	for _, ev := range events {
-		out[ev.Type]++
-	}
-	return out
-}

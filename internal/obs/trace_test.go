@@ -156,3 +156,13 @@ func TestSpanRecordsTrace(t *testing.T) {
 		t.Fatalf("inert spans recorded: total=%d", ring.Total())
 	}
 }
+
+// CountByType tallies events per type — the replay side of the
+// "trace reproduces the metrics" acceptance check.
+func CountByType(events []Event) map[string]uint64 {
+	out := make(map[string]uint64)
+	for _, ev := range events {
+		out[ev.Type]++
+	}
+	return out
+}

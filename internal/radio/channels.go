@@ -25,10 +25,6 @@ type ChannelAssignment struct {
 	Conflicts [][2]int
 }
 
-// NumChannels80211a is the number of non-overlapping 802.11a channels
-// available in US/Canada, as cited by the paper.
-const NumChannels80211a = 12
-
 // AssignChannels colors APs located at pts so that any two APs closer
 // than interferenceRange meters get different channels, using at most
 // numChannels channels. It returns an error for non-positive inputs.
@@ -110,19 +106,4 @@ func AssignChannels(pts []geom.Point, interferenceRange float64, numChannels int
 		}
 	}
 	return out, nil
-}
-
-// InterferenceFree reports whether the assignment has no same-channel
-// pairs within interference range.
-func (a *ChannelAssignment) InterferenceFree() bool {
-	return len(a.Conflicts) == 0
-}
-
-// ChannelsUsed returns the number of distinct channels in use.
-func (a *ChannelAssignment) ChannelsUsed() int {
-	seen := make(map[int]bool)
-	for _, c := range a.Channels {
-		seen[c] = true
-	}
-	return len(seen)
 }

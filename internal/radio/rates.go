@@ -1,8 +1,7 @@
 // Package radio models the 802.11a physical layer as used by the paper:
 // the discrete transmission-rate set with the distance thresholds of
-// Manshaei & Turletti (Table 1 in the paper), a log-distance path-loss
-// RSSI model used by the strongest-signal baseline, discrete transmit
-// power levels for the adaptive-power-control extension (paper §8), and
+// Manshaei & Turletti (Table 1 in the paper), discrete transmit power
+// levels for the adaptive-power-control extension (paper §8), and
 // channel assignment over the AP interference graph supporting the
 // paper's non-interfering-neighbors assumption.
 package radio
@@ -106,11 +105,6 @@ func (t *RateTable) Range() float64 {
 // paper's basic-rate-only mode restricts all multicast to it.
 func (t *RateTable) BasicRate() Mbps {
 	return t.steps[len(t.steps)-1].Rate
-}
-
-// MaxRate returns the highest rate of the table.
-func (t *RateTable) MaxRate() Mbps {
-	return t.steps[0].Rate
 }
 
 // Rates returns all rates in descending order. The slice is a copy.

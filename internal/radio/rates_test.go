@@ -84,9 +84,6 @@ func TestTableAccessors(t *testing.T) {
 	if tbl.BasicRate() != 6 {
 		t.Errorf("BasicRate = %v, want 6", tbl.BasicRate())
 	}
-	if tbl.MaxRate() != 54 {
-		t.Errorf("MaxRate = %v, want 54", tbl.MaxRate())
-	}
 	rates := tbl.Rates()
 	if len(rates) != 7 || rates[0] != 54 || rates[6] != 6 {
 		t.Errorf("Rates = %v", rates)

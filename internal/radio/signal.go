@@ -5,42 +5,6 @@ import (
 	"math"
 )
 
-// PathLossModel computes received signal strength with the standard
-// log-distance path-loss formula
-//
-//	RSSI(d) = TxPower - PL(d0) - 10*n*log10(d/d0)
-//
-// in dBm. The strongest-signal association baseline (SSA) ranks APs by
-// this value; with equal transmit powers the ranking is identical to the
-// distance ranking, which is exactly the behavior the paper's SSA
-// baseline assumes.
-type PathLossModel struct {
-	// TxPowerDBm is the transmit power in dBm. 802.11a commonly uses
-	// 15-17 dBm; the default model uses 17 dBm.
-	TxPowerDBm float64
-	// RefLossDB is the path loss at the reference distance, in dB.
-	RefLossDB float64
-	// RefDistance is the reference distance d0 in meters.
-	RefDistance float64
-	// Exponent is the path-loss exponent n (2 free space, 3-4 indoor).
-	Exponent float64
-}
-
-// DefaultPathLoss returns a 5 GHz outdoor-ish model: 17 dBm TX power,
-// 46.7 dB loss at 1 m (free space at 5.18 GHz), exponent 3.0.
-func DefaultPathLoss() PathLossModel {
-	return PathLossModel{TxPowerDBm: 17, RefLossDB: 46.7, RefDistance: 1, Exponent: 3.0}
-}
-
-// RSSI returns the received signal strength in dBm at distance d meters.
-// Distances below the reference distance clamp to the reference.
-func (m PathLossModel) RSSI(d float64) float64 {
-	if d < m.RefDistance {
-		d = m.RefDistance
-	}
-	return m.TxPowerDBm - m.RefLossDB - 10*m.Exponent*math.Log10(d/m.RefDistance)
-}
-
 // PowerLevel is one discrete transmit power setting for the
 // adaptive-power-control extension (paper §8). Level indices start at 1
 // per the style guide; level 1 is full power.

@@ -3,56 +3,7 @@ package radio
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
-
-func TestRSSIMonotoneDecreasing(t *testing.T) {
-	m := DefaultPathLoss()
-	f := func(a, b float64) bool {
-		da, db := 1+abs(a), 1+abs(b)
-		if da > db {
-			da, db = db, da
-		}
-		return m.RSSI(da) >= m.RSSI(db)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRSSIReferencePoint(t *testing.T) {
-	m := DefaultPathLoss()
-	got := m.RSSI(1)
-	want := 17.0 - 46.7
-	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("RSSI(1m) = %v, want %v", got, want)
-	}
-	// Below the reference distance it must clamp, not blow up.
-	if m.RSSI(0) != got || m.RSSI(0.5) != got {
-		t.Error("RSSI below reference distance should clamp")
-	}
-}
-
-func TestRSSIDecadeSlope(t *testing.T) {
-	m := DefaultPathLoss()
-	// A 10x distance increase loses exactly 10*n dB.
-	drop := m.RSSI(10) - m.RSSI(100)
-	if math.Abs(drop-30) > 1e-9 {
-		t.Errorf("decade drop = %v dB, want 30", drop)
-	}
-}
-
-func TestRSSIRankingMatchesDistance(t *testing.T) {
-	// SSA relies on RSSI ordering == (reverse) distance ordering.
-	m := DefaultPathLoss()
-	dists := []float64{5, 20, 35, 60, 100, 150, 199}
-	for i := 0; i < len(dists)-1; i++ {
-		if m.RSSI(dists[i]) <= m.RSSI(dists[i+1]) {
-			t.Errorf("RSSI(%vm)=%v not > RSSI(%vm)=%v",
-				dists[i], m.RSSI(dists[i]), dists[i+1], m.RSSI(dists[i+1]))
-		}
-	}
-}
 
 func TestPowerLevels(t *testing.T) {
 	levels, err := PowerLevels(4, 9)

@@ -178,18 +178,3 @@ func Figure4Spec() *Spec {
 		Budget:       1,
 	}
 }
-
-// Figure4 builds Figure4Spec's network and its starting association
-// (u1,u2 on a1; u3,u4 on a2).
-func Figure4() (*wlan.Network, *wlan.Assoc, error) {
-	n, err := Figure4Spec().Network()
-	if err != nil {
-		return nil, nil, err
-	}
-	start := wlan.NewAssoc(4)
-	start.Associate(0, 0)
-	start.Associate(1, 0)
-	start.Associate(2, 1)
-	start.Associate(3, 1)
-	return n, start, nil
-}

@@ -110,10 +110,16 @@ func TestFigure1Canonical(t *testing.T) {
 }
 
 func TestFigure4Canonical(t *testing.T) {
-	n, start, err := Figure4()
+	n, err := Figure4Spec().Network()
 	if err != nil {
 		t.Fatal(err)
 	}
+	// u1,u2 on a1; u3,u4 on a2.
+	start := wlan.NewAssoc(4)
+	start.Associate(0, 0)
+	start.Associate(1, 0)
+	start.Associate(2, 1)
+	start.Associate(3, 1)
 	if n.NumUsers() != 4 || start.SatisfiedCount() != 4 {
 		t.Fatal("Figure 4 shape wrong")
 	}

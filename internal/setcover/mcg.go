@@ -226,15 +226,6 @@ func NewSolver(in *Instance) (*Solver, error) {
 	return &Solver{c: newCover(in)}, nil
 }
 
-// GreedySCG runs one SCG call on a fresh Solver; see (*Solver).SCG.
-func GreedySCG(in *Instance, bStar float64, maxIters int) (*SCGResult, error) {
-	s, err := NewSolver(in)
-	if err != nil {
-		return nil, err
-	}
-	return s.SCG(bStar, maxIters)
-}
-
 // SCG runs the paper's Centralized BLA inner loop (Fig 6): give
 // every group budget bStar, run GreedyMCG, remove covered elements,
 // and repeat up to maxIters times (the paper uses log_{8/7}(n)+1).

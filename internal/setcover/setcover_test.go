@@ -398,3 +398,13 @@ func TestBitset(t *testing.T) {
 		t.Errorf("firstSet = %d, want 0", firstSet(b))
 	}
 }
+
+// GreedySCG runs one SCG call on a fresh Solver; see (*Solver).SCG. It is the
+// fresh-solver reference that a reused Solver is checked against.
+func GreedySCG(in *Instance, bStar float64, maxIters int) (*SCGResult, error) {
+	s, err := NewSolver(in)
+	if err != nil {
+		return nil, err
+	}
+	return s.SCG(bStar, maxIters)
+}

@@ -133,29 +133,25 @@ func (l *Log) LatestSnapshot() (seq uint64, payload []byte, err error) {
 	return 0, nil, nil
 }
 
-// PruneSnapshots removes all but the newest keep snapshot files.
-func (l *Log) PruneSnapshots(keep int) error {
-	if keep < 1 {
-		keep = 1
-	}
-	seqs, err := listSeqFiles(l.dir, snapPrefix, snapSuffix)
-	if err != nil {
-		return err
-	}
-	for len(seqs) > keep {
-		if err := os.Remove(l.snapPath(seqs[0])); err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-		seqs = seqs[1:]
-	}
-	return nil
+// PruneSnapshots removes every snapshot file but the ones named by
+// keep: the caller passes the checkpoint it last cut or booted from,
+// and the one it just cut. Pruning by name alone would keep a damaged
+// newest file that boot fell back past, and delete the one it used.
+func (l *Log) PruneSnapshots(keep ...uint64) error {
+	return l.pruneExcept(snapPrefix, snapSuffix, keep)
 }
 
 // PruneScenarios removes every scenario file but the ones named by
 // keep: the caller passes the seqs its retained snapshots name, and
 // the scenario its next snapshot will name.
 func (l *Log) PruneScenarios(keep ...uint64) error {
-	seqs, err := listSeqFiles(l.dir, scenarioPrefix, scenarioSuffix)
+	return l.pruneExcept(scenarioPrefix, scenarioSuffix, keep)
+}
+
+// pruneExcept removes the prefix<seq>suffix files whose seq keep does
+// not name.
+func (l *Log) pruneExcept(prefix, suffix string, keep []uint64) error {
+	seqs, err := listSeqFiles(l.dir, prefix, suffix)
 	if err != nil {
 		return err
 	}
@@ -163,19 +159,21 @@ func (l *Log) PruneScenarios(keep ...uint64) error {
 		if slices.Contains(keep, seq) {
 			continue
 		}
-		if err := os.Remove(l.scenarioPath(seq)); err != nil {
+		if err := os.Remove(l.seqPath(prefix, seq, suffix)); err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
 	}
 	return nil
 }
 
-func (l *Log) snapPath(seq uint64) string {
-	return filepath.Join(l.dir, fmt.Sprintf("%s%016d%s", snapPrefix, seq, snapSuffix))
+func (l *Log) seqPath(prefix string, seq uint64, suffix string) string {
+	return filepath.Join(l.dir, fmt.Sprintf("%s%016d%s", prefix, seq, suffix))
 }
 
+func (l *Log) snapPath(seq uint64) string { return l.seqPath(snapPrefix, seq, snapSuffix) }
+
 func (l *Log) scenarioPath(seq uint64) string {
-	return filepath.Join(l.dir, fmt.Sprintf("%s%016d%s", scenarioPrefix, seq, scenarioSuffix))
+	return l.seqPath(scenarioPrefix, seq, scenarioSuffix)
 }
 
 // syncDir fsyncs a directory so a just-renamed entry survives a

@@ -243,14 +243,15 @@ func TestSnapshotRoundTripAndFallback(t *testing.T) {
 	if err != nil || seq != 10 || string(payload) != "state@10" {
 		t.Fatalf("fallback LatestSnapshot = (%d, %q, %v), want (10, state@10, nil)", seq, payload, err)
 	}
-	// PruneSnapshots keeps only the newest file (even if damaged —
-	// pruning is by name; recovery handles damage).
-	if err := l.PruneSnapshots(1); err != nil {
+	// PruneSnapshots keeps exactly the named files: naming the
+	// checkpoint recovery fell back to (and a seq with no file)
+	// removes the damaged newest.
+	if err := l.PruneSnapshots(10, 30); err != nil {
 		t.Fatal(err)
 	}
 	seqs, _ := listSeqFiles(dir, snapPrefix, snapSuffix)
-	if len(seqs) != 1 || seqs[0] != 20 {
-		t.Fatalf("after PruneSnapshots(1): %v, want [20]", seqs)
+	if len(seqs) != 1 || seqs[0] != 10 {
+		t.Fatalf("after PruneSnapshots(10, 30): %v, want [10]", seqs)
 	}
 	l.Close()
 }

@@ -40,22 +40,6 @@ func FromAssoc(a *Assoc) *MultiAssoc {
 	return ma
 }
 
-// ToAssoc lowers a degree-≤1 multi-association back to the single-AP
-// representation; it errors if any user has more than one home.
-func (m *MultiAssoc) ToAssoc() (*Assoc, error) {
-	a := NewAssoc(m.NumUsers())
-	for u, hs := range m.homes {
-		switch len(hs) {
-		case 0:
-		case 1:
-			a.Associate(u, hs[0])
-		default:
-			return nil, fmt.Errorf("wlan: user %d has %d homes, cannot lower to a single-AP association", u, len(hs))
-		}
-	}
-	return a, nil
-}
-
 // NumUsers returns the number of users covered by this association.
 func (m *MultiAssoc) NumUsers() int { return len(m.homes) }
 
@@ -240,12 +224,6 @@ func (n *Network) APLoadMulti(m *MultiAssoc, ap int) float64 {
 	return n.apQuanta(ap, m.HasHome, make([]radio.Mbps, len(n.Sessions))).Load()
 }
 
-// TotalLoadMulti returns the sum of all AP loads under m.
-func (n *Network) TotalLoadMulti(m *MultiAssoc) float64 {
-	total, _ := n.loadTotals(m.HasHome)
-	return total.Load()
-}
-
 // MaxLoadMulti returns the maximum AP load under m.
 func (n *Network) MaxLoadMulti(m *MultiAssoc) float64 {
 	_, peak := n.loadTotals(m.HasHome)
@@ -409,18 +387,6 @@ func (t *MultiTracker) AddHome(u, ap int) error {
 	if len(t.ma.homes[u]) == 1 {
 		t.satisfied++
 	}
-	return nil
-}
-
-// RemoveHome removes AP ap from user u's homes, releasing the cell
-// the home was added with (so it works after the AP went down or u
-// moved). ap must currently be one of u's homes.
-func (t *MultiTracker) RemoveHome(u, ap int) error {
-	i := t.homeIndex(u, ap)
-	if i < 0 {
-		return fmt.Errorf("wlan: tracker: user %d is not homed to AP %d", u, ap)
-	}
-	t.removeAt(u, i)
 	return nil
 }
 

@@ -2,8 +2,10 @@ package wlan
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -59,16 +61,10 @@ func TestMultiAssocFromToAssoc(t *testing.T) {
 	if m.Degree(0) != 1 || !m.HasHome(0, 2) || m.Degree(1) != 0 || m.Degree(3) != 1 {
 		t.Fatalf("FromAssoc wrong: %v %v", m.Homes(0), m.Homes(3))
 	}
-	back, err := m.ToAssoc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !back.Equal(a) {
-		t.Fatal("ToAssoc(FromAssoc(a)) != a")
-	}
-	m.AddHome(0, 5)
-	if _, err := m.ToAssoc(); err == nil {
-		t.Fatal("ToAssoc accepted a degree-2 user")
+	for u := 0; u < a.NumUsers(); u++ {
+		if ap := a.APOf(u); ap != Unassociated && !slices.Equal(m.Homes(u), []int{ap}) {
+			t.Errorf("user %d: homes %v, assoc AP %d", u, m.Homes(u), ap)
+		}
 	}
 }
 
@@ -460,4 +456,18 @@ func TestAggregateRateDegradesUnderFault(t *testing.T) {
 	if got := n.AggregateRate(m, 0); got != 18 {
 		t.Fatalf("aggregate after recovery = %v, want 18", got)
 	}
+}
+
+// RemoveHome removes AP ap from user u's homes, releasing the cell
+// the home was added with (so it works after the AP went down or u
+// moved). ap must currently be one of u's homes. Production changes
+// AP sets through AddHome and ReplaceHomes; the random-sequence suites
+// drive single removals through this.
+func (t *MultiTracker) RemoveHome(u, ap int) error {
+	i := t.homeIndex(u, ap)
+	if i < 0 {
+		return fmt.Errorf("wlan: tracker: user %d is not homed to AP %d", u, ap)
+	}
+	t.removeAt(u, i)
+	return nil
 }

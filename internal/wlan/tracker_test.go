@@ -444,7 +444,7 @@ func requireExactLoads(t *testing.T, n *Network, tr *Tracker, mt *MultiTracker) 
 	}
 	same("total", tr.TotalLoad(), n.TotalLoad(a), ftr.TotalLoad())
 	same("max", tr.MaxLoad(), n.MaxLoad(a), ftr.MaxLoad())
-	same("multi total", mt.TotalLoad(), n.TotalLoadMulti(ma), fmtr.TotalLoad())
+	same("multi total", mt.TotalLoad(), totalLoadMulti(n, ma), fmtr.TotalLoad())
 	same("multi max", mt.MaxLoad(), n.MaxLoadMulti(ma), fmtr.MaxLoad())
 }
 
@@ -492,4 +492,12 @@ func TestQuantaExactForPaperRates(t *testing.T) {
 	if d, want := n.quanta(4, 6)-n.quanta(4, 12), n.quanta(4, 12); d != want {
 		t.Errorf("1/3 - 1/6 = %d quanta, 1/6 = %d", d, want)
 	}
+}
+
+// totalLoadMulti returns the sum of all AP loads under m, computed
+// from scratch — the oracle the multi-tracker's running total is
+// checked against.
+func totalLoadMulti(n *Network, m *MultiAssoc) float64 {
+	total, _ := n.loadTotals(m.HasHome)
+	return total.Load()
 }

@@ -64,13 +64,20 @@
 #      rounds that skip unchanged neighbourhoods against a plain
 #      round robin, one reused SCG Solver against fresh GreedySCG
 #      calls — so a change that moves any association fails here
-#   9. the metrics-doc drift gate: registers the daemon's full metric
+#   9. the production-surface gate: every exported identifier under
+#      internal/ has a reference from a non-test file (root module or
+#      bench/) or an allowlist entry naming the other package whose
+#      tests need it, no allowlist entry is stale, and cmd/assocd and
+#      cmd/loadgen do not import internal/lp or internal/ilp — so
+#      test-only code stays in _test.go files and the daemon does not
+#      link the Figure 12 solvers
+#  10. the metrics-doc drift gate: registers the daemon's full metric
 #      surface (base + engine + lazily-registered algo_* families) and
 #      fails if METRICS.md is missing a family, documents a removed
 #      one, or the exposition violates the prom lint (incl. label
 #      rules); regenerate with
 #      UPDATE_METRICS_MD=1 go test ./cmd/assocd -run TestMetricsDocCurrent
-#  10. a fuzz smoke pass: ~10s per fuzz target (events decoder,
+#  11. a fuzz smoke pass: ~10s per fuzz target (events decoder,
 #      multi-association decoder, NDJSON stream handler, checkpoint
 #      envelope decoder (no panic; an accepted binary envelope
 #      re-encodes to its own bytes), journal record decoder, engine
@@ -81,13 +88,13 @@
 #      accepts parses to one sample per non-comment line) so
 #      corpus regressions surface in CI, not just in long local fuzz
 #      runs
-#  11. the benchmark module (bench/, a nested module outside
+#  12. the benchmark module (bench/, a nested module outside
 #      `go test ./...`): vet plus its tests, where TestQuickRuns runs
 #      all five workloads at -quick with verified outputs and
 #      TestSpecShape is the metric-name drift gate against
 #      BENCHMARK.json — bench/ imports internal packages, so a
 #      refactor that breaks it fails here
-#  12. a leftover-process check: fails (after killing them) if any
+#  13. a leftover-process check: fails (after killing them) if any
 #      assocd, loadgen or *.test process this run started is still
 #      alive — every process started below inherits CHECK_RUN_ID, so
 #      even one orphaned by a killed parent is found by its environment
@@ -167,6 +174,9 @@ echo "== behaviour gate (golden figure tables, tie rules, skip and solver-reuse 
 go test -run 'TestBehaviourFigures' -count 1 ./internal/experiments
 go test -run 'TestChooseTieRules|TestDistributedSkipMatchesRoundRobin|TestDistributedDecisions' -count 1 ./internal/core
 go test -run 'TestSolverReuseMatchesFresh|TestGreedySparseMatchesDense' -count 1 ./internal/setcover
+
+echo "== production-surface gate (no test-only exports under internal/, no LP/ILP in assocd or loadgen)"
+go test -run 'TestProductionSurface' -count 1 .
 
 echo "== metrics-doc drift gate (METRICS.md vs registered families)"
 go test -run 'TestMetricsDocCurrent|TestMetricsDocLint' -count 1 ./cmd/assocd
