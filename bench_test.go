@@ -224,7 +224,7 @@ func BenchmarkTrackerMove(b *testing.B) {
 	// Pre-associate everyone with their first neighbor.
 	for u := 0; u < n.NumUsers(); u++ {
 		if nb := n.NeighborAPs(u); len(nb) > 0 {
-			if err := tr.Associate(u, nb[0]); err != nil {
+			if err := tr.AddHome(u, nb[0]); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -217,16 +217,16 @@ func associatedUser(t *testing.T, s *server) int {
 	return -1
 }
 
-// breakUser cuts u's links behind the engine's back, so that a later
-// leave for u passes validation and then fails inside the engine: the
-// state only a broken engine invariant produces.
-func breakUser(t *testing.T, s *server, u int) {
-	t.Helper()
+// breakEngine raises session 0's bitrate behind the engine's back past
+// the range a tracker keeps exact, so that the next event passes
+// validation and then fails inside the engine: under the full-recompute
+// mode every event rebuilds the association on a fresh tracker, which
+// refuses the network. Only a broken engine invariant produces such a
+// state.
+func breakEngine(s *server) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.eng.Network().DetachUser(u); err != nil {
-		t.Fatal(err)
-	}
+	s.eng.Network().Sessions[0].Rate = 1e6
 }
 
 // assertFailed checks what a failed daemon shows: every kind of
@@ -277,13 +277,13 @@ func TestFailStopInternalError(t *testing.T) {
 		t.Run(via, func(t *testing.T) {
 			s := durableServer(t, t.TempDir(), 0)
 			defer closeLog(t, s)
-			mustPost(t, s, "/v1/scenario", durableScenario)
+			mustPost(t, s, "/v1/scenario", strings.Replace(durableScenario, "{", `{"mode":"full",`, 1))
 			driveChurn(t, s, 1)
 			if got := metricValue(t, recordGet(s, "/metrics"), "assocd_failed"); got != 0 {
 				t.Fatalf("assocd_failed = %v on a healthy daemon, want 0", got)
 			}
 			u := associatedUser(t, s)
-			breakUser(t, s, u)
+			breakEngine(s)
 			lastSeq := s.dur.log.LastSeq()
 			leave := fmt.Sprintf(`{"kind":"leave","user":%d}`, u)
 			if via == "events" {

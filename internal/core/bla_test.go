@@ -31,7 +31,7 @@ func (d *Distributed) chooseBLARef(n *wlan.Network, tr *wlan.Tracker, u int) (in
 				load = leaveLoad
 			}
 			if b == target && target != cur {
-				load, _ = tr.LoadIfJoin(u, b)
+				load, _, _ = tr.LoadIfJoin(u, b)
 			}
 			v = append(v, load)
 		}
@@ -43,11 +43,11 @@ func (d *Distributed) chooseBLARef(n *wlan.Network, tr *wlan.Tracker, u int) (in
 	var bestVec []float64
 	for _, a := range neighbors {
 		if a != cur {
-			joinLoad, ok := tr.LoadIfJoin(u, a)
+			joinLoad, _, ok := tr.LoadIfJoin(u, a)
 			if !ok {
 				continue
 			}
-			if d.EnforceBudget && joinLoad > n.APs[a].Budget+loadEps {
+			if d.EnforceBudget && !n.WithinBudget(a, joinLoad) {
 				continue
 			}
 		}

@@ -87,8 +87,8 @@ func fillUnderBudgets(n *wlan.Network, assoc *wlan.Assoc) error {
 			}
 			best, bestDelta := wlan.Unassociated, 0.0
 			for _, a := range n.NeighborAPs(u) {
-				load, ok := tr.LoadIfJoin(u, a)
-				if !ok || load > n.APs[a].Budget+loadEps {
+				load, _, ok := tr.LoadIfJoin(u, a)
+				if !ok || !n.WithinBudget(a, load) {
 					continue
 				}
 				delta := load - tr.APLoad(a)
@@ -97,7 +97,7 @@ func fillUnderBudgets(n *wlan.Network, assoc *wlan.Assoc) error {
 				}
 			}
 			if best != wlan.Unassociated {
-				if err := tr.Associate(u, best); err != nil {
+				if err := tr.AddHome(u, best); err != nil {
 					return err
 				}
 				changed = true

@@ -295,11 +295,11 @@ func (d *Distributed) chooseMinTotal(n *wlan.Network, tr *wlan.Tracker, u int) (
 		if a == cur {
 			delta = 0
 		} else {
-			joinLoad, ok := tr.LoadIfJoin(u, a)
+			joinLoad, _, ok := tr.LoadIfJoin(u, a)
 			if !ok {
 				continue
 			}
-			if d.EnforceBudget && joinLoad > n.APs[a].Budget+loadEps {
+			if d.EnforceBudget && !n.WithinBudget(a, joinLoad) {
 				continue
 			}
 			delta = (joinLoad - tr.APLoad(a)) + leaveDelta
@@ -375,11 +375,11 @@ func (d *Distributed) chooseBLA(n *wlan.Network, tr *wlan.Tracker, u int) (int, 
 		if a == cur {
 			cand = append(cand[:0], base...)
 		} else {
-			joinLoad, ok := tr.LoadIfJoin(u, a)
+			joinLoad, _, ok := tr.LoadIfJoin(u, a)
 			if !ok {
 				continue
 			}
-			if d.EnforceBudget && joinLoad > n.APs[a].Budget+loadEps {
+			if d.EnforceBudget && !n.WithinBudget(a, joinLoad) {
 				continue
 			}
 			cand = substituteLoads(cand[:0], base, tr.APLoad(a), joinLoad, curNear, curLoad, leaveLoad)

@@ -24,11 +24,11 @@ func StrongestOf(n *wlan.Network, u int, aps []int) int {
 // AugmentHomes derives a multi-association from a primary single-AP
 // association: every primary assignment is kept verbatim, then up to
 // maxHomes-1 secondary homes are added per user. Two passes, both in
-// ascending user/AP order, and every load comparison is count-pure
-// (wlan.MultiTracker: a function of the AP's occupancy counts alone),
-// so the result is a pure deterministic function of the inputs — the
-// engine's determinism and crash-recovery byte-identity both lean on
-// that.
+// ascending user/AP order, and every load comparison is count-pure (a
+// wlan.Tracker capped at maxHomes: a function of the AP's occupancy
+// counts alone), so the result is a pure deterministic function of the
+// inputs — the engine's determinism and crash-recovery byte-identity
+// both lean on that.
 //
 // Pass 1 (KeptHomes) grandfathers prev (the previous derivation's
 // secondary sets, nil for a from-scratch run): a previous secondary is
@@ -74,8 +74,8 @@ func AugmentHomes(n *wlan.Network, primary *wlan.Assoc, prev [][]int, maxHomes i
 }
 
 // DeriveHomes runs AugmentHomes' two passes over every user on a fresh
-// tracker and returns it.
-func DeriveHomes(n *wlan.Network, primary *wlan.Assoc, prev [][]int, maxHomes int) (*wlan.MultiTracker, error) {
+// tracker capped at maxHomes and returns it.
+func DeriveHomes(n *wlan.Network, primary *wlan.Assoc, prev [][]int, maxHomes int) (*wlan.Tracker, error) {
 	if primary.NumUsers() != n.NumUsers() {
 		return nil, fmt.Errorf("core: augment homes: primary covers %d users, network has %d", primary.NumUsers(), n.NumUsers())
 	}
@@ -85,7 +85,7 @@ func DeriveHomes(n *wlan.Network, primary *wlan.Assoc, prev [][]int, maxHomes in
 	if maxHomes < 1 {
 		maxHomes = 1
 	}
-	tr, err := wlan.NewMultiTracker(n, nil)
+	tr, err := wlan.NewCappedTracker(n, maxHomes, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -137,7 +137,7 @@ func KeptHomes(n *wlan.Network, u, primary int, prevSec []int, maxHomes int, dst
 // count-purely from tr, and homes are only ever added, so an AP's join
 // load never falls during the fill: a user whose fill failed stays
 // failed until one of its neighbours loses occupancy or comes back up.
-func FillHomes(n *wlan.Network, tr *wlan.MultiTracker, users []int, maxHomes int) error {
+func FillHomes(n *wlan.Network, tr *wlan.Tracker, users []int, maxHomes int) error {
 	for changed := true; changed; {
 		changed = false
 		for _, u := range users {
@@ -147,7 +147,7 @@ func FillHomes(n *wlan.Network, tr *wlan.MultiTracker, users []int, maxHomes int
 			best, bestDelta := wlan.Unassociated, 0.0
 			for _, a := range n.NeighborAPs(u) {
 				load, delta, ok := tr.LoadIfJoin(u, a)
-				if !ok || load > n.APs[a].Budget+loadEps {
+				if !ok || !n.WithinBudget(a, load) {
 					continue
 				}
 				if best == wlan.Unassociated || delta < bestDelta {

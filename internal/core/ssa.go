@@ -35,12 +35,12 @@ func (s *SSA) Run(n *wlan.Network) (*wlan.Assoc, error) {
 			continue
 		}
 		if s.EnforceBudget {
-			load, ok := tr.LoadIfJoin(u, ap)
-			if !ok || load > n.APs[ap].Budget+1e-9 {
+			load, _, ok := tr.LoadIfJoin(u, ap)
+			if !ok || !n.WithinBudget(ap, load) {
 				continue
 			}
 		}
-		if err := tr.Associate(u, ap); err != nil {
+		if err := tr.AddHome(u, ap); err != nil {
 			return nil, err
 		}
 	}

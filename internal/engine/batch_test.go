@@ -446,15 +446,22 @@ func TestEngineInternalErrorStopsBatch(t *testing.T) {
 	if e.Snapshot().APOf(0) != 0 {
 		t.Fatal("user 0 did not start on AP 0")
 	}
-	// Cut user 0's links behind the tracker's back: its leave passes
-	// validation but the tracker cannot disassociate it.
-	if err := e.n.DetachUser(0); err != nil {
+	// Swap in a tracker over a copy of the network in which user 0 has
+	// no links: its move passes validation, but the tracker cannot
+	// re-home it.
+	other := twoRegionNetwork(t)
+	tr, err := wlan.NewTracker(other, e.Snapshot())
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := other.DetachUser(0); err != nil {
+		t.Fatal(err)
+	}
+	e.tr = tr
 	tail := geom.Point{X: 110, Y: 100}
 	batch := []Event{
 		{Kind: UserMove, User: 1, Pos: geom.Point{X: 1090, Y: 100}},
-		{Kind: UserLeave, User: 0},
+		{Kind: UserMove, User: 0, Pos: geom.Point{X: 130, Y: 100}},
 		{Kind: UserMove, User: 2, Pos: tail},
 	}
 	br, err := e.ApplyBatch(batch)

@@ -146,7 +146,7 @@ type Engine struct {
 	// changed (see touch), mhUp the APs it brought back up; mhMark,
 	// mhDirty, mhDirtyAPs, mhPrev and mhKept are deriveMulti's reusable
 	// scratch.
-	mh                  *wlan.MultiTracker
+	mh                  *wlan.Tracker
 	mhPrim              []int
 	mhTouched, mhUp     []int
 	mhMark              []bool
@@ -287,22 +287,15 @@ func (e *Engine) seedTracker(assoc *wlan.Assoc) error {
 // the engine lock. reduce and every restore and install path end
 // here, after their multi-home derivation step.
 func (e *Engine) updateGauges() {
-	sat := e.Satisfied()
-	maxLoad := e.MaxLoad()
 	e.metrics.activeUsers.Set(float64(e.nActive))
 	e.metrics.apLoadTotal.Set(e.TotalLoad())
-	e.metrics.apLoadMax.Set(maxLoad)
+	e.metrics.apLoadMax.Set(e.MaxLoad())
 	e.metrics.apsDown.Set(float64(e.n.NumAPsDown()))
-	e.metrics.unsatisfied.Set(float64(e.nActive - sat))
-	if e.multihomeOn() {
-		e.metrics.mhSatisfied.Set(float64(e.mh.Satisfied()))
-		e.metrics.mhSecondary.Set(float64(e.mh.NumHomes() - e.mh.Satisfied()))
-		e.metrics.mhLoadMax.Set(e.mh.MaxLoad())
-	} else {
-		e.metrics.mhSatisfied.Set(float64(sat))
-		e.metrics.mhSecondary.Set(0)
-		e.metrics.mhLoadMax.Set(maxLoad)
-	}
+	e.metrics.unsatisfied.Set(float64(e.nActive - e.Satisfied()))
+	mh := e.homes()
+	e.metrics.mhSatisfied.Set(float64(mh.Satisfied()))
+	e.metrics.mhSecondary.Set(float64(mh.NumHomes() - mh.Satisfied()))
+	e.metrics.mhLoadMax.Set(mh.MaxLoad())
 	e.flushStageStats()
 }
 
@@ -445,14 +438,14 @@ func (e *Engine) rehome(ev Event, res *ApplyResult) error {
 		// Mutations validate before touching state, so the tracker
 		// detach is the only thing to undo.
 		if ap != wlan.Unassociated {
-			if aerr := e.tr.Associate(u, ap); aerr != nil {
+			if aerr := e.tr.AddHome(u, ap); aerr != nil {
 				return fmt.Errorf("%w (and could not restore association: %v)", err, aerr)
 			}
 		}
 		return err
 	}
 	if ap != wlan.Unassociated && e.n.Reachable(ap, u) && e.fitsBudget(u, ap) {
-		if err := e.tr.Associate(u, ap); err != nil {
+		if err := e.tr.AddHome(u, ap); err != nil {
 			return err
 		}
 	} else if ap != wlan.Unassociated {
@@ -475,11 +468,9 @@ func (e *Engine) fitsBudget(u, ap int) bool {
 	if !e.cfg.EnforceBudget {
 		return true
 	}
-	l, ok := e.tr.LoadIfJoin(u, ap)
-	return ok && l <= e.n.APs[ap].Budget+budgetEps
+	l, _, ok := e.tr.LoadIfJoin(u, ap)
+	return ok && e.n.WithinBudget(ap, l)
 }
-
-const budgetEps = 1e-9
 
 // repair drains the worklist: pop the lowest-id affected user, let it
 // re-decide with the distributed rule, and when it moves, mark every
@@ -586,13 +577,13 @@ func (e *Engine) Satisfied() int { return e.tr.Satisfied() }
 func (e *Engine) Snapshot() *wlan.Assoc { return e.tr.Assoc() }
 
 // Network returns the engine's underlying network. The engine owns
-// it: callers must treat it as strictly read-only — mutating it (or
-// running another Tracker's Associate over it) silently corrupts the
-// engine's incremental state. Use Snapshot for an independent copy of
-// the association, and the NumAPs/NumUsers/TotalLoad/MaxLoad/APLoads
-// accessors for the common read-outs; reach for Network only when a
-// read-only API (scenario export, DecodeAssoc sizing, load
-// recomputation) genuinely needs the full model.
+// it: callers must treat it as strictly read-only — mutating it
+// silently corrupts the engine's incremental state. Use Snapshot for
+// an independent copy of the association, and the
+// NumAPs/NumUsers/TotalLoad/MaxLoad/APLoads accessors for the common
+// read-outs; reach for Network only when a read-only API (scenario
+// export, DecodeAssoc sizing, load recomputation) genuinely needs the
+// full model.
 func (e *Engine) Network() *wlan.Network { return e.n }
 
 // NumAPs returns the network's AP count.

@@ -9,6 +9,7 @@ import (
 
 	"wlanmcast/internal/core"
 	"wlanmcast/internal/geom"
+	"wlanmcast/internal/radio"
 	"wlanmcast/internal/scenario"
 	"wlanmcast/internal/wlan"
 )
@@ -341,5 +342,49 @@ func TestEngineRejectsBasicRateOnly(t *testing.T) {
 	n.BasicRateOnly = true
 	if _, err := New(n, Config{}); err == nil {
 		t.Fatal("New accepted a basic-rate-only network")
+	}
+}
+
+// TestBudgetToleranceAgrees pins one budget tolerance for admission
+// and validation. One AP's budget sits 6.7e-10 below the load of its
+// one user (0.5 Mbps at 12 Mbps, 1/24): every budget-enforcing
+// algorithm admits the user, so its result must validate, and an MNU
+// engine must accept its own association and multi-association back.
+func TestBudgetToleranceAgrees(t *testing.T) {
+	newNet := func() *wlan.Network {
+		n, err := wlan.NewFromRates([][]radio.Mbps{{12}}, []int{0}, []wlan.Session{{Rate: 0.5}}, 0.041666666)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	n := newNet()
+	for _, alg := range []core.Algorithm{
+		&core.SSA{EnforceBudget: true},
+		&core.Distributed{Objective: core.ObjMNU, EnforceBudget: true},
+		&core.CentralizedMNU{},
+	} {
+		a, err := alg.Run(n)
+		if err != nil {
+			t.Fatalf("%s: %v", alg.Name(), err)
+		}
+		if a.APOf(0) != 0 {
+			t.Fatalf("%s left the user out", alg.Name())
+		}
+		if err := n.Validate(a, true); err != nil {
+			t.Errorf("%s: result refused: %v", alg.Name(), err)
+		}
+	}
+	for _, maxHomes := range []int{1, 2} {
+		e := newEngine(t, newNet(), Config{Objective: core.ObjMNU, EnforceBudget: true, MaxHomes: maxHomes})
+		if e.Satisfied() != 1 {
+			t.Fatalf("MaxHomes %d: engine serves %d users, want 1", maxHomes, e.Satisfied())
+		}
+		if err := e.SetAssoc(e.Snapshot()); err != nil {
+			t.Errorf("MaxHomes %d: SetAssoc(Snapshot()): %v", maxHomes, err)
+		}
+		if err := e.SetMultiAssoc(e.MultiSnapshot()); err != nil {
+			t.Errorf("MaxHomes %d: SetMultiAssoc(MultiSnapshot()): %v", maxHomes, err)
+		}
 	}
 }

@@ -103,8 +103,8 @@ func (e *Engine) validate(events []Event) (int, error) {
 	return len(events), nil
 }
 
-// applyAPDown orphans every user associated with the AP (disassociated
-// while the link still resolves, per the tracker contract), takes the
+// applyAPDown orphans every user associated with the AP (found through
+// its coverage, which lists them only while the AP is up), takes the
 // AP down, and queues the orphans for re-decision. Orphans no other AP
 // covers simply stay unassociated — degradation, not an error; the
 // fault_unsatisfied_users gauge tracks them.

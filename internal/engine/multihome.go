@@ -16,8 +16,10 @@ import (
 // MaxHomes-1 *secondary* homes per user, with the result of
 // core.AugmentHomes(network, primaries, previous secondaries).
 //
-// The derivation is incremental and exact. The engine keeps one
-// wlan.MultiTracker holding every user's home set as of the last call.
+// The derivation is incremental and exact. Beside the primary tracker
+// e.tr, whose primary-only loads the decisions read, the engine keeps
+// a second wlan.Tracker, e.mh, capped at MaxHomes and holding every
+// user's home set (primary plus secondaries) as of the last call.
 // During a call the engine logs the users whose primary, position,
 // session or activity it changed, the users holding a home on an AP it
 // took down, and the APs it brought up. At the end of the call
@@ -171,28 +173,28 @@ func (e *Engine) secondaryOf(u int) []int {
 	return sec
 }
 
+// homes returns the tracker of every user's home set: e.mh while
+// multi-homing, else the primary tracker, whose one home per user is
+// the whole set.
+func (e *Engine) homes() *wlan.Tracker {
+	if e.multihomeOn() {
+		return e.mh
+	}
+	return e.tr
+}
+
 // MultiSnapshot returns a copy of the current multi-association:
 // every user's primary AP merged with its derived secondary homes,
 // sorted ascending. With MaxHomes <= 1 it is exactly the single-AP
 // Snapshot lifted to sets. Identical (network, config, event
 // sequence) inputs yield byte-identical JSON-marshalled snapshots at
 // every point in the stream.
-func (e *Engine) MultiSnapshot() *wlan.MultiAssoc {
-	if e.multihomeOn() {
-		return e.mh.MultiAssoc()
-	}
-	return wlan.FromAssoc(e.Snapshot())
-}
+func (e *Engine) MultiSnapshot() *wlan.MultiAssoc { return e.homes().MultiAssoc() }
 
 // MultiSatisfied returns how many users have at least one home — the
 // single-AP satisfied count while MaxHomes <= 1. It reads a cached
 // count; no snapshot is built.
-func (e *Engine) MultiSatisfied() int {
-	if e.multihomeOn() {
-		return e.mh.Satisfied()
-	}
-	return e.Satisfied()
-}
+func (e *Engine) MultiSatisfied() int { return e.homes().Satisfied() }
 
 // SetMultiAssoc force-installs an externally supplied
 // multi-association (the assocd PUT /v1/multiassoc path). Validation

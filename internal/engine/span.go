@@ -65,10 +65,11 @@ func StageBounds() []float64 {
 // the stage histogram and the trace as an EvSpan carrying the event
 // count.
 func (e *Engine) observeStage(stage int, start time.Time, events int) {
-	end := e.now()
-	e.metrics.stageLat.At(stage).Observe(end.Sub(start).Seconds())
-	sp := obs.StartSpan(e.trace, obs.Event{Algo: "engine", Kind: stageNames[stage], N: events}, start.UnixNano())
-	sp.End(end.UnixNano())
+	elapsed := e.now().Sub(start).Seconds()
+	e.metrics.stageLat.At(stage).Observe(elapsed)
+	if obs.Active(e.trace) {
+		e.trace.Record(obs.Event{Type: obs.EvSpan, Algo: "engine", Kind: stageNames[stage], N: events, Value: elapsed})
+	}
 }
 
 // flushStageStats folds the staged apply observations into the shared

@@ -176,3 +176,45 @@ func TestEngineStageExposition(t *testing.T) {
 		t.Error("no EvSpan records on the trace ring")
 	}
 }
+
+// spyRecorder keeps every event recorded into it; enabled is what it
+// reports to obs.Active.
+type spyRecorder struct {
+	enabled bool
+	events  []obs.Event
+}
+
+func (r *spyRecorder) Record(ev obs.Event) { r.events = append(r.events, ev) }
+func (r *spyRecorder) Enabled() bool       { return r.enabled }
+
+// TestObserveStageRecordsSpan pins the batch-stage trace span: one
+// EvSpan naming the stage and its event count, whose Value is the
+// elapsed seconds of the injected clock, and nothing recorded through
+// a nil or disabled recorder.
+func TestObserveStageRecordsSpan(t *testing.T) {
+	var clock time.Time
+	now := func() time.Time { return clock }
+	on, off := &spyRecorder{enabled: true}, &spyRecorder{}
+	for _, rec := range []obs.Recorder{on, off, nil, obs.Disabled} {
+		e := newEngine(t, twoRegionNetwork(t), Config{Trace: rec, Now: now})
+		on.events, off.events = nil, nil
+		clock = time.Unix(0, 3_500)
+		e.observeStage(stageValidate, time.Unix(0, 1_000), 10)
+		if rec != on {
+			if len(off.events) != 0 {
+				t.Errorf("disabled recorder holds %+v", off.events)
+			}
+			continue
+		}
+		if len(on.events) != 1 {
+			t.Fatalf("%d events, want 1", len(on.events))
+		}
+		ev := on.events[0]
+		if ev.Type != obs.EvSpan || ev.Algo != "engine" || ev.Kind != "validate" || ev.N != 10 {
+			t.Errorf("span event %+v", ev)
+		}
+		if want := 2.5e-6; ev.Value != want {
+			t.Errorf("Value %g, want %g", ev.Value, want)
+		}
+	}
+}

@@ -78,38 +78,6 @@ const (
 	EvSpan = "span"
 )
 
-// Span is an in-progress trace span: StartSpan captures the template
-// event and start time, End stamps the elapsed seconds into Value and
-// records it. Timestamps are caller-supplied nanoseconds so engines
-// with injected clocks produce deterministic traces. The zero Span is
-// inert; End on it is a no-op.
-type Span struct {
-	rec     Recorder
-	ev      Event
-	startNS int64
-}
-
-// StartSpan opens a span that will be recorded to rec. The ev
-// argument carries everything but Type (forced to EvSpan) and Value
-// (set by End). When rec is nil or disabled the returned span is
-// inert, so callers need no guard around the pair.
-func StartSpan(rec Recorder, ev Event, startNS int64) Span {
-	if !Active(rec) {
-		return Span{}
-	}
-	return Span{rec: rec, ev: ev, startNS: startNS}
-}
-
-// End records the span with Value = elapsed seconds.
-func (s Span) End(endNS int64) {
-	if s.rec == nil {
-		return
-	}
-	s.ev.Type = EvSpan
-	s.ev.Value = float64(endNS-s.startNS) / 1e9
-	s.rec.Record(s.ev)
-}
-
 // Recorder is a trace sink. Implementations must be safe for
 // concurrent use and assign Event.Seq themselves.
 type Recorder interface {

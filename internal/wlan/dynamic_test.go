@@ -207,10 +207,10 @@ func TestDetachLastUserOfSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Associate(0, 0); err != nil {
+	if err := tr.AddHome(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Associate(1, 1); err != nil {
+	if err := tr.AddHome(1, 1); err != nil {
 		t.Fatal(err)
 	}
 	// User 1 is session 1's only member. Remove it: AP 1's load must
@@ -286,7 +286,7 @@ func TestDynamicTrackerInterplay(t *testing.T) {
 	}
 	for u := 0; u < n.NumUsers(); u++ {
 		if nb := n.NeighborAPs(u); len(nb) > 0 {
-			if err := tr.Associate(u, nb[0]); err != nil {
+			if err := tr.AddHome(u, nb[0]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -303,7 +303,7 @@ func TestDynamicTrackerInterplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		if nb := n.NeighborAPs(u); len(nb) > 0 {
-			if err := tr.Associate(u, nb[rng.Intn(len(nb))]); err != nil {
+			if err := tr.AddHome(u, nb[rng.Intn(len(nb))]); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -47,10 +47,10 @@ func ExampleTracker() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := tr.Associate(0, 0); err != nil { // user 0 joins AP 0 at 6 Mbps
+	if err := tr.AddHome(0, 0); err != nil { // user 0 joins AP 0 at 6 Mbps
 		log.Fatal(err)
 	}
-	load, _ := tr.LoadIfJoin(1, 0) // what if user 1 joined AP 0 too?
+	load, _, _ := tr.LoadIfJoin(1, 0) // what if user 1 joined AP 0 too?
 	fmt.Printf("AP0 now %.4f, would be %.4f\n", tr.APLoad(0), load)
 	// Output:
 	// AP0 now 0.1667, would be 0.1667

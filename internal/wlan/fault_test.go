@@ -215,7 +215,7 @@ func TestTrackerExcludesDownAP(t *testing.T) {
 	for u := 0; u < n.NumUsers(); u++ {
 		if nb := n.NeighborAPs(u); len(nb) > 0 {
 			ap := nb[0]
-			if err := tr.Associate(u, ap); err != nil {
+			if err := tr.AddHome(u, ap); err != nil {
 				t.Fatal(err)
 			}
 			if ap == 2 {
@@ -241,7 +241,7 @@ func TestTrackerExcludesDownAP(t *testing.T) {
 	if l := tr.APLoad(2); math.Abs(l) > 1e-9 {
 		t.Fatalf("down AP tracked load = %v, want 0", l)
 	}
-	if err := tr.Associate(onAP2[0], 2); err == nil {
+	if err := tr.AddHome(onAP2[0], 2); err == nil {
 		t.Fatal("Associate to a down AP accepted")
 	}
 	// Validate must reject an association that claims the down AP.
@@ -253,7 +253,7 @@ func TestTrackerExcludesDownAP(t *testing.T) {
 	if err := n.EnableAP(2); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Associate(onAP2[0], 2); err != nil {
+	if err := tr.AddHome(onAP2[0], 2); err != nil {
 		t.Fatalf("re-associate after recovery: %v", err)
 	}
 }

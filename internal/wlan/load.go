@@ -274,6 +274,17 @@ func CompareLoadVectorsEps(a, b []float64, eps float64) int {
 // loadEps absorbs floating-point noise when comparing loads.
 const loadEps = 1e-12
 
+// budgetEps is how far past its budget an AP's load may go and still
+// count as within it: the tolerance of every admission decision and of
+// the budget checks of Validate and ValidateMulti, so an association
+// the algorithms built always validates.
+const budgetEps = 1e-9
+
+// WithinBudget reports whether load fits AP ap's budget.
+func (n *Network) WithinBudget(ap int, load float64) bool {
+	return load <= n.APs[ap].Budget+budgetEps
+}
+
 // Validate checks that association a is well-formed for network n:
 // every associated user is in range of its AP, and optionally that
 // every AP load stays within its budget.
@@ -294,8 +305,8 @@ func (n *Network) Validate(a *Assoc, enforceBudgets bool) error {
 	}
 	if enforceBudgets {
 		for ap := range n.APs {
-			if l := n.APLoad(a, ap); l > n.APs[ap].Budget+loadEps {
-				return fmt.Errorf("wlan: AP %d load %.4f exceeds budget %.4f", ap, l, n.APs[ap].Budget)
+			if l := n.APLoad(a, ap); !n.WithinBudget(ap, l) {
+				return fmt.Errorf("wlan: AP %d load %v exceeds budget %v", ap, l, n.APs[ap].Budget)
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package wlan
 import (
 	"encoding/json"
 	"fmt"
-	"slices"
 	"sort"
 
 	"wlanmcast/internal/radio"
@@ -26,18 +25,6 @@ type MultiAssoc struct {
 // unassociated.
 func NewMultiAssoc(numUsers int) *MultiAssoc {
 	return &MultiAssoc{homes: make([][]int, numUsers)}
-}
-
-// FromAssoc lifts a single-AP association into the multi-homing
-// representation: each associated user gets the one-element AP set.
-func FromAssoc(a *Assoc) *MultiAssoc {
-	ma := NewMultiAssoc(a.NumUsers())
-	for u := 0; u < a.NumUsers(); u++ {
-		if ap := a.APOf(u); ap != Unassociated {
-			ma.homes[u] = []int{ap}
-		}
-	}
-	return ma
 }
 
 // NumUsers returns the number of users covered by this association.
@@ -268,176 +255,10 @@ func (n *Network) ValidateMulti(m *MultiAssoc, enforceBudgets bool) error {
 	}
 	if enforceBudgets {
 		for ap := range n.APs {
-			if l := n.APLoadMulti(m, ap); l > n.APs[ap].Budget+loadEps {
-				return fmt.Errorf("wlan: AP %d load %.4f exceeds budget %.4f", ap, l, n.APs[ap].Budget)
+			if l := n.APLoadMulti(m, ap); !n.WithinBudget(ap, l) {
+				return fmt.Errorf("wlan: AP %d load %v exceeds budget %v", ap, l, n.APs[ap].Budget)
 			}
 		}
 	}
 	return nil
-}
-
-// MultiTracker maintains per-AP load incrementally as users gain and
-// lose homes, the multi-homing counterpart of Tracker: the same
-// loadCube occupancy cube underneath, but a user may occupy several
-// AP rows at once. Its loads are exact (see Quanta), so two trackers
-// holding the same homes answer every query with the same bits as each
-// other and as APLoadMulti over the materialized association — which
-// is what lets the engine keep one tracker alive across calls and
-// re-derive only the users a call touched.
-//
-// Each home records the (session, rate level) cell it occupies when it
-// is added, and removal releases that cell: a home can be removed
-// after its AP went down or its user moved or changed session.
-type MultiTracker struct {
-	cube loadCube
-	// ma mirrors the tracked multi-association; cells[u][i] is the
-	// cube cell s*nLev+level that u's home ma.homes[u][i] occupies.
-	ma    *MultiAssoc
-	cells [][]int32
-	// satisfied counts users with at least one home, homes all homes.
-	satisfied, homes int
-	// oldAPs/oldCells are ReplaceHomes' scratch.
-	oldAPs   []int
-	oldCells []int32
-}
-
-// NewMultiTracker builds a tracker over network n starting from
-// multi-association m (which may be nil for the all-unassociated
-// start).
-func NewMultiTracker(n *Network, m *MultiAssoc) (*MultiTracker, error) {
-	cube, err := newLoadCube(n)
-	if err != nil {
-		return nil, err
-	}
-	t := &MultiTracker{
-		cube:  cube,
-		ma:    NewMultiAssoc(n.NumUsers()),
-		cells: make([][]int32, n.NumUsers()),
-	}
-	if m != nil {
-		if m.NumUsers() != n.NumUsers() {
-			return nil, fmt.Errorf("wlan: tracker: multi-association covers %d users, network has %d", m.NumUsers(), n.NumUsers())
-		}
-		for u := 0; u < m.NumUsers(); u++ {
-			for _, ap := range m.Homes(u) {
-				if err := t.AddHome(u, ap); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return t, nil
-}
-
-// Homes returns u's current sorted AP set (shared slice, do not
-// modify).
-func (t *MultiTracker) Homes(u int) []int { return t.ma.Homes(u) }
-
-// Degree returns how many APs user u is currently homed to.
-func (t *MultiTracker) Degree(u int) int { return t.ma.Degree(u) }
-
-// HasHome reports whether user u is currently homed to ap.
-func (t *MultiTracker) HasHome(u, ap int) bool { return t.homeIndex(u, ap) >= 0 }
-
-// APLoad returns the current multicast load of ap.
-func (t *MultiTracker) APLoad(ap int) float64 { return t.cube.load[ap].Load() }
-
-// TotalLoad returns the current total multicast load.
-func (t *MultiTracker) TotalLoad() float64 { return t.cube.total.Load() }
-
-// MaxLoad returns the current maximum AP load (0 with no homes): the
-// same bits as MaxLoadMulti over the materialized association, without
-// its rescan of every AP's members.
-func (t *MultiTracker) MaxLoad() float64 { return t.cube.maxLoad().Load() }
-
-// Satisfied returns how many users currently have at least one home.
-func (t *MultiTracker) Satisfied() int { return t.satisfied }
-
-// NumHomes returns the total number of homes over all users.
-func (t *MultiTracker) NumHomes() int { return t.homes }
-
-// MultiAssoc materializes the tracked multi-association.
-func (t *MultiTracker) MultiAssoc() *MultiAssoc { return t.ma.Clone() }
-
-// homeIndex returns ap's index in u's home set, or -1.
-func (t *MultiTracker) homeIndex(u, ap int) int {
-	hs := t.ma.homes[u]
-	if i := sort.SearchInts(hs, ap); i < len(hs) && hs[i] == ap {
-		return i
-	}
-	return -1
-}
-
-// AddHome homes user u to AP ap, updating loads incrementally. ap
-// must not already be one of u's homes and must be in range.
-func (t *MultiTracker) AddHome(u, ap int) error {
-	if t.HasHome(u, ap) {
-		return fmt.Errorf("wlan: tracker: user %d already homed to AP %d", u, ap)
-	}
-	c := &t.cube
-	s, lv := c.cell(u, ap)
-	if lv < 0 {
-		return fmt.Errorf("wlan: tracker: AP %d cannot serve user %d (out of range, or a rate outside the network's levels)", ap, u)
-	}
-	i := sort.SearchInts(t.ma.homes[u], ap)
-	t.ma.homes[u] = slices.Insert(t.ma.homes[u], i, ap)
-	t.cells[u] = slices.Insert(t.cells[u], i, int32(s*c.nLev+lv))
-	c.occupy(ap, s, lv, 1)
-	t.homes++
-	if len(t.ma.homes[u]) == 1 {
-		t.satisfied++
-	}
-	return nil
-}
-
-// removeAt removes u's i-th home.
-func (t *MultiTracker) removeAt(u, i int) {
-	c := &t.cube
-	cell := int(t.cells[u][i])
-	c.occupy(t.ma.homes[u][i], cell/c.nLev, cell%c.nLev, -1)
-	t.ma.homes[u] = slices.Delete(t.ma.homes[u], i, i+1)
-	t.cells[u] = slices.Delete(t.cells[u], i, i+1)
-	t.homes--
-	if len(t.ma.homes[u]) == 0 {
-		t.satisfied--
-	}
-}
-
-// ReplaceHomes sets user u's AP set to aps (no duplicates, every AP in
-// range) and appends to lost each AP where u no longer holds the cell
-// it held before: the AP was dropped, or u now sits there at another
-// session or rate. Those are the APs whose occupancy may have shrunk.
-// On error the set is left partially installed.
-func (t *MultiTracker) ReplaceHomes(u int, aps []int, lost []int) ([]int, error) {
-	t.oldAPs = append(t.oldAPs[:0], t.ma.homes[u]...)
-	t.oldCells = append(t.oldCells[:0], t.cells[u]...)
-	for i := len(t.oldAPs) - 1; i >= 0; i-- {
-		t.removeAt(u, i)
-	}
-	for _, ap := range aps {
-		if err := t.AddHome(u, ap); err != nil {
-			return lost, err
-		}
-	}
-	for i, ap := range t.oldAPs {
-		if j := t.homeIndex(u, ap); j < 0 || t.cells[u][j] != t.oldCells[i] {
-			lost = append(lost, ap)
-		}
-	}
-	return lost, nil
-}
-
-// LoadIfJoin returns AP ap's load if user u additionally homed to it,
-// the join's exact change to its session row (new row term minus old),
-// and whether the join is possible (in range and not already a home).
-// The load can only grow as the AP gains occupancy.
-func (t *MultiTracker) LoadIfJoin(u, ap int) (load, delta float64, ok bool) {
-	if t.HasHome(u, ap) {
-		return 0, 0, false
-	}
-	d, ok := t.cube.joinDelta(u, ap)
-	if !ok {
-		return 0, 0, false
-	}
-	return (t.cube.load[ap] + d).Load(), d.Load(), true
 }

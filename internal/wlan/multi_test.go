@@ -53,19 +53,45 @@ func TestMultiAssocSetOps(t *testing.T) {
 	}
 }
 
+// TestMultiAssocFromToAssoc pins the lift of a single-AP association
+// to sets, and that a single-AP tracker's MultiAssoc is that lift.
 func TestMultiAssocFromToAssoc(t *testing.T) {
+	n, err := NewFromRates([][]radio.Mbps{{6, 6, 6, 6}, {6, 6, 6, 6}, {6, 6, 6, 6}}, []int{0, 0, 0, 0}, []Session{{Rate: 1}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	a := NewAssoc(4)
 	a.Associate(0, 2)
 	a.Associate(3, 1)
-	m := FromAssoc(a)
+	m := fromAssoc(a)
 	if m.Degree(0) != 1 || !m.HasHome(0, 2) || m.Degree(1) != 0 || m.Degree(3) != 1 {
-		t.Fatalf("FromAssoc wrong: %v %v", m.Homes(0), m.Homes(3))
+		t.Fatalf("fromAssoc wrong: %v %v", m.Homes(0), m.Homes(3))
 	}
 	for u := 0; u < a.NumUsers(); u++ {
 		if ap := a.APOf(u); ap != Unassociated && !slices.Equal(m.Homes(u), []int{ap}) {
 			t.Errorf("user %d: homes %v, assoc AP %d", u, m.Homes(u), ap)
 		}
 	}
+	tr, err := NewTracker(n, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := json.Marshal(tr.MultiAssoc())
+	if want, _ := json.Marshal(m); string(got) != string(want) {
+		t.Errorf("single-AP tracker MultiAssoc %s, lifted association %s", got, want)
+	}
+}
+
+// fromAssoc lifts a single-AP association into the multi-homing
+// representation: each associated user gets the one-element AP set.
+func fromAssoc(a *Assoc) *MultiAssoc {
+	m := NewMultiAssoc(a.NumUsers())
+	for u, ap := range a.apOf {
+		if ap != Unassociated {
+			m.homes[u] = []int{ap}
+		}
+	}
+	return m
 }
 
 func TestMultiAssocJSONRoundTrip(t *testing.T) {
@@ -134,7 +160,7 @@ func TestMultiTrackerMatchesRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 25; trial++ {
 		n := randomNet(t, rng, 6, 25, 3)
-		tr, err := NewMultiTracker(n, nil)
+		tr, err := NewCappedTracker(n, n.NumAPs(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +217,7 @@ func TestMultiTrackerWhatIfMatchesApply(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 20; trial++ {
 		n := randomNet(t, rng, 5, 20, 2)
-		tr, err := NewMultiTracker(n, nil)
+		tr, err := NewCappedTracker(n, n.NumAPs(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -249,7 +275,7 @@ func TestMultiTrackerSeedAndErrors(t *testing.T) {
 	m.AddHome(0, 0)
 	m.AddHome(1, 0)
 	m.AddHome(1, 1)
-	tr, err := NewMultiTracker(n, m)
+	tr, err := NewCappedTracker(n, 2, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,6 +300,9 @@ func TestMultiTrackerSeedAndErrors(t *testing.T) {
 	if _, _, ok := tr.LoadIfJoin(1, 0); ok {
 		t.Fatal("LoadIfJoin accepted an existing home")
 	}
+	if _, err := NewCappedTracker(n, 1, m); err == nil {
+		t.Fatal("a cap-1 tracker accepted a two-home seed")
+	}
 	// Degree-1 seeds must load identically to the single-AP tracker.
 	a := NewAssoc(2)
 	a.Associate(0, 0)
@@ -282,7 +311,7 @@ func TestMultiTrackerSeedAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mt, err := NewMultiTracker(n, FromAssoc(a))
+	mt, err := NewCappedTracker(n, 2, fromAssoc(a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,8 +320,8 @@ func TestMultiTrackerSeedAndErrors(t *testing.T) {
 			t.Fatalf("AP %d: single %v multi %v", ap, st.APLoad(ap), mt.APLoad(ap))
 		}
 	}
-	if _, err := NewMultiTracker(n, NewMultiAssoc(5)); err == nil {
-		t.Fatal("NewMultiTracker accepted a wrong-sized seed")
+	if _, err := NewCappedTracker(n, 2, NewMultiAssoc(5)); err == nil {
+		t.Fatal("NewCappedTracker accepted a wrong-sized seed")
 	}
 }
 
@@ -312,7 +341,7 @@ func TestMultiTrackerRecordedCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := NewMultiTracker(n, nil)
+	tr, err := NewCappedTracker(n, n.NumAPs(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,10 +490,10 @@ func TestAggregateRateDegradesUnderFault(t *testing.T) {
 // RemoveHome removes AP ap from user u's homes, releasing the cell
 // the home was added with (so it works after the AP went down or u
 // moved). ap must currently be one of u's homes. Production changes
-// AP sets through AddHome and ReplaceHomes; the random-sequence suites
-// drive single removals through this.
-func (t *MultiTracker) RemoveHome(u, ap int) error {
-	i := t.homeIndex(u, ap)
+// AP sets through AddHome, Disassociate and ReplaceHomes; the
+// random-sequence suites drive single removals through this.
+func (t *Tracker) RemoveHome(u, ap int) error {
+	i := slices.Index(t.Homes(u), ap)
 	if i < 0 {
 		return fmt.Errorf("wlan: tracker: user %d is not homed to AP %d", u, ap)
 	}

@@ -2,6 +2,7 @@ package wlan
 
 import (
 	"fmt"
+	"slices"
 
 	"wlanmcast/internal/radio"
 )
@@ -43,18 +44,15 @@ func toQuanta(load float64) Quanta { return Quanta(load*quantaPerLoad + 0.5) }
 // quanta returns session s's load at PHY rate r in quanta.
 func (n *Network) quanta(s int, r radio.Mbps) Quanta { return toQuanta(n.SessionLoad(s, r)) }
 
-// loadCube is the dense per-AP per-session rate occupancy cube shared
-// by the single-AP Tracker and the multi-homing MultiTracker.
-// counts[(ap*nSess+s)*nLev+l] counts the users of session s homed to
-// ap whose multicast transmission rate from ap is levels[l]; the cube
-// maintains per-AP loads incrementally from those occupancies. It is
-// association-shape agnostic: it has no idea whether a user occupies
-// one row (single-AP) or several (multi-homing) — that bookkeeping
-// (apOf / homesOf) lives in the trackers wrapping it. Dense over the
-// network's fixed rate-level universe rather than nested maps, so the
-// per-event hot path never allocates — the engine's zero-alloc
-// contract depends on occupy and the what-if deltas staying
-// allocation-free.
+// loadCube is the dense per-AP per-session rate occupancy cube under
+// a Tracker. counts[(ap*nSess+s)*nLev+l] counts the homes on ap of
+// session-s users whose multicast transmission rate from ap is
+// levels[l]; the cube maintains per-AP loads incrementally from those
+// occupancies. Which user holds which cell is the Tracker's home-slot
+// bookkeeping, not the cube's. Dense over the network's fixed
+// rate-level universe rather than nested maps, so the per-event hot
+// path never allocates — the engine's zero-alloc contract depends on
+// occupy and the what-if deltas staying allocation-free.
 type loadCube struct {
 	n *Network
 	// model is n.Load as of construction: Network.Load may be swapped
@@ -212,67 +210,131 @@ func (c *loadCube) joinDelta(u, ap int) (Quanta, bool) {
 	return c.quanta(s, r) - c.term(s, old), true
 }
 
-// dropDelta returns how AP ap's load would change if user u, which
-// occupies it, left: nonzero only when u is its row's sole slowest
-// member.
-func (c *loadCube) dropDelta(u, ap int) Quanta {
-	r, _ := c.n.TxRate(ap, u)
-	s := c.n.UserSession(u)
+// dropDelta returns how AP ap's load would change if the home
+// occupying cell (s*nLev+level) on it left: nonzero only when that home
+// is its row's sole slowest member.
+func (c *loadCube) dropDelta(ap int, cell int32) Quanta {
+	s, lv := int(cell)/c.nLev, int(cell)%c.nLev
 	b := c.base(ap, s)
-	lv := c.minLevel(b, 0)
-	if lv < 0 || c.levels[lv] != r || c.counts[b+lv] > 1 {
+	if c.minLevel(b, 0) != lv || c.counts[b+lv] > 1 {
 		return 0
 	}
 	return c.term(s, c.minLevel(b, lv+1)) - c.term(s, lv)
 }
 
-// Tracker maintains per-AP load incrementally as users associate and
-// disassociate. The distributed algorithms evaluate many hypothetical
-// "what if I joined AP a / left my AP" loads per decision; recomputing
-// from scratch would be O(users) each time, the tracker answers in
-// O(rate levels) using the shared loadCube occupancy cube. Exactly one
-// occupancy per associated user: apOf is the association. Its loads
-// are exact (see Quanta): equal, bit for bit, to the Network functions
-// over the materialized association.
+// Tracker maintains per-AP load incrementally as users gain and lose
+// homes, the APs they receive their session from. The distributed
+// algorithms evaluate many hypothetical "what if I joined AP a / left
+// my AP" loads per decision; recomputing from scratch would be
+// O(users) each time, the tracker answers in O(rate levels) from its
+// occupancy cube. Every user holds at most a cap of homes fixed at
+// construction: 1 for the single-AP association the paper's algorithms
+// build (NewTracker), more for multi-homing (NewCappedTracker). Its
+// loads are exact (see Quanta): equal, bit for bit, to the Network
+// functions over the materialized association, so two trackers holding
+// the same homes answer every query with the same bits — which is what
+// lets the engine keep one alive across calls and re-derive only the
+// users a call touched.
+//
+// Each home records the (session, rate level) cell it occupies when it
+// is added, and removal releases that cell: a home can be removed
+// after its AP went down or its user moved or changed session.
 type Tracker struct {
 	cube loadCube
-	// apOf[u] mirrors the association.
-	apOf []int
-	// satisfied counts the currently associated users.
-	satisfied int
+	// User u's homes are the slots [u*maxHomes, (u+1)*maxHomes) of
+	// homes, its APs ascending and then Unassociated; cells[i] is the
+	// cube cell s*nLev+level the home in slot i occupies. At cap 1,
+	// homes is the association.
+	maxHomes int
+	homes    []int
+	cells    []int32
+	// satisfied counts users with at least one home, nHomes all homes.
+	satisfied, nHomes int
+	// oldAPs/oldCells are ReplaceHomes' scratch.
+	oldAPs   []int
+	oldCells []int32
 }
 
-// NewTracker builds a tracker over network n starting from association
-// a (which may be nil for the all-unassociated start).
+// NewTracker builds a single-AP tracker (cap 1) over network n starting
+// from association a (nil for the all-unassociated start).
 func NewTracker(n *Network, a *Assoc) (*Tracker, error) {
-	cube, err := newLoadCube(n)
-	if err != nil {
-		return nil, err
+	t, err := newTracker(n, 1)
+	if err != nil || a == nil {
+		return t, err
 	}
-	t := &Tracker{
-		cube: cube,
-		apOf: make([]int, n.NumUsers()),
+	if a.NumUsers() != n.NumUsers() {
+		return nil, fmt.Errorf("wlan: tracker: association covers %d users, network has %d", a.NumUsers(), n.NumUsers())
 	}
-	for u := range t.apOf {
-		t.apOf[u] = Unassociated
-	}
-	if a != nil {
-		if a.NumUsers() != n.NumUsers() {
-			return nil, fmt.Errorf("wlan: tracker: association covers %d users, network has %d", a.NumUsers(), n.NumUsers())
-		}
-		for u := 0; u < a.NumUsers(); u++ {
-			if ap := a.APOf(u); ap != Unassociated {
-				if err := t.Associate(u, ap); err != nil {
-					return nil, err
-				}
+	for u, ap := range a.apOf {
+		if ap != Unassociated {
+			if err := t.AddHome(u, ap); err != nil {
+				return nil, err
 			}
 		}
 	}
 	return t, nil
 }
 
-// APOf returns the AP user u is currently associated with.
-func (t *Tracker) APOf(u int) int { return t.apOf[u] }
+// NewCappedTracker builds a tracker over network n whose users hold up
+// to maxHomes homes each (a cap below 1 means 1), starting from
+// multi-association m (nil for the all-unassociated start).
+func NewCappedTracker(n *Network, maxHomes int, m *MultiAssoc) (*Tracker, error) {
+	t, err := newTracker(n, max(maxHomes, 1))
+	if err != nil || m == nil {
+		return t, err
+	}
+	if m.NumUsers() != n.NumUsers() {
+		return nil, fmt.Errorf("wlan: tracker: multi-association covers %d users, network has %d", m.NumUsers(), n.NumUsers())
+	}
+	for u, hs := range m.homes {
+		for _, ap := range hs {
+			if err := t.AddHome(u, ap); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return t, nil
+}
+
+// newTracker builds an empty tracker with the given cap.
+func newTracker(n *Network, maxHomes int) (*Tracker, error) {
+	cube, err := newLoadCube(n)
+	if err != nil {
+		return nil, err
+	}
+	t := &Tracker{
+		cube:     cube,
+		maxHomes: maxHomes,
+		homes:    make([]int, n.NumUsers()*maxHomes),
+		cells:    make([]int32, n.NumUsers()*maxHomes),
+	}
+	for i := range t.homes {
+		t.homes[i] = Unassociated
+	}
+	return t, nil
+}
+
+// APOf returns user u's lowest-id home, Unassociated for none: at cap
+// 1, the AP u is associated with.
+func (t *Tracker) APOf(u int) int { return t.homes[u*t.maxHomes] }
+
+// Homes returns u's current AP set, ascending. The slice is the
+// tracker's storage: callers must not modify it, and it follows u's
+// later changes.
+func (t *Tracker) Homes(u int) []int {
+	b := u * t.maxHomes
+	e := b
+	for e < b+t.maxHomes && t.homes[e] != Unassociated {
+		e++
+	}
+	return t.homes[b:e:e]
+}
+
+// Degree returns how many APs user u is currently homed to.
+func (t *Tracker) Degree(u int) int { return len(t.Homes(u)) }
+
+// HasHome reports whether user u is currently homed to ap.
+func (t *Tracker) HasHome(u, ap int) bool { return slices.Contains(t.Homes(u), ap) }
 
 // APLoad returns the current multicast load of ap.
 func (t *Tracker) APLoad(ap int) float64 { return t.cube.load[ap].Load() }
@@ -280,81 +342,158 @@ func (t *Tracker) APLoad(ap int) float64 { return t.cube.load[ap].Load() }
 // TotalLoad returns the current total multicast load.
 func (t *Tracker) TotalLoad() float64 { return t.cube.total.Load() }
 
-// Satisfied returns how many users are currently associated (served).
-func (t *Tracker) Satisfied() int { return t.satisfied }
-
-// MaxLoad returns the current maximum AP load.
+// MaxLoad returns the current maximum AP load (0 with no homes),
+// rescanning the APs only when the one that held it has since lost
+// load.
 func (t *Tracker) MaxLoad() float64 { return t.cube.maxLoad().Load() }
 
-// Assoc materializes the tracked association.
+// Satisfied returns how many users currently have at least one home.
+func (t *Tracker) Satisfied() int { return t.satisfied }
+
+// NumHomes returns the total number of homes over all users.
+func (t *Tracker) NumHomes() int { return t.nHomes }
+
+// Assoc materializes the single-AP association: every user's APOf.
 func (t *Tracker) Assoc() *Assoc {
-	return &Assoc{apOf: append([]int(nil), t.apOf...)}
+	a := &Assoc{apOf: make([]int, len(t.homes)/t.maxHomes)}
+	for u := range a.apOf {
+		a.apOf[u] = t.homes[u*t.maxHomes]
+	}
+	return a
 }
 
-// Associate adds user u to AP ap, updating loads incrementally.
-// u must currently be unassociated.
-func (t *Tracker) Associate(u, ap int) error {
-	if t.apOf[u] != Unassociated {
-		return fmt.Errorf("wlan: tracker: user %d already associated with AP %d", u, t.apOf[u])
+// MultiAssoc materializes every user's AP set.
+func (t *Tracker) MultiAssoc() *MultiAssoc {
+	m := NewMultiAssoc(len(t.homes) / t.maxHomes)
+	flat := make([]int, 0, t.nHomes)
+	for u := range m.homes {
+		if hs := t.Homes(u); len(hs) > 0 {
+			flat = append(flat, hs...)
+			m.homes[u] = flat[len(flat)-len(hs) : len(flat) : len(flat)]
+		}
 	}
-	s, lv := t.cube.cell(u, ap)
+	return m
+}
+
+// AddHome homes user u to AP ap, updating loads incrementally. ap must
+// be in range and not already one of u's homes, and u below the cap:
+// at cap 1, unassociated.
+func (t *Tracker) AddHome(u, ap int) error {
+	hs := t.Homes(u)
+	i, found := slices.BinarySearch(hs, ap)
+	switch {
+	case found:
+		return fmt.Errorf("wlan: tracker: user %d already homed to AP %d", u, ap)
+	case len(hs) == t.maxHomes:
+		return fmt.Errorf("wlan: tracker: user %d already holds its %d homes %v", u, t.maxHomes, hs)
+	}
+	c := &t.cube
+	s, lv := c.cell(u, ap)
 	if lv < 0 {
 		return fmt.Errorf("wlan: tracker: AP %d cannot serve user %d (out of range, or a rate outside the network's levels)", ap, u)
 	}
-	t.cube.occupy(ap, s, lv, 1)
-	t.apOf[u] = ap
-	t.satisfied++
+	b, d := u*t.maxHomes, len(hs)
+	copy(t.homes[b+i+1:b+d+1], t.homes[b+i:b+d])
+	copy(t.cells[b+i+1:b+d+1], t.cells[b+i:b+d])
+	t.homes[b+i], t.cells[b+i] = ap, int32(s*c.nLev+lv)
+	c.occupy(ap, s, lv, 1)
+	t.nHomes++
+	if d == 0 {
+		t.satisfied++
+	}
 	return nil
 }
 
-// Disassociate removes user u from its AP. u must be associated, and
-// its link to the AP unchanged since it associated.
+// removeAt removes u's i-th home, releasing the cell it recorded.
+func (t *Tracker) removeAt(u, i int) {
+	c := &t.cube
+	b, d := u*t.maxHomes, t.Degree(u)
+	cell := int(t.cells[b+i])
+	c.occupy(t.homes[b+i], cell/c.nLev, cell%c.nLev, -1)
+	copy(t.homes[b+i:b+d-1], t.homes[b+i+1:b+d])
+	copy(t.cells[b+i:b+d-1], t.cells[b+i+1:b+d])
+	t.homes[b+d-1] = Unassociated
+	t.nHomes--
+	if d == 1 {
+		t.satisfied--
+	}
+}
+
+// dropHomes removes all of u's homes.
+func (t *Tracker) dropHomes(u int) {
+	for i := t.Degree(u) - 1; i >= 0; i-- {
+		t.removeAt(u, i)
+	}
+}
+
+// Disassociate removes all of user u's homes (at cap 1, its AP),
+// releasing the cells they recorded. u must have a home.
 func (t *Tracker) Disassociate(u int) error {
-	ap := t.apOf[u]
-	if ap == Unassociated {
+	if t.APOf(u) == Unassociated {
 		return fmt.Errorf("wlan: tracker: user %d is not associated", u)
 	}
-	s, lv := t.cube.cell(u, ap)
-	if lv < 0 {
-		return fmt.Errorf("wlan: tracker: user %d lost its link to AP %d while associated", u, ap)
-	}
-	t.cube.occupy(ap, s, lv, -1)
-	t.apOf[u] = Unassociated
-	t.satisfied--
+	t.dropHomes(u)
 	return nil
 }
 
-// Move reassociates user u to AP ap in one step.
+// Move reassociates user u to AP ap alone — the degree-1 move: a no-op
+// when ap is already u's APOf, otherwise u's homes are dropped and ap
+// added.
 func (t *Tracker) Move(u, ap int) error {
-	if t.apOf[u] == ap {
+	if t.APOf(u) == ap {
 		return nil
 	}
-	if t.apOf[u] != Unassociated {
-		if err := t.Disassociate(u); err != nil {
-			return err
+	t.dropHomes(u)
+	return t.AddHome(u, ap)
+}
+
+// ReplaceHomes sets user u's AP set to aps (no duplicates, every AP in
+// range, at most the cap) and appends to lost each AP where u no
+// longer holds the cell it held before: the AP was dropped, or u now
+// sits there at another session or rate. Those are the APs whose
+// occupancy may have shrunk. On error the set is left partially
+// installed.
+func (t *Tracker) ReplaceHomes(u int, aps []int, lost []int) ([]int, error) {
+	b, hs := u*t.maxHomes, t.Homes(u)
+	t.oldAPs = append(t.oldAPs[:0], hs...)
+	t.oldCells = append(t.oldCells[:0], t.cells[b:b+len(hs)]...)
+	t.dropHomes(u)
+	for _, ap := range aps {
+		if err := t.AddHome(u, ap); err != nil {
+			return lost, err
 		}
 	}
-	return t.Associate(u, ap)
+	for i, ap := range t.oldAPs {
+		if j := slices.Index(t.Homes(u), ap); j < 0 || t.cells[b+j] != t.oldCells[i] {
+			lost = append(lost, ap)
+		}
+	}
+	return lost, nil
 }
 
-// LoadIfJoin returns AP ap's load if user u additionally associated
-// with it, and whether the join is possible (in range). u's current
-// association is ignored — callers combine with LoadIfLeave.
-func (t *Tracker) LoadIfJoin(u, ap int) (float64, bool) {
+// LoadIfJoin returns AP ap's load if user u additionally homed to it,
+// the join's exact change to that load, and whether the join is
+// possible (in range and not already a home). u's other homes are
+// ignored: a degree-1 caller weighing a move combines it with
+// LoadIfLeave.
+func (t *Tracker) LoadIfJoin(u, ap int) (load, delta float64, ok bool) {
+	if t.HasHome(u, ap) {
+		return 0, 0, false
+	}
 	d, ok := t.cube.joinDelta(u, ap)
 	if !ok {
-		return 0, false
+		return 0, 0, false
 	}
-	return (t.cube.load[ap] + d).Load(), true
+	return (t.cube.load[ap] + d).Load(), d.Load(), true
 }
 
-// LoadIfLeave returns the load of u's current AP if u left it. The
-// second result is the AP in question; it is Unassociated when u has
-// no AP (then the first result is 0).
+// LoadIfLeave returns the load of u's APOf if u left it — the degree-1
+// what-if — and that AP; (0, Unassociated) when u has no home.
 func (t *Tracker) LoadIfLeave(u int) (float64, int) {
-	ap := t.apOf[u]
+	b := u * t.maxHomes
+	ap := t.homes[b]
 	if ap == Unassociated {
 		return 0, Unassociated
 	}
-	return (t.cube.load[ap] + t.cube.dropDelta(u, ap)).Load(), ap
+	return (t.cube.load[ap] + t.cube.dropDelta(ap, t.cells[b])).Load(), ap
 }

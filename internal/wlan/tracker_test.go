@@ -1,6 +1,7 @@
 package wlan
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestTrackerMatchesRecompute(t *testing.T) {
 			switch rng.Intn(3) {
 			case 0: // associate somewhere (if free)
 				if tr.APOf(u) == Unassociated {
-					if err := tr.Associate(u, nb[rng.Intn(len(nb))]); err != nil {
+					if err := tr.AddHome(u, nb[rng.Intn(len(nb))]); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -74,7 +75,7 @@ func TestTrackerWhatIfMatchesApply(t *testing.T) {
 		for u := 0; u < n.NumUsers(); u++ {
 			nb := n.NeighborAPs(u)
 			if len(nb) > 0 && rng.Intn(2) == 0 {
-				if err := tr.Associate(u, nb[rng.Intn(len(nb))]); err != nil {
+				if err := tr.AddHome(u, nb[rng.Intn(len(nb))]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -99,7 +100,7 @@ func TestTrackerWhatIfMatchesApply(t *testing.T) {
 				if ap == tr.APOf(u) {
 					continue
 				}
-				pred, ok := tr.LoadIfJoin(u, ap)
+				pred, _, ok := tr.LoadIfJoin(u, ap)
 				if !ok {
 					t.Fatalf("LoadIfJoin(%d,%d) not ok for a neighbor", u, ap)
 				}
@@ -112,7 +113,7 @@ func TestTrackerWhatIfMatchesApply(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if err := cp.Associate(u, ap); err != nil {
+				if err := cp.AddHome(u, ap); err != nil {
 					t.Fatal(err)
 				}
 				if cp.APLoad(ap) != pred {
@@ -129,16 +130,16 @@ func TestTrackerErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Associate(0, 1); err == nil {
+	if err := tr.AddHome(0, 1); err == nil {
 		t.Error("associating out of range should error")
 	}
 	if err := tr.Disassociate(0); err == nil {
 		t.Error("disassociating a free user should error")
 	}
-	if err := tr.Associate(0, 0); err != nil {
+	if err := tr.AddHome(0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Associate(0, 0); err == nil {
+	if err := tr.AddHome(0, 0); err == nil {
 		t.Error("double association should error")
 	}
 	if _, err := NewTracker(n, NewAssoc(2)); err == nil {
@@ -147,7 +148,7 @@ func TestTrackerErrors(t *testing.T) {
 	if l, ap := tr.LoadIfLeave(1); l != 0 || ap != Unassociated {
 		t.Error("LoadIfLeave of free user should be (0, Unassociated)")
 	}
-	if _, ok := tr.LoadIfJoin(0, 1); ok {
+	if _, _, ok := tr.LoadIfJoin(0, 1); ok {
 		t.Error("LoadIfJoin out of range should report not ok")
 	}
 }
@@ -175,7 +176,7 @@ func TestTrackerMoveNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Associate(2, 0); err != nil {
+	if err := tr.AddHome(2, 0); err != nil {
 		t.Fatal(err)
 	}
 	before := tr.APLoad(0)
@@ -184,6 +185,43 @@ func TestTrackerMoveNoop(t *testing.T) {
 	}
 	if tr.APLoad(0) != before || tr.APOf(2) != 0 {
 		t.Error("Move to the same AP must be a no-op")
+	}
+}
+
+// TestTrackerDisassociateAfterLinkChange pins that a single-AP
+// tracker releases the cell a user was added with: removal stays exact
+// after the user changed session or lost its links while associated.
+func TestTrackerDisassociateAfterLinkChange(t *testing.T) {
+	n, err := NewFromRates([][]radio.Mbps{{6, 12, 12}}, []int{0, 0, 1}, []Session{{Rate: 3}, {Rate: 2}}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewTracker(n, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < 3; u++ {
+		if err := tr.AddHome(u, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := n.SetUserSession(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.DetachUser(2); err != nil {
+		t.Fatal(err)
+	}
+	for _, u := range []int{0, 2} {
+		if err := tr.Disassociate(u); err != nil {
+			t.Fatalf("user %d: %v", u, err)
+		}
+	}
+	a := tr.Assoc()
+	if got, want := tr.APLoad(0), n.APLoad(a, 0); got != want || got != n.SessionLoad(0, 12) {
+		t.Fatalf("AP 0 load %v, recompute %v, want user 1's session at 12 Mbps alone", got, want)
+	}
+	if tr.Satisfied() != 1 || tr.NumHomes() != 1 {
+		t.Fatalf("satisfied %d homes %d, want 1 and 1", tr.Satisfied(), tr.NumHomes())
 	}
 }
 
@@ -253,7 +291,7 @@ func TestAPLoadMonotoneInUsers(t *testing.T) {
 			}
 			ap := nb[rng.Intn(len(nb))]
 			before := tr.APLoad(ap)
-			if err := tr.Associate(u, ap); err != nil {
+			if err := tr.AddHome(u, ap); err != nil {
 				t.Fatal(err)
 			}
 			if after := tr.APLoad(ap); after < before {
@@ -335,7 +373,7 @@ func TestLoadsHistoryFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mt, err := NewMultiTracker(n, nil)
+		mt, err := NewCappedTracker(n, n.NumAPs(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -395,7 +433,7 @@ func TestLoadsHistoryFree(t *testing.T) {
 // toggleAP brings AP a back up, or takes it down after evicting its
 // users from both trackers (the single-AP tracker first, while the
 // links still exist; the multi-homing one releases recorded cells).
-func toggleAP(n *Network, tr *Tracker, mt *MultiTracker, a int) error {
+func toggleAP(n *Network, tr *Tracker, mt *Tracker, a int) error {
 	if n.APDown(a) {
 		return n.EnableAP(a)
 	}
@@ -421,14 +459,14 @@ func toggleAP(n *Network, tr *Tracker, mt *MultiTracker, a int) error {
 
 // requireExactLoads fails unless both trackers' APLoad, TotalLoad and
 // MaxLoad are == to the Network functions and to fresh trackers.
-func requireExactLoads(t *testing.T, n *Network, tr *Tracker, mt *MultiTracker) {
+func requireExactLoads(t *testing.T, n *Network, tr *Tracker, mt *Tracker) {
 	t.Helper()
 	a, ma := tr.Assoc(), mt.MultiAssoc()
 	ftr, err := NewTracker(n, a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmtr, err := NewMultiTracker(n, ma)
+	fmtr, err := NewCappedTracker(n, n.NumAPs(), ma)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,7 +500,7 @@ func TestTrackerRefusesInexactLoads(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, terr := NewTracker(n, nil)
-		_, merr := NewMultiTracker(n, nil)
+		_, merr := NewCappedTracker(n, 2, nil)
 		if fits := float64(rates[0])*float64(len(rates)) < maxQuanta.Load(); fits != (terr == nil) || fits != (merr == nil) {
 			t.Errorf("session rates %v: tracker err %v, multi-tracker err %v", rates, terr, merr)
 		}
@@ -500,4 +538,74 @@ func TestQuantaExactForPaperRates(t *testing.T) {
 func totalLoadMulti(n *Network, m *MultiAssoc) float64 {
 	total, _ := n.loadTotals(m.HasHome)
 	return total.Load()
+}
+
+// TestTrackerAllocGate pins the tracker's per-event operations
+// allocation-free: after warm-up, Move, AddHome with Disassociate,
+// LoadIfJoin, LoadIfLeave and ReplaceHomes make 0 allocations per call
+// on a cap-1 and a cap-2 tracker (check.sh's allocation gate).
+func TestTrackerAllocGate(t *testing.T) {
+	n := randomNet(t, rand.New(rand.NewSource(5)), 6, 40, 3)
+	u, nb := 0, n.NeighborAPs(0)
+	for len(nb) < 2 {
+		u++
+		nb = n.NeighborAPs(u)
+	}
+	a, b := nb[0], nb[1]
+	for _, maxHomes := range []int{1, 2} {
+		tr, err := NewCappedTracker(n, maxHomes, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tr.AddHome(u, a); err != nil {
+			t.Fatal(err)
+		}
+		homes, lost := []int{a, b}[:maxHomes], []int(nil)
+		for _, op := range []struct {
+			name string
+			run  func() error
+		}{
+			{"Move", func() error {
+				if err := tr.Move(u, b); err != nil {
+					return err
+				}
+				return tr.Move(u, a)
+			}},
+			{"AddHome+Disassociate", func() error {
+				if err := tr.Disassociate(u); err != nil {
+					return err
+				}
+				return tr.AddHome(u, a)
+			}},
+			{"LoadIfJoin", func() error {
+				if _, _, ok := tr.LoadIfJoin(u, b); !ok {
+					return fmt.Errorf("LoadIfJoin(%d, %d) refused", u, b)
+				}
+				return nil
+			}},
+			{"LoadIfLeave", func() error {
+				if _, ap := tr.LoadIfLeave(u); ap != a {
+					return fmt.Errorf("LoadIfLeave(%d) left AP %d, want %d", u, ap, a)
+				}
+				return nil
+			}},
+			{"ReplaceHomes", func() (err error) {
+				lost, err = tr.ReplaceHomes(u, homes, lost[:0])
+				return err
+			}},
+		} {
+			var err error
+			allocs := testing.AllocsPerRun(100, func() {
+				if e := op.run(); e != nil {
+					err = e
+				}
+			})
+			if err != nil {
+				t.Fatalf("cap %d %s: %v", maxHomes, op.name, err)
+			}
+			if allocs != 0 {
+				t.Errorf("cap %d %s: %v allocs per call, want 0", maxHomes, op.name, allocs)
+			}
+		}
+	}
 }

@@ -55,7 +55,10 @@
 #      and the snapshot encoder: a geometric engine's binary snapshot
 #      at <= 24 bytes per active user, and EncodeSnapshot's allocation
 #      count the same at 500 and 2000 users (bytes and allocations,
-#      unlike wall time, gate the same on every host)
+#      unlike wall time, gate the same on every host), and the load
+#      tracker's per-event operations (Move, AddHome/Disassociate,
+#      LoadIfJoin, LoadIfLeave, ReplaceHomes) at 0 allocs per call on
+#      a single-AP and a two-home tracker
 #   8. the behaviour gate: the reduced figure tables (fig9a / 10a /
 #      10b / 11, ext-churn, ext-fault, ext-multihome at -seeds 4
 #      -size 0.1) byte for byte against results/behaviour-figs.csv,
@@ -166,9 +169,10 @@ END {
     }
 }'
 
-echo "== allocation gate (engine event path <= 2 allocs/event, multi-homed Apply <= 4, BLA decision 0, snapshot encoder)"
+echo "== allocation gate (engine event path <= 2 allocs/event, multi-homed Apply <= 4, BLA decision 0, snapshot encoder, tracker 0)"
 go test -run 'TestEngineEventAllocGate|TestEngineMultihomeAllocGate|TestSnapshotEncodingGate' -count 1 ./internal/engine
 go test -run 'TestChooseBLAAllocGate' -count 1 ./internal/core
+go test -run 'TestTrackerAllocGate' -count 1 ./internal/wlan
 
 echo "== behaviour gate (golden figure tables, tie rules, skip and solver-reuse differentials)"
 go test -run 'TestBehaviourFigures' -count 1 ./internal/experiments
